@@ -20,7 +20,9 @@ from pathlib import Path
 
 from .core import ModelError, Pera, integerize, parse_valuation
 from .encoder import VARIANTS, build
-from .language import SEMANTICS, LanguageSample, compare as compare_samples, enumerate_language
+from .language import (
+    SEMANTICS, Determinized, LanguageSample, compare as compare_samples, enumerate_language,
+)
 from .minsky import parse_machine, run
 from .semantics import ExplorationConfig, ResourceExhausted
 
@@ -65,6 +67,7 @@ def _valuate_rescaled(a: Pera, *valuations: dict[str, Fraction]):
     """Valuate under a common integer scale; returns (scale, list of Peras)."""
     merged: dict[str, Fraction] = {}
     for i, v in enumerate(valuations):
+        integerize(v)  # rejects a negative value under the user's parameter name
         for name, x in v.items():
             merged[f"{i}:{name}"] = x
     ints, scale = integerize(merged)
@@ -88,15 +91,25 @@ def _fmt_valuation(vals: dict[str, Fraction]) -> str:
     return ", ".join(f"{k}={v}" for k, v in sorted(vals.items()))
 
 
-def _sample_stats(s: LanguageSample) -> list[str]:
-    lines = [f"prefix words: {len(s.prefix_words)}"]
-    if s.semantics == "maximal":
-        lines.append(f"maximal finite words: {len(s.maximal_finite_words)}")
-    elif s.semantics in ("reach", "safety"):
-        lines.append(f"accepted words: {len(s.accepted_words)}")
+def _sample_stats(semantics: str, counts: tuple[int, ...]) -> list[str]:
+    if semantics == "buchi":
+        return [f"lassos: {counts[0]}"]
+    flagged = "maximal finite words" if semantics == "maximal" else "accepted words"
+    return [f"prefix words: {counts[0]}", f"{flagged}: {counts[1]}"]
+
+
+def _observe(a: Pera, cfg: ExplorationConfig, semantics: str):
+    """An observation of `a` for `compare`, with its counts.
+
+    Büchi lassos are sampled; the other semantics are determinized and
+    counted level by level, which expands every state set a comparison
+    can visit, so running out of nodes happens here and not mid-compare.
+    """
+    if semantics == "buchi":
+        obs = enumerate_language(a, cfg, semantics)
     else:
-        lines = [f"lassos: {len(s.lassos)}"]
-    return lines
+        obs = Determinized(a, cfg, semantics)
+    return obs, obs.counts()
 
 
 def _sample_body(s: LanguageSample) -> list[str]:
@@ -156,7 +169,7 @@ def cmd_lang(args) -> int:
     if scale != 1:
         print(f"rescaled by {scale} to clear denominators")
     print(f"semantics: {args.semantics}  depth: {args.depth}")
-    for line in _sample_stats(sample):
+    for line in _sample_stats(args.semantics, sample.counts()):
         print(line)
     for line in _sample_body(sample):
         print(line)
@@ -175,19 +188,20 @@ def cmd_compare(args) -> int:
         _check_parameters(a, vb_flag)
         scale, (va, vb) = _valuate_rescaled(a, va_flag, vb_flag)
     cfg = ExplorationConfig(depth=args.depth, node_limit=args.node_limit)
-    with timings.time("enumerate A"):
-        sa = enumerate_language(va, cfg, args.semantics)
-    with timings.time("enumerate B"):
-        sb = enumerate_language(vb, cfg, args.semantics)
-    res = compare_samples(sa, sb)
+    with timings.time("explore A"):
+        sa, counts_a = _observe(va, cfg, args.semantics)
+    with timings.time("explore B"):
+        sb, counts_b = _observe(vb, cfg, args.semantics)
+    with timings.time("compare"):
+        res = compare_samples(sa, sb)
     print(f"automaton: {args.pera}")
     print(f"valuation A: {_fmt_valuation(va_flag)}")
     print(f"valuation B: {_fmt_valuation(vb_flag)}")
     if scale != 1:
         print(f"rescaled by {scale} to clear denominators")
     print(f"semantics: {args.semantics}  depth: {args.depth}")
-    for side, s in (("A", sa), ("B", sb)):
-        print(f"{side}: " + ", ".join(_sample_stats(s)))
+    for side, counts in (("A", counts_a), ("B", counts_b)):
+        print(f"{side}: " + ", ".join(_sample_stats(args.semantics, counts)))
     print(_verdict_line(res, "A", "B"))
     print(timings.footer())
     return 0
@@ -215,33 +229,32 @@ def cmd_theorem_check(args) -> int:
     print("reference valuation: p=0")
     print(f"semantics: {args.semantics}  depth: {args.depth}")
 
-    with timings.time("enumerate p=0"):
+    with timings.time("explore p=0"):
         scale, (ref_auto,) = _valuate_rescaled(a, {"p": Fraction(0)})
-        ref = enumerate_language(ref_auto, cfg, args.semantics)
+        ref, _ = _observe(ref_auto, cfg, args.semantics)
     any_equal = False
     all_differ = True
     for v in values:
         label = f"p={v}"
         print(f"-- valuation {label} --")
         try:
-            with timings.time(f"enumerate {label}"):
+            with timings.time(f"explore {label}"):
                 scale, (va,) = _valuate_rescaled(a, {"p": v})
                 if scale != 1:
-                    ref_v = enumerate_language(
-                        a.rescale(scale).valuate({"p": 0}), cfg, args.semantics
-                    )
+                    ref_v, _ = _observe(a.rescale(scale).valuate({"p": 0}), cfg, args.semantics)
                 else:
                     ref_v = ref
-                s = enumerate_language(va, cfg, args.semantics)
+                s, counts = _observe(va, cfg, args.semantics)
         except ResourceExhausted as exc:
             print(f"resource exhaustion: {exc}")
             all_differ = False
             continue
         if scale != 1:
             print(f"rescaled by {scale} to clear denominators")
-        for line in _sample_stats(s):
+        for line in _sample_stats(args.semantics, counts):
             print(line)
-        res = compare_samples(ref_v, s)
+        with timings.time(f"compare {label}"):
+            res = compare_samples(ref_v, s)
         print(_verdict_line(res, "reference", label))
         if res.equal:
             any_equal = True
@@ -318,9 +331,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# (flag, argparse attribute, least accepted value)
+_FLAG_MINIMUMS = (
+    ("-k/--depth", "depth", 0),
+    ("--steps", "steps", 0),
+    ("--node-limit", "node_limit", 1),
+)
+
+
+def _check_bounds(args) -> None:
+    for flag, attr, least in _FLAG_MINIMUMS:
+        value = getattr(args, attr, None)
+        if value is not None and value < least:
+            raise ValueError(f"{flag} must be at least {least}, got {value}")
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_bounds(args)
         return args.fn(args)
     except ResourceExhausted as exc:
         print(f"resource exhaustion: {exc}", file=sys.stderr)

@@ -1,17 +1,29 @@
-"""Depth-bounded untimed-language enumeration and comparison.
+"""Depth-bounded untimed languages, decided on a determinized automaton.
 
-Words are enumerated by a breadth-first walk over determinized sets of
-symbolic states, so each word is visited once no matter how many runs
-spell it.  Four semantics share the walk: all finite run words
-(safety), those whose run can end blocked (maximal), those ending in an
-accepting location (reach), and stem/cycle lassos through accepting
-locations (buchi).
+The core is `Determinized`: an on-the-fly subset construction over
+symbolic states (widened unless cfg.extrapolate is off).  Its states
+are frozensets of symbolic states, its transitions are memoized per
+set, and each set carries one flag:
+
+- maximal: some run spelling the word can end blocked;
+- reach: some run spelling the word ends in an accepting location;
+- safety: always set, so the accepted words are the prefix words.
+
+Three views sit on that core.  `Determinized.counts` gives the number
+of prefix and flagged words by a level-by-level count, without
+materializing a word.  `compare` on two determinized automata walks
+pairs of sets breadth first and returns the shortest, lexicographically
+least distinguishing word.  `enumerate_language` lists the words
+themselves for `lang`, deciding each flag once per set.
+
+Büchi semantics records stem/cycle lassos through accepting locations
+on the widened zone graph instead; its samples are compared as sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .core import ModelError, Pera
 from .semantics import Analyzer, ExplorationConfig, ResourceExhausted, Sym, zone_graph
@@ -20,6 +32,7 @@ SEMANTICS = ("maximal", "buchi", "reach", "safety")
 
 Word = tuple[str, ...]
 Lasso = tuple[Word, Word]
+States = frozenset[Sym]
 
 
 @dataclass(frozen=True)
@@ -44,6 +57,13 @@ class LanguageSample:
         lines = [" ".join(w) for w in sorted(table[which], key=lambda w: (len(w), w))]
         return "\n".join(lines) + "\n"
 
+    def counts(self) -> tuple[int, ...]:
+        """(lassos,) under Büchi, else (prefix words, maximal or accepted words)."""
+        if self.semantics == "buchi":
+            return (len(self.lassos),)
+        flagged = self.maximal_finite_words if self.semantics == "maximal" else self.accepted_words
+        return len(self.prefix_words), len(flagged)
+
     def lassos_text(self) -> str:
         def key(l: Lasso):
             return (len(l[0]) + len(l[1]), l[0], l[1])
@@ -58,47 +78,98 @@ def _min_rotation(word: Word) -> Word:
     return min(tuple(word[i:] + word[:i]) for i in range(len(word)))
 
 
-def _word_walk(ana: Analyzer, k: int, node_limit: int, widen: bool):
-    """Yield (word, state set) for every word of length <= k, determinized.
+class Determinized:
+    """One automaton's word language, determinized on the fly.
 
-    State sets are frozensets of symbolic states; the per-set action
-    transition table is memoized, so a state set shared by many words
-    is expanded once.
+    `step` maps a set of symbolic states to its successor set per
+    action, in sorted action order, leaving out actions with no
+    successor; tables are memoized, and every new table counts its
+    entries against cfg.node_limit.  Successor sets are interned, so
+    equal sets are one object and memo lookups stop at identity instead
+    of comparing zones.  `flagged` is the per-set flag described in the
+    module docstring, also memoized.
     """
-    start: frozenset[Sym] = frozenset({ana.widen(ana.initial()) if widen else ana.initial()})
-    trans: dict[frozenset[Sym], dict[str, frozenset[Sym]]] = {}
-    seen_sets = 1
-    alphabet = ana.automaton.alphabet
-    frontier: list[tuple[Word, frozenset[Sym]]] = [((), start)]
-    yield (), start
-    for _ in range(k):
-        nxt: list[tuple[Word, frozenset[Sym]]] = []
-        for word, states in frontier:
-            table = trans.get(states)
-            if table is None:
-                table = {}
-                for act in alphabet:
-                    succ = set()
-                    for sym in states:
-                        for e in ana.edges_from[sym[0]]:
-                            if e.action != act:
-                                continue
-                            nxt_sym = ana.successor(sym, e)
-                            if nxt_sym is not None:
-                                succ.add(ana.widen(nxt_sym) if widen else nxt_sym)
-                    if succ:
-                        table[act] = frozenset(succ)
-                trans[states] = table
-                seen_sets += len(table)
-                if seen_sets > node_limit:
-                    raise ResourceExhausted(
-                        f"language walk exceeded {node_limit} determinized states"
-                    )
-            for act, succ in table.items():
-                w2 = word + (act,)
-                nxt.append((w2, succ))
-                yield w2, succ
-        frontier = nxt
+
+    def __init__(self, a: Pera, cfg: ExplorationConfig, semantics: str):
+        _check_observable(a, semantics)
+        if semantics == "buchi":
+            raise ModelError("buchi semantics is observed through lassos, not words")
+        self.semantics = semantics
+        self.depth = cfg.depth
+        self.node_limit = cfg.node_limit
+        self.widen = cfg.extrapolate
+        self.ana = Analyzer(a, cfg)
+        init = self.ana.initial()
+        self.start: States = frozenset({self.ana.widen(init) if self.widen else init})
+        self._trans: dict[States, dict[str, States]] = {}
+        self._sets: dict[States, States] = {self.start: self.start}
+        self._flags: dict[States, bool] = {}
+        self._seen_sets = 1
+
+    def step(self, states: States) -> dict[str, States]:
+        table = self._trans.get(states)
+        if table is not None:
+            return table
+        ana = self.ana
+        succ: dict[str, set[Sym]] = {}
+        for sym in states:
+            for e in ana.edges_from[sym[0]]:
+                nxt = ana.successor(sym, e)
+                if nxt is not None:
+                    succ.setdefault(e.action, set()).add(ana.widen(nxt) if self.widen else nxt)
+        table = {}
+        for act in sorted(succ):
+            s = frozenset(succ[act])
+            table[act] = self._sets.setdefault(s, s)
+        self._trans[states] = table
+        self._seen_sets += len(table)
+        if self._seen_sets > self.node_limit:
+            raise ResourceExhausted(
+                f"language walk exceeded {self.node_limit} determinized states"
+            )
+        return table
+
+    def flagged(self, states: States) -> bool:
+        flag = self._flags.get(states)
+        if flag is None:
+            if self.semantics == "maximal":
+                flag = any(self.ana.is_blocking(s) for s in states)
+            elif self.semantics == "reach":
+                accepting = self.ana.automaton.accepting
+                flag = any(loc in accepting for loc, _ in states)
+            else:
+                flag = True
+            self._flags[states] = flag
+        return flag
+
+    def counts(self) -> tuple[int, int]:
+        """(prefix words, flagged words) of length <= depth, counted per set."""
+        level = {self.start: 1}
+        prefix = flagged = 0
+        for d in range(self.depth + 1):
+            nxt: dict[States, int] = {}
+            for states, n in level.items():
+                prefix += n
+                if self.flagged(states):
+                    flagged += n
+                if d < self.depth:
+                    for succ in self.step(states).values():
+                        nxt[succ] = nxt.get(succ, 0) + n
+            level = nxt
+        return prefix, flagged
+
+    def words(self) -> Iterator[tuple[Word, States]]:
+        """Every word of length <= depth with its state set, breadth first."""
+        frontier: list[tuple[Word, States]] = [((), self.start)]
+        yield (), self.start
+        for _ in range(self.depth):
+            nxt: list[tuple[Word, States]] = []
+            for word, states in frontier:
+                for act, succ in self.step(states).items():
+                    w2 = word + (act,)
+                    nxt.append((w2, succ))
+                    yield w2, succ
+            frontier = nxt
 
 
 def _lassos(a: Pera, cfg: ExplorationConfig) -> frozenset[Lasso]:
@@ -157,13 +228,7 @@ def _lassos(a: Pera, cfg: ExplorationConfig) -> frozenset[Lasso]:
     return frozenset(out)
 
 
-def enumerate_language(a: Pera, cfg: ExplorationConfig, semantics: str) -> LanguageSample:
-    """Observe one automaton's untimed language at cfg.depth.
-
-    See the module docstring for what each semantics records.  Büchi
-    always works on the widened zone graph; the other three honor
-    cfg.extrapolate.
-    """
+def _check_observable(a: Pera, semantics: str) -> None:
     if semantics not in SEMANTICS:
         raise ModelError(f"unknown semantics {semantics!r}; pick one of {SEMANTICS}")
     if a.parameters:
@@ -171,28 +236,29 @@ def enumerate_language(a: Pera, cfg: ExplorationConfig, semantics: str) -> Langu
     if semantics in ("buchi", "reach") and not a.accepting:
         raise ModelError(f"{semantics} semantics needs a declared accepting set")
 
+
+def enumerate_language(a: Pera, cfg: ExplorationConfig, semantics: str) -> LanguageSample:
+    """Observe one automaton's untimed language at cfg.depth.
+
+    See the module docstring for what each semantics records.  Büchi
+    always works on the widened zone graph; the other three honor
+    cfg.extrapolate.
+    """
+    _check_observable(a, semantics)
     if semantics == "buchi":
         return LanguageSample(semantics, cfg.depth, frozenset(), lassos=_lassos(a, cfg))
 
-    ana = Analyzer(a, cfg)
+    det = Determinized(a, cfg, semantics)
     prefix: set[Word] = set()
     flagged: set[Word] = set()
-    for word, states in _word_walk(ana, cfg.depth, cfg.node_limit, cfg.extrapolate):
+    for word, states in det.words():
         prefix.add(word)
-        if semantics == "maximal":
-            if any(ana.is_blocking(s) for s in states):
-                flagged.add(word)
-        elif semantics == "reach":
-            if any(loc in a.accepting for loc, _ in states):
-                flagged.add(word)
+        if det.flagged(states):
+            flagged.add(word)
     if semantics == "maximal":
         return LanguageSample(semantics, cfg.depth, frozenset(prefix), frozenset(flagged))
-    if semantics == "reach":
-        return LanguageSample(
-            semantics, cfg.depth, frozenset(prefix), accepted_words=frozenset(flagged)
-        )
     return LanguageSample(
-        semantics, cfg.depth, frozenset(prefix), accepted_words=frozenset(prefix)
+        semantics, cfg.depth, frozenset(prefix), accepted_words=frozenset(flagged)
     )
 
 
@@ -222,12 +288,58 @@ def _word_diff(left: frozenset[Word], right: frozenset[Word]):
     return w, ("left" if w in left else "right")
 
 
-def compare(s1: LanguageSample, s2: LanguageSample) -> CompareResult:
-    """Bounded-language comparison; a difference names its shortest witness."""
+_FLAG_FIELD = {"maximal": "maximal_finite", "reach": "accepted", "safety": "accepted"}
+
+
+def _product_walk(left: Determinized, right: Determinized) -> CompareResult:
+    """Breadth-first walk over pairs of sets, up to the depth bound.
+
+    Pairs are expanded in the order of the words reaching them (actions
+    sorted), so the first pair that tells the sides apart is reached by
+    the shortest, lexicographically least distinguishing word.  A pair
+    seen before is skipped: its first visit came by a word no longer and
+    no greater.  A prefix difference wins over a flag difference at the
+    same word, as in the sample comparison.
+    """
+    none: States = frozenset()
+    field = _FLAG_FIELD[left.semantics]
+    seen = {(left.start, right.start)}
+    frontier: list[tuple[Word, States, States]] = [((), left.start, right.start)]
+    for level in range(left.depth + 1):
+        nxt: list[tuple[Word, States, States]] = []
+        for word, sl, sr in frontier:
+            if not (sl and sr):
+                return CompareResult(False, "prefix", word, "left" if sl else "right")
+            fl = left.flagged(sl)
+            if fl != right.flagged(sr):
+                return CompareResult(False, field, word, "left" if fl else "right")
+            if level == left.depth:
+                continue
+            tl, tr = left.step(sl), right.step(sr)
+            for act in sorted(tl.keys() | tr.keys()):
+                pair = (tl.get(act, none), tr.get(act, none))
+                if pair not in seen:
+                    seen.add(pair)
+                    nxt.append((word + (act,), *pair))
+        frontier = nxt
+    return CompareResult(True)
+
+
+def compare(s1: LanguageSample | Determinized, s2: LanguageSample | Determinized) -> CompareResult:
+    """Bounded-language comparison; a difference names its shortest witness.
+
+    Takes two `LanguageSample`s, whose word or lasso sets are diffed, or
+    two `Determinized` automata, which are walked as a product without
+    listing their words.  Both give the same result on the same inputs.
+    """
     if s1.semantics != s2.semantics:
         raise ModelError("samples use different semantics")
     if s1.depth != s2.depth:
         raise ModelError("samples use different depth bounds")
+    if isinstance(s1, Determinized) != isinstance(s2, Determinized):
+        raise ModelError("compare needs two samples or two determinized automata")
+    if isinstance(s1, Determinized):
+        return _product_walk(s1, s2)
     if s1.semantics == "buchi":
         delta = s1.lassos.symmetric_difference(s2.lassos)
         if not delta:

@@ -91,7 +91,9 @@ class Dbm:
         return (self.clocks, tuple(tuple(r) for r in self.m))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Dbm) and self.key() == other.key()
+        if self is other:
+            return True
+        return isinstance(other, Dbm) and self.clocks == other.clocks and self.m == other.m
 
     def __hash__(self) -> int:
         if self._hash is None:

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, run in process."""
 
+import time
 from pathlib import Path
 
 import pytest
@@ -179,6 +180,27 @@ def test_compare_differs(wrapped_loop_file, capsys):
     assert "verdict: differs; maximal finite witness [a_1 a_1 a_z a_2 a_t a_t] only on the B side" in out
 
 
+def test_compare_deep_witness_without_enumeration(wrapped_loop_file, capsys):
+    # 1,398,101 words per side: far too many to list within the budget
+    t0 = time.perf_counter()
+    code = main(["compare", str(wrapped_loop_file), "-p", "p=0", "-p", "p=3", "-k", "10"])
+    dt = time.perf_counter() - t0
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "A: prefix words: 1398101, maximal finite words: 0" in out
+    assert "B: prefix words: 1398101, maximal finite words: 16" in out
+    assert ("verdict: differs; maximal finite witness "
+            "[a_1 a_1 a_z a_2 a_t a_t a_z a_1 a_2 a_t] only on the B side") in out
+    assert dt < 20
+
+
+def test_compare_negative_value_names_the_parameter(wrapped_loop_file, capsys):
+    assert main(["compare", str(wrapped_loop_file), "-p", "p=-1", "-p", "p=2"]) == 1
+    err = capsys.readouterr().err
+    assert "parameter 'p' must be a nonnegative rational" in err
+    assert "0:p" not in err
+
+
 def test_compare_equal(wrapped_loop_file, capsys):
     code = main(["compare", str(wrapped_loop_file), "-p", "p=2", "-p", "p=2", "-k", "5"])
     assert code == 0
@@ -208,6 +230,32 @@ def test_theorem_check_looping_machine(loop_file, capsys):
 def test_theorem_check_empty_values(inc3_file, capsys):
     assert main(["theorem-check", str(inc3_file), "--values", " "]) == 1
     assert "at least one rational" in capsys.readouterr().err
+
+
+# -- bounds on numeric options ------------------------------------------------------
+
+
+def test_negative_depth_rejected(wrapped_loop_file, inc3_file, capsys):
+    runs = (
+        ["lang", str(wrapped_loop_file), "-p", "p=0", "-k", "-3"],
+        ["compare", str(wrapped_loop_file), "-p", "p=0", "-p", "p=1", "--depth", "-1"],
+        ["theorem-check", str(inc3_file), "--values", "2", "-k", "-1"],
+    )
+    for argv in runs:
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "-k/--depth must be at least 0" in captured.err
+        assert "depth:" not in captured.out
+
+
+def test_negative_steps_rejected(inc3_file, capsys):
+    assert main(["simulate-2cm", str(inc3_file), "--steps", "-2"]) == 1
+    assert "--steps must be at least 0" in capsys.readouterr().err
+
+
+def test_node_limit_below_one_rejected(wrapped_loop_file, capsys):
+    assert main(["lang", str(wrapped_loop_file), "-p", "p=0", "--node-limit", "0"]) == 1
+    assert "--node-limit must be at least 1" in capsys.readouterr().err
 
 
 # -- simulate-2cm ----------------------------------------------------------------------

@@ -5,12 +5,14 @@ import pytest
 from peralab.core import Edge, ModelError, Pera
 from peralab.encoder import build
 from peralab.language import (
+    CompareResult,
+    Determinized,
     LanguageSample,
     _min_rotation,
     compare,
     enumerate_language,
 )
-from peralab.minsky import loop
+from peralab.minsky import inc3, loop
 from peralab.semantics import ExplorationConfig, ResourceExhausted
 
 
@@ -199,6 +201,71 @@ def test_compare_buchi_lassos():
     assert not res.equal and res.field == "lassos"
     assert res.witness == (("a",), ("b",)) and res.owner == "left"
     assert res.text() == "differs: lassos witness [a | b] only on the left side"
+
+
+# -- comparison on determinized automata ------------------------------------------
+
+# (A, B) period pairs, and one rational pair: p = 1/2 against p = 3/2,
+# compared as p = 1 against p = 3 on the automaton rescaled by 2
+PERIOD_PAIRS = ((0, 1), (0, 2), (1, 0), (2, 3), (1, 1))
+RATIONAL_PAIRS = ((1, 3),)
+
+
+def assert_product_walk_matches_samples(a, pairs, semantics):
+    periods = sorted({p for pair in pairs for p in pair})
+    for depth in (0, 1, 4):
+        autos = {p: a.valuate({"p": p}) for p in periods}
+        samples = {p: enumerate_language(autos[p], cfg(depth), semantics) for p in periods}
+        dets = {p: Determinized(autos[p], cfg(depth), semantics) for p in periods}
+        for pa, pb in pairs:
+            want = compare(samples[pa], samples[pb])
+            assert compare(dets[pa], dets[pb]) == want, (pa, pb, depth)
+        for p in periods:
+            assert dets[p].counts() == samples[p].counts(), (p, depth)
+
+
+@pytest.mark.parametrize("semantics", ["maximal", "safety"])
+@pytest.mark.parametrize("variant", ["wrapped", "sink"])
+@pytest.mark.parametrize("make", [inc3, loop])
+def test_product_walk_matches_sample_compare(make, variant, semantics):
+    a = build(make(), variant)
+    assert_product_walk_matches_samples(a, PERIOD_PAIRS, semantics)
+    assert_product_walk_matches_samples(a.rescale(2), RATIONAL_PAIRS, semantics)
+
+
+@pytest.mark.parametrize("variant,semantics", [("buchi", "reach"), ("safety", "safety")])
+@pytest.mark.parametrize("make", [inc3, loop])
+def test_product_walk_matches_sample_compare_accepting(make, variant, semantics):
+    # reach differs on prefixes both ways; the safety variant's escape a_3 shows at depth 4
+    assert_product_walk_matches_samples(build(make(), variant), PERIOD_PAIRS, semantics)
+
+
+def test_product_walk_reports_prefix_before_flag():
+    # [a] is a word only on the left, where it is also maximal: prefix wins
+    acts = (("a", "x"), ("b", "y"))
+    left = Pera(actions=acts, parameters=(), locations=("u", "v"), initial="u",
+                edges=(Edge("u", (), "a", "v"),))
+    right = Pera(actions=acts, parameters=(), locations=("u", "v"), initial="u",
+                 edges=(Edge("u", (), "b", "v"),))
+    want = CompareResult(False, "prefix", ("a",), "left")
+    samples = [enumerate_language(x, cfg(2), "maximal") for x in (left, right)]
+    assert compare(*samples) == want
+    assert compare(*(Determinized(x, cfg(2), "maximal") for x in (left, right))) == want
+
+
+def test_product_walk_needs_matching_inputs(loop2):
+    det = Determinized(loop2, cfg(3), "maximal")
+    with pytest.raises(ModelError):
+        compare(det, enumerate_language(loop2, cfg(3), "maximal"))
+    with pytest.raises(ModelError):
+        compare(det, Determinized(loop2, cfg(4), "maximal"))
+    with pytest.raises(ModelError):
+        Determinized(build(loop(), "buchi").valuate({"p": 0}), cfg(3), "buchi")
+
+
+def test_counts_without_words(loop0):
+    det = Determinized(loop0, cfg(8), "maximal")
+    assert det.counts() == ((4 ** 9 - 1) // 3, 0)
 
 
 # -- textual renderings -----------------------------------------------------------
