@@ -129,19 +129,6 @@ def _sample_body(s: LanguageSample) -> list[str]:
     return lines
 
 
-def _verdict_line(res, left: str, right: str) -> str:
-    if res.equal:
-        return "verdict: equal up to bound"
-    if res.field == "lassos":
-        stem, cyc = res.witness
-        shown = " ".join(stem) + " | " + " ".join(cyc)
-    else:
-        shown = " ".join(res.witness) if res.witness else "(empty word)"
-    owner = left if res.owner == "left" else right
-    field = res.field.replace("_", " ")
-    return f"verdict: differs; {field} witness [{shown}] only on the {owner} side"
-
-
 # -- subcommands ---------------------------------------------------------
 
 
@@ -202,7 +189,7 @@ def cmd_compare(args) -> int:
     print(f"semantics: {args.semantics}  depth: {args.depth}")
     for side, counts in (("A", counts_a), ("B", counts_b)):
         print(f"{side}: " + ", ".join(_sample_stats(args.semantics, counts)))
-    print(_verdict_line(res, "A", "B"))
+    print("verdict: " + res.text("A", "B"))
     print(timings.footer())
     return 0
 
@@ -229,9 +216,10 @@ def cmd_theorem_check(args) -> int:
     print("reference valuation: p=0")
     print(f"semantics: {args.semantics}  depth: {args.depth}")
 
+    # the p = 0 reference, observed once per scale
+    refs = {}
     with timings.time("explore p=0"):
-        scale, (ref_auto,) = _valuate_rescaled(a, {"p": Fraction(0)})
-        ref, _ = _observe(ref_auto, cfg, args.semantics)
+        refs[1], _ = _observe(a.valuate({"p": 0}), cfg, args.semantics)
     any_equal = False
     all_differ = True
     for v in values:
@@ -240,10 +228,8 @@ def cmd_theorem_check(args) -> int:
         try:
             with timings.time(f"explore {label}"):
                 scale, (va,) = _valuate_rescaled(a, {"p": v})
-                if scale != 1:
-                    ref_v, _ = _observe(a.rescale(scale).valuate({"p": 0}), cfg, args.semantics)
-                else:
-                    ref_v = ref
+                if scale not in refs:
+                    refs[scale], _ = _observe(a.rescale(scale).valuate({"p": 0}), cfg, args.semantics)
                 s, counts = _observe(va, cfg, args.semantics)
         except ResourceExhausted as exc:
             print(f"resource exhaustion: {exc}")
@@ -254,8 +240,8 @@ def cmd_theorem_check(args) -> int:
         for line in _sample_stats(args.semantics, counts):
             print(line)
         with timings.time(f"compare {label}"):
-            res = compare_samples(ref_v, s)
-        print(_verdict_line(res, "reference", label))
+            res = compare_samples(refs[scale], s)
+        print("verdict: " + res.text("reference", label))
         if res.equal:
             any_equal = True
             all_differ = False
@@ -347,7 +333,12 @@ def _check_bounds(args) -> None:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the usage message; its own exit code 2
+        # would read as resource exhaustion, so a usage error exits 1
+        return 1 if exc.code else 0
     try:
         _check_bounds(args)
         return args.fn(args)

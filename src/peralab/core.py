@@ -19,9 +19,6 @@ from typing import Iterable, Mapping, Sequence
 
 RELATIONS = ("<", "<=", "=", ">=", ">")
 
-# Relations after `=` elimination; `=` never survives normalization.
-_SPLIT_EQ = {"=": ("<=", ">=")}
-
 
 class ModelError(ValueError):
     """Raised for structurally invalid automata or malformed text."""
@@ -72,11 +69,6 @@ class Atom:
                 raise UnsatisfiableAtom(self)
             return Atom(self.clock, ">=", 0)
         return Atom(self.clock, self.rel, bound)
-
-    def split_eq(self) -> tuple["Atom", ...]:
-        if self.rel != "=":
-            return (self,)
-        return tuple(Atom(self.clock, r, self.offset, self.param) for r in _SPLIT_EQ["="])
 
 
 class UnsatisfiableAtom(ModelError):
@@ -129,6 +121,8 @@ def parse_atom(text: str, parameters: Iterable[str]) -> Atom:
 
 
 def parse_guard(text: str, parameters: Iterable[str]) -> Guard:
+    if not isinstance(text, str):
+        raise ModelError(f"expected a guard string, got {text!r}")
     text = text.strip()
     if text in ("", "true"):
         return ()
@@ -313,14 +307,15 @@ class Pera:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ModelError(f"not valid JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ModelError("malformed automaton document: expected a JSON object")
         try:
             params = tuple(doc.get("parameters", []))
             actions = tuple((d["action"], d["clock"]) for d in doc["actions"])
             locations = tuple(d["name"] for d in doc["locations"])
-            invariants = {
+            invariants = {   # empty ones are trimmed by the constructor
                 d["name"]: parse_guard(d.get("invariant", "true"), params)
                 for d in doc["locations"]
-                if parse_guard(d.get("invariant", "true"), params)
             }
             edges = tuple(
                 Edge(

@@ -269,7 +269,8 @@ class CompareResult:
     witness: object | None = None  # a word, or a (stem, cycle) pair
     owner: str | None = None       # "left" or "right"
 
-    def text(self) -> str:
+    def text(self, left: str, right: str) -> str:
+        """The verdict in words, naming the sides `left` and `right`."""
         if self.equal:
             return "equal up to bound"
         if self.field == "lassos":
@@ -277,7 +278,9 @@ class CompareResult:
             shown = " ".join(stem) + " | " + " ".join(cyc)
         else:
             shown = " ".join(self.witness) if self.witness else "(empty word)"
-        return f"differs: {self.field} witness [{shown}] only on the {self.owner} side"
+        owner = left if self.owner == "left" else right
+        field = self.field.replace("_", " ")
+        return f"differs; {field} witness [{shown}] only on the {owner} side"
 
 
 def _word_diff(left: frozenset[Word], right: frozenset[Word]):

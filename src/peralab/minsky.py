@@ -120,11 +120,6 @@ def run(m: Machine, max_steps: int) -> RunResult:
     return RunResult(configs, halted)
 
 
-def halts_within(m: Machine, budget: int) -> bool:
-    """Does the machine reach its halt state in at most `budget` steps?"""
-    return run(m, budget).halted
-
-
 # -- text format -------------------------------------------------------
 #
 #   # comment
@@ -186,16 +181,6 @@ def parse_machine(text: str, name: str = "machine") -> Machine:
         raise ModelError("need both an init: and a halt: header")
     declare(halt)
     return Machine(name, tuple(order), initial, halt, tuple(program))
-
-
-def machine_to_text(m: Machine) -> str:
-    lines = [f"init: {m.initial}", f"halt: {m.halt}"]
-    for st, ins in m.program:
-        if isinstance(ins, Inc):
-            lines.append(f"{st}: inc c{ins.counter} goto {ins.goto}")
-        else:
-            lines.append(f"{st}: ifz c{ins.counter} goto {ins.if_zero} else dec goto {ins.if_pos}")
-    return "\n".join(lines) + "\n"
 
 
 # -- benchmark machines -------------------------------------------------

@@ -1,10 +1,13 @@
 """Concrete and symbolic semantics of a valuated automaton.
 
-The symbolic layer computes delay-closed discrete successors over
-zones, detects blocking states (concrete states from which no delay
-reaches any fireable edge), and builds a finite zone graph via
-maximum-constant widening.  The concrete layer replays explicit
-delay/action scripts with exact rational arithmetic.
+The symbolic layer answers "where does edge e fire" with one zone per
+edge (guard, source invariant, and target invariant pulled back
+through the reset).  Delay-closed discrete successors and blocking
+states (concrete states from which no delay reaches any fireable edge)
+are both computed from it.  A finite zone graph is built via
+maximum-constant widening; its nodes carry no blocking flag, callers
+that need one ask `Analyzer.is_blocking`.  The concrete layer replays
+explicit delay/action scripts with exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -39,6 +42,8 @@ class ExplorationConfig:
 
 
 Sym = tuple[str, Z.Dbm]
+
+_PENDING = object()
 
 
 def _atom_constraints(atom: Atom, clocks: Sequence[str]) -> list[tuple[int, int, int]]:
@@ -101,8 +106,9 @@ class Analyzer:
         self.edges_from: dict[str, list[Edge]] = {loc: [] for loc in a.locations}
         for e in a.edges:
             self.edges_from[e.source].append(e)
-        self._guard_cache: dict[Edge, Z.Dbm | None] = {}
-        self._fire_cache: dict[Edge, Z.Dbm | None] = {}
+        # edge -> [fire zone, wait zone]; the wait zone stays _PENDING
+        # until blocking first asks for it
+        self._edge_zones: dict[Edge, list] = {}
         self._blocking_cache: dict[Sym, bool] = {}
 
     # -- symbolic steps ------------------------------------------------
@@ -114,64 +120,50 @@ class Analyzer:
             raise ModelError("initial invariant excludes the all-zero valuation")
         return (self.automaton.initial, Z.intersect(zero, inv))
 
-    def _guard_dbm(self, e: Edge) -> Z.Dbm | None:
-        if e not in self._guard_cache:
-            self._guard_cache[e] = guard_zone(e.guard, self.clocks)
-        return self._guard_cache[e]
+    def _edge_entry(self, e: Edge) -> list:
+        entry = self._edge_zones.get(e)
+        if entry is None:
+            entry = self._edge_zones[e] = [self._fire_zone(e), _PENDING]
+        return entry
 
-    def _fire_region(self, e: Edge) -> Z.Dbm | None:
-        """Zone of source-invariant points where `e` can fire usefully.
+    def _fire_zone(self, e: Edge) -> Z.Dbm | None:
+        """Zone of points where `e` fires into its target's invariant.
 
         Conjoins guard, source invariant, and the pull-back of the
         target invariant through the edge's reset: atoms on the reset
         clock are decided at zero, the rest constrain the unchanged
-        clocks directly.
+        clocks directly.  Exact because every atom bounds one clock.
         """
-        if e in self._fire_cache:
-            return self._fire_cache[e]
         reset_clock = self.automaton.clock_of(e.action)
         cons: list[tuple[int, int, int]] = []
-        feasible = True
-        for atom in e.guard:
-            cons.extend(_atom_constraints(atom, self.clocks))
-        for atom in self.automaton.invariant(e.source):
+        for atom in (*e.guard, *self.automaton.invariant(e.source)):
             cons.extend(_atom_constraints(atom, self.clocks))
         for atom in self.automaton.invariant(e.target):
-            if atom.clock == reset_clock:
-                if not atom_holds(atom, {reset_clock: Fraction(0)}):
-                    feasible = False
-                    break
-                continue
-            cons.extend(_atom_constraints(atom, self.clocks))
-        region = Z.from_constraints(self.clocks, cons) if feasible else None
-        self._fire_cache[e] = region
-        return region
+            if atom.clock != reset_clock:
+                cons.extend(_atom_constraints(atom, self.clocks))
+            elif not atom_holds(atom, {reset_clock: Fraction(0)}):
+                return None
+        return Z.from_constraints(self.clocks, cons)
+
+    def _wait_zone(self, e: Edge) -> Z.Dbm | None:
+        """Source-invariant points that can wait until the fire zone of `e`."""
+        entry = self._edge_entry(e)
+        if entry[1] is _PENDING:
+            entry[1] = None if entry[0] is None else Z.time_pred(entry[0], self.inv_zone[e.source])
+        return entry[1]
 
     def successor(self, s: Sym, e: Edge) -> Sym | None:
         """Delay-closed discrete successor, None when unfireable."""
         loc, zone = s
         if e.source != loc:
             raise ModelError("edge does not start at the state's location")
-        inv = self.inv_zone[loc]
-        if inv is None:
+        fire = self._edge_entry(e)[0]
+        if fire is None:
             return None
-        stepped = Z.intersect(Z.up(zone), inv)
+        stepped = Z.intersect(Z.up(zone), fire)
         if stepped is None:
             return None
-        g = self._guard_dbm(e)
-        if g is None:
-            return None
-        stepped = Z.intersect(stepped, g)
-        if stepped is None:
-            return None
-        stepped = Z.reset(stepped, self.automaton.clock_of(e.action))
-        tinv = self.inv_zone[e.target]
-        if tinv is None:
-            return None
-        stepped = Z.intersect(stepped, tinv)
-        if stepped is None:
-            return None
-        return (e.target, stepped)
+        return (e.target, Z.reset(stepped, self.automaton.clock_of(e.action)))
 
     def successors(self, s: Sym) -> list[tuple[Edge, Sym]]:
         out = []
@@ -190,22 +182,16 @@ class Analyzer:
         """Concrete states in `s` with no delay-then-discrete extension.
 
         Start from the whole zone and carve out, per edge, every point
-        that can wait (inside the invariant) until the edge's firing
-        region.  What remains blocks.
+        that can wait (inside the invariant) until the edge's fire
+        zone.  What remains blocks.
         """
         loc, zone = s
-        inv = self.inv_zone[loc]
         fed = Z.Federation(self.clocks, (zone,))
-        if inv is None:
-            return fed
         for e in self.edges_from[loc]:
-            region = self._fire_region(e)
-            if region is None:
+            wait = self._wait_zone(e)
+            if wait is None:
                 continue
-            reachable = Z.time_pred(region, inv)
-            if reachable is None:
-                continue
-            fed = fed.subtract_zone(reachable)
+            fed = fed.subtract_zone(wait)
             if fed.is_empty():
                 break
         return fed
@@ -223,30 +209,20 @@ class Analyzer:
 class ZoneGraph:
     nodes: list[Sym]
     edges: list[tuple[int, str, int]]            # (source id, action, target id)
-    blocking: list[bool]
     initial: int = 0
     node_index: dict[Sym, int] = field(default_factory=dict)
-
-    def to_text(self) -> str:
-        lines = []
-        for i, (loc, zone) in enumerate(self.nodes):
-            flag = "blocking" if self.blocking[i] else "live"
-            lines.append(f"node {i} {loc} [{flag}] {zone.pretty()}")
-        for src, act, dst in self.edges:
-            lines.append(f"edge {src} {act} {dst}")
-        return "\n".join(lines) + "\n"
 
 
 def zone_graph(a: Pera, cfg: ExplorationConfig | None = None, *, depth: int | None = None) -> ZoneGraph:
     """Widened reachability graph; explores to fixpoint unless bounded.
 
-    Nodes are deduplicated by location plus widened zone; each carries
-    a flag saying whether it contains blocking concrete states.
+    Nodes are deduplicated by location plus widened zone.  Whether a
+    node blocks is left to `Analyzer.is_blocking`.
     """
     cfg = cfg or ExplorationConfig()
     ana = Analyzer(a, cfg)
     start = ana.widen(ana.initial())
-    g = ZoneGraph(nodes=[start], edges=[], blocking=[ana.is_blocking(start)])
+    g = ZoneGraph(nodes=[start], edges=[])
     g.node_index[start] = 0
     frontier = [(0, start)]
     level = 0
@@ -264,7 +240,6 @@ def zone_graph(a: Pera, cfg: ExplorationConfig | None = None, *, depth: int | No
                     if tid >= cfg.node_limit:
                         raise ResourceExhausted(f"zone graph exceeded {cfg.node_limit} nodes")
                     g.nodes.append(w)
-                    g.blocking.append(ana.is_blocking(w))
                     g.node_index[w] = tid
                     nxt.append((tid, w))
                 g.edges.append((sid, e.action, tid))

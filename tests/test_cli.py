@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, run in process."""
 
+import json
 import time
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 
 from peralab.cli import TIMING_HEADER, main
 from peralab.core import Pera
+from peralab.language import Determinized
 from peralab.encoder import build
 from peralab.minsky import loop
 
@@ -227,6 +229,22 @@ def test_theorem_check_looping_machine(loop_file, capsys):
     assert "verdict: consistent with non-halting" in out
 
 
+def test_theorem_check_builds_one_reference_per_scale(loop_file, monkeypatch, capsys):
+    built = []
+    init = Determinized.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Determinized, "__init__", counting_init)
+    code = main(["theorem-check", str(loop_file), "--values", "1/2,3/2,5/2", "-k", "6"])
+    assert code == 0
+    assert capsys.readouterr().out.count("rescaled by 2 to clear denominators") == 3
+    # p = 0 at scale 1, p = 0 at scale 2, and the three values
+    assert len(built) == 5
+
+
 def test_theorem_check_empty_values(inc3_file, capsys):
     assert main(["theorem-check", str(inc3_file), "--values", " "]) == 1
     assert "at least one rational" in capsys.readouterr().err
@@ -256,6 +274,40 @@ def test_negative_steps_rejected(inc3_file, capsys):
 def test_node_limit_below_one_rejected(wrapped_loop_file, capsys):
     assert main(["lang", str(wrapped_loop_file), "-p", "p=0", "--node-limit", "0"]) == 1
     assert "--node-limit must be at least 1" in capsys.readouterr().err
+
+
+# -- malformed input ------------------------------------------------------------------
+
+
+def test_usage_errors_exit_one(wrapped_loop_file, capsys):
+    runs = (
+        ["lang", str(wrapped_loop_file), "-p", "p=0", "-k", "abc"],
+        ["lang", str(wrapped_loop_file), "-p", "p=0", "--frobnicate"],
+    )
+    for argv in runs:
+        assert main(argv) == 1
+        assert "usage: peralab" in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    assert main(["--help"]) == 0
+    assert "usage: peralab" in capsys.readouterr().out
+
+
+NUMERIC_INVARIANT = json.dumps({
+    "actions": [{"action": "a", "clock": "x"}],
+    "locations": [{"name": "l", "invariant": 5}],
+    "initial": "l",
+    "edges": [],
+})
+
+
+@pytest.mark.parametrize("doc", ["[]", NUMERIC_INVARIANT], ids=["top-level-list", "numeric-invariant"])
+def test_malformed_automaton_document_exits_one(tmp_path, capsys, doc):
+    f = tmp_path / "bad.pera"
+    f.write_text(doc)
+    assert main(["lang", str(f)]) == 1   # a ModelError, not an AttributeError traceback
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 # -- simulate-2cm ----------------------------------------------------------------------

@@ -69,14 +69,6 @@ def test_guard_text_joins_atoms():
     assert parse_guard(guard_text(g), ("p",)) == g
 
 
-def test_split_eq():
-    eq = Atom("x", "=", 2, "p")
-    lo, hi = eq.split_eq()
-    assert {lo.rel, hi.rel} == {"<=", ">="}
-    assert all(a.offset == 2 and a.param == "p" for a in (lo, hi))
-    assert Atom("x", "<", 1).split_eq() == (Atom("x", "<", 1),)
-
-
 def test_atom_valuate_constant_and_offset():
     assert Atom("x", "<=", 1, "p").valuate({"p": 3}) == Atom("x", "<=", 4)
     assert Atom("x", "=", -1, "p").valuate({"p": 3}) == Atom("x", "=", 2)

@@ -158,7 +158,7 @@ def test_lassos_respect_accepting_set():
 def test_compare_equal_on_self(loop2):
     s = enumerate_language(loop2, cfg(4), "maximal")
     res = compare(s, s)
-    assert res.equal and res.text() == "equal up to bound"
+    assert res.equal and res.text("A", "B") == "equal up to bound"
 
 
 def test_compare_mismatched_settings(loop2):
@@ -182,7 +182,7 @@ def test_compare_shortest_witness_and_symmetry(loop0):
     assert res.owner == "left"
     mirrored = compare(right, left)
     assert mirrored.witness == res.witness and mirrored.owner == "right"
-    assert "only on the left side" in res.text()
+    assert "only on the A side" in res.text("A", "B")
 
 
 def test_compare_prefers_shorter_field_witness():
@@ -200,7 +200,7 @@ def test_compare_buchi_lassos():
     res = compare(s1, s2)
     assert not res.equal and res.field == "lassos"
     assert res.witness == (("a",), ("b",)) and res.owner == "left"
-    assert res.text() == "differs: lassos witness [a | b] only on the left side"
+    assert res.text("A", "B") == "differs; lassos witness [a | b] only on the A side"
 
 
 # -- comparison on determinized automata ------------------------------------------
