@@ -205,7 +205,7 @@ def cmd_theorem_check(args) -> int:
         if probe.halted
         else "no halt within 1000 steps"
     )
-    values = [Fraction(v.strip()) for v in args.values.split(",") if v.strip()]
+    values = [parse_valuation([f"p={v}"])["p"] for v in args.values.split(",") if v.strip()]
     if not values:
         raise ModelError("--values must list at least one rational")
     cfg = ExplorationConfig(depth=args.depth, node_limit=args.node_limit)

@@ -305,7 +305,8 @@ class Pera:
     def from_text(cls, text: str) -> "Pera":
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
+            # RecursionError: nesting deeper than the decoder can follow
             raise ModelError(f"not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ModelError("malformed automaton document: expected a JSON object")

@@ -36,7 +36,6 @@ class SimulationError(ValueError):
 @dataclass(frozen=True)
 class ExplorationConfig:
     depth: int = 8
-    max_const: int | None = None
     node_limit: int = 200_000
     extrapolate: bool = True
 
@@ -97,9 +96,7 @@ class Analyzer:
         self.automaton = a
         self.cfg = cfg or ExplorationConfig()
         self.clocks = a.clocks
-        self.max_const = self.cfg.max_const if self.cfg.max_const is not None else a.max_constant()
-        if self.max_const < a.max_constant():
-            raise ModelError("max_const below the largest constant in the automaton")
+        self.max_const = a.max_constant()
         self.inv_zone: dict[str, Z.Dbm | None] = {
             loc: guard_zone(a.invariant(loc), self.clocks) for loc in a.locations
         }
@@ -115,10 +112,10 @@ class Analyzer:
 
     def initial(self) -> Sym:
         inv = self.inv_zone[self.automaton.initial]
-        zero = Z.origin(self.clocks)
-        if inv is None or Z.intersect(zero, inv) is None:
+        start = None if inv is None else Z.intersect(Z.origin(self.clocks), inv)
+        if start is None:
             raise ModelError("initial invariant excludes the all-zero valuation")
-        return (self.automaton.initial, Z.intersect(zero, inv))
+        return (self.automaton.initial, start)
 
     def _edge_entry(self, e: Edge) -> list:
         entry = self._edge_zones.get(e)
@@ -213,8 +210,8 @@ class ZoneGraph:
     node_index: dict[Sym, int] = field(default_factory=dict)
 
 
-def zone_graph(a: Pera, cfg: ExplorationConfig | None = None, *, depth: int | None = None) -> ZoneGraph:
-    """Widened reachability graph; explores to fixpoint unless bounded.
+def zone_graph(a: Pera, cfg: ExplorationConfig | None = None) -> ZoneGraph:
+    """Widened reachability graph, explored to fixpoint.
 
     Nodes are deduplicated by location plus widened zone.  Whether a
     node blocks is left to `Analyzer.is_blocking`.
@@ -225,11 +222,7 @@ def zone_graph(a: Pera, cfg: ExplorationConfig | None = None, *, depth: int | No
     g = ZoneGraph(nodes=[start], edges=[])
     g.node_index[start] = 0
     frontier = [(0, start)]
-    level = 0
     while frontier:
-        if depth is not None and level >= depth:
-            break
-        level += 1
         nxt: list[tuple[int, Sym]] = []
         for sid, s in frontier:
             for e, succ in ana.successors(s):

@@ -6,10 +6,13 @@ algebra works on plain ints.  `INF` is a large sentinel that survives
 one addition without overflow concerns.
 
 Rows and columns are indexed by clock position plus one; index 0 is the
-reference point (the constant zero).  All matrices handed out by this
-module are canonical (shortest-path closed) unless a function says
-otherwise, and emptiness is always explicit: constructors and operators
-return None for an empty zone rather than an inconsistent matrix.
+reference point (the constant zero).  A matrix is stored flat, row
+major: entry (i, j) of an n-by-n matrix sits at `m[i * n + j]`.  Only
+the module functions build `Dbm` instances; each one fills a fresh flat
+list, closes it where needed, and hands it over, so every matrix handed
+out is canonical (shortest-path closed).  Emptiness is always explicit:
+constructors and operators return None for an empty zone rather than an
+inconsistent matrix.
 """
 
 from __future__ import annotations
@@ -30,15 +33,6 @@ def lt(m: int) -> int:
     return 2 * m
 
 
-def bound_add(a: int, b: int) -> int:
-    if a >= INF or b >= INF:
-        return INF
-    # The low bit flags a weak bound.  A sum of raw encodings carries
-    # both flags; the result is weak only when both parts are, so one
-    # surplus flag has to go whenever at least one part is set.
-    return a + b - ((a | b) & 1)
-
-
 def bound_neg(b: int) -> int:
     """Negate a bound: the complement of `x - y <= m` is `y - x < -m`."""
     if b >= INF:
@@ -46,37 +40,22 @@ def bound_neg(b: int) -> int:
     return 1 - b
 
 
-def bound_text(b: int) -> str:
-    if b >= INF:
-        return "<inf"
-    rel = "<=" if b & 1 else "<"
-    return f"{rel}{b >> 1}"
-
-
 class Dbm:
-    """A canonical, non-empty difference-bound matrix.
+    """A canonical, non-empty difference-bound matrix; a value.
 
-    Instances are immutable from the outside; operations return fresh
-    matrices.  Equality and hashing use the canonical form, so two
-    descriptions of the same clock set compare equal.
+    `m` is one row-major tuple of the `size * size` packed bounds.  The
+    constructor only stores it: the module functions that build
+    instances have already closed the matrix and ruled out emptiness.
+    Equality and hashing come straight from the clocks and the tuple,
+    so two descriptions of the same clock set compare equal.
     """
 
     __slots__ = ("clocks", "m", "_hash")
 
-    def __init__(self, clocks: Sequence[str], rows: list[list[int]], *, _closed: bool = False):
+    def __init__(self, clocks: Sequence[str], m: Iterable[int]):
         self.clocks = tuple(clocks)
-        n = len(self.clocks) + 1
-        if len(rows) != n or any(len(r) != n for r in rows):
-            raise ValueError("matrix shape does not match clock list")
-        self.m = rows
+        self.m = tuple(m)
         self._hash = None
-        if not _closed:
-            if not _close(self.m):
-                raise ValueError("empty zone; use the module constructors")
-        self._freeze()
-
-    def _freeze(self) -> None:
-        self.m = [list(r) for r in self.m]
 
     # -- basics --------------------------------------------------------
 
@@ -87,9 +66,6 @@ class Dbm:
     def index(self, clock: str) -> int:
         return self.clocks.index(clock) + 1
 
-    def key(self) -> tuple:
-        return (self.clocks, tuple(tuple(r) for r in self.m))
-
     def __eq__(self, other) -> bool:
         if self is other:
             return True
@@ -97,7 +73,7 @@ class Dbm:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(self.key())
+            self._hash = hash((self.clocks, self.m))
         return self._hash
 
     def __repr__(self) -> str:
@@ -111,7 +87,7 @@ class Dbm:
             for j in range(n):
                 if i == j:
                     continue
-                b = self.m[i][j]
+                b = self.m[i * n + j]
                 if b >= INF:
                     continue
                 if i == 0 and b == LE_ZERO:
@@ -133,11 +109,9 @@ class Dbm:
         """Set inclusion: every point of `other` lies in self."""
         if self.clocks != other.clocks:
             raise ValueError("clock sets differ")
-        n = self.size
-        for i in range(n):
-            for j in range(n):
-                if other.m[i][j] > self.m[i][j]:
-                    return False
+        for mine, theirs in zip(self.m, other.m):
+            if theirs > mine:
+                return False
         return True
 
     def satisfies_point(self, point: Sequence) -> bool:
@@ -146,7 +120,7 @@ class Dbm:
         n = self.size
         for i in range(n):
             for j in range(n):
-                b = self.m[i][j]
+                b = self.m[i * n + j]
                 if b >= INF:
                     continue
                 diff = vals[i] - vals[j]
@@ -171,108 +145,99 @@ class Dbm:
 
         n = self.size
         scale = 2 * n
-        g = [[INF] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                b = self.m[i][j]
-                if b >= INF:
-                    continue
-                g[i][j] = scale * (b >> 1) - (0 if b & 1 else 1)
+        g = [INF] * (n * n)
+        for idx, b in enumerate(self.m):
+            if b < INF:
+                g[idx] = scale * (b >> 1) - (0 if b & 1 else 1)
         # integer Floyd-Warshall, no strictness bits
         for k in range(n):
             for i in range(n):
-                if g[i][k] >= INF:
+                gik = g[i * n + k]
+                if gik >= INF:
                     continue
                 for j in range(n):
-                    if g[k][j] >= INF:
+                    gkj = g[k * n + j]
+                    if gkj >= INF:
                         continue
-                    c = g[i][k] + g[k][j]
-                    if c < g[i][j]:
-                        g[i][j] = c
+                    c = gik + gkj
+                    if c < g[i * n + j]:
+                        g[i * n + j] = c
         for i in range(n):
-            if g[i][i] < 0:
+            if g[i * n + i] < 0:
                 raise AssertionError("scaled sample system infeasible")
-        return tuple(Fraction(-g[0][j], scale) for j in range(1, n))
+        return tuple(Fraction(-g[j], scale) for j in range(1, n))
 
 
-def _close(m: list[list[int]]) -> bool:
-    """Floyd-Warshall in place; False when a diagonal turns negative."""
-    n = len(m)
+def _close(m: list[int], n: int) -> bool:
+    """Floyd-Warshall in place on a flat n-by-n list.
+
+    False when a diagonal entry turns negative, i.e. the zone is empty.
+    """
     for k in range(n):
-        row_k = m[k]
+        # a copy is safe: row k changes in pass k only through a
+        # negative diagonal entry, and then the zone is empty anyway
+        row_k = m[k * n:(k + 1) * n]
         for i in range(n):
-            aik = m[i][k]
+            base = i * n
+            aik = m[base + k]
             if aik >= INF:
                 continue
-            row_i = m[i]
-            for j in range(n):
-                b = row_k[j]
+            for idx, b in enumerate(row_k, base):
                 if b >= INF:
                     continue
+                # The low bit flags a weak bound.  A sum of raw encodings
+                # carries both flags; the result is weak only when both
+                # parts are, so one surplus flag has to go whenever at
+                # least one part is set.
                 c = aik + b - ((aik | b) & 1)
-                if c < row_i[j]:
-                    row_i[j] = c
-        for i in range(n):
-            if m[i][i] < LE_ZERO:
+                if c < m[idx]:
+                    m[idx] = c
+        for idx in range(0, n * n, n + 1):
+            if m[idx] < LE_ZERO:
                 return False
     return True
 
 
-def _fresh(clocks: Sequence[str], default: int) -> list[list[int]]:
-    n = len(clocks) + 1
-    rows = [[default] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = LE_ZERO
-    return rows
-
-
-def universe(clocks: Sequence[str]) -> Dbm:
-    """All clocks nonnegative, otherwise unconstrained."""
-    rows = _fresh(clocks, INF)
-    n = len(clocks) + 1
-    for j in range(1, n):
-        rows[0][j] = LE_ZERO
-    return Dbm(clocks, rows, _closed=True)
-
-
 def origin(clocks: Sequence[str]) -> Dbm:
     """The single point with every clock equal to zero."""
-    rows = _fresh(clocks, LE_ZERO)
-    return Dbm(clocks, rows, _closed=True)
+    n = len(clocks) + 1
+    return Dbm(clocks, [LE_ZERO] * (n * n))
 
 
 def from_constraints(clocks: Sequence[str], cons: Iterable[tuple[int, int, int]]) -> Dbm | None:
-    """Build from (i, j, encoded_bound) triples; None when empty."""
-    rows = _fresh(clocks, INF)
+    """Build from (i, j, encoded_bound) triples; None when empty.
+
+    With no triples: every clock nonnegative, otherwise unconstrained.
+    """
     n = len(clocks) + 1
-    for j in range(1, n):
-        rows[0][j] = min(rows[0][j], LE_ZERO)
+    m = [INF] * (n * n)
+    m[:n] = [LE_ZERO] * n            # 0 - x <= 0: clocks are nonnegative
+    m[::n + 1] = [LE_ZERO] * n       # the diagonal
     for i, j, b in cons:
-        if b < rows[i][j]:
-            rows[i][j] = b
-    if not _close(rows):
+        if b < m[i * n + j]:
+            m[i * n + j] = b
+    if not _close(m, n):
         return None
-    return Dbm(clocks, rows, _closed=True)
+    return Dbm(clocks, m)
 
 
 def intersect(a: Dbm, b: Dbm) -> Dbm | None:
     if a.clocks != b.clocks:
         raise ValueError("clock sets differ")
-    n = a.size
-    rows = [[min(a.m[i][j], b.m[i][j]) for j in range(n)] for i in range(n)]
-    if not _close(rows):
+    m = [x if x < y else y for x, y in zip(a.m, b.m)]
+    if not _close(m, a.size):
         return None
-    return Dbm(a.clocks, rows, _closed=True)
+    return Dbm(a.clocks, m)
 
 
 def up(d: Dbm) -> Dbm:
     """Future: let arbitrary time pass (upper bounds dropped)."""
     n = d.size
-    rows = [row[:] for row in d.m]
+    m = list(d.m)
     for i in range(1, n):
-        rows[i][0] = INF
+        m[i * n] = INF
     # canonical already: dropping x_i <= c cannot create new paths
-    return Dbm(d.clocks, rows, _closed=True)
+    return Dbm(d.clocks, m)
 
 
 def down(d: Dbm) -> Dbm:
@@ -282,32 +247,32 @@ def down(d: Dbm) -> Dbm:
     erases them except where a diagonal constraint props one up.
     """
     n = d.size
-    rows = [row[:] for row in d.m]
+    m = list(d.m)
     for j in range(1, n):
         best = LE_ZERO
         for i in range(1, n):
-            if rows[i][j] < best:
-                best = rows[i][j]
-        rows[0][j] = best
-    if not _close(rows):
+            if m[i * n + j] < best:
+                best = m[i * n + j]
+        m[j] = best
+    if not _close(m, n):
         raise AssertionError("down() emptied a non-empty zone")
-    return Dbm(d.clocks, rows, _closed=True)
+    return Dbm(d.clocks, m)
 
 
 def reset(d: Dbm, clock: str) -> Dbm:
     """Set one clock to zero, projecting the rest."""
     n = d.size
     k = d.index(clock)
-    rows = [row[:] for row in d.m]
+    m = list(d.m)
     for i in range(n):
-        rows[i][k] = rows[i][0]
-        rows[k][i] = rows[0][i]
-    rows[k][k] = LE_ZERO
-    rows[k][0] = LE_ZERO
-    rows[0][k] = LE_ZERO
+        m[i * n + k] = m[i * n]
+        m[k * n + i] = m[i]
+    m[k * n + k] = LE_ZERO
+    m[k * n] = LE_ZERO
+    m[k] = LE_ZERO
     # copying the reference row/column of a canonical matrix keeps it
     # canonical, no re-closing needed
-    return Dbm(d.clocks, rows, _closed=True)
+    return Dbm(d.clocks, m)
 
 
 def subtract(a: Dbm, b: Dbm) -> tuple[Dbm, ...]:
@@ -323,26 +288,26 @@ def subtract(a: Dbm, b: Dbm) -> tuple[Dbm, ...]:
         return (a,)
     n = a.size
     pieces: list[Dbm] = []
-    kept: list[tuple[int, int, int]] = []
+    kept: list[tuple[int, int]] = []   # (flat index, bound) of b's constraints so far
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
-            bb = b.m[i][j]
-            if bb >= INF or bb >= a.m[i][j]:
+            bb = b.m[i * n + j]
+            if bb >= INF or bb >= a.m[i * n + j]:
                 # already implied by `a`: its complement misses `a`
                 # entirely and it holds on every piece for free
                 continue
-            rows = [row[:] for row in a.m]
-            for (pi, pj, pb) in kept:
-                if pb < rows[pi][pj]:
-                    rows[pi][pj] = pb
+            m = list(a.m)
+            for idx, pb in kept:
+                if pb < m[idx]:
+                    m[idx] = pb
             neg = bound_neg(bb)  # x_j - x_i <rel'> -m
-            if neg < rows[j][i]:
-                rows[j][i] = neg
-            if _close(rows):
-                pieces.append(Dbm(a.clocks, rows, _closed=True))
-            kept.append((i, j, bb))
+            if neg < m[j * n + i]:
+                m[j * n + i] = neg
+            if _close(m, n):
+                pieces.append(Dbm(a.clocks, m))
+            kept.append((i * n + j, bb))
     return tuple(pieces)
 
 
@@ -363,30 +328,31 @@ def extrapolate(d: Dbm, max_const: int) -> Dbm:
 
     Bounds above the constant ceiling are widened away; the result is a
     superset of `d` and the abstraction reaches a fixpoint, which keeps
-    reachability searches finite.
+    reachability searches finite.  Returns `d` itself when nothing
+    widens.
     """
     n = d.size
     ceil = le(max_const)
     floor = lt(-max_const)
-    rows = [row[:] for row in d.m]
+    m = list(d.m)
     changed = False
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
-            b = rows[i][j]
+            b = m[i * n + j]
             if b >= INF:
                 continue
             if b > ceil:
-                rows[i][j] = INF
+                m[i * n + j] = INF
                 changed = True
             elif b < floor:
-                rows[i][j] = floor
+                m[i * n + j] = floor
                 changed = True
     if changed:
-        if not _close(rows):
+        if not _close(m, n):
             raise AssertionError("extrapolation emptied a zone")
-        return Dbm(d.clocks, rows, _closed=True)
+        return Dbm(d.clocks, m)
     return d
 
 
@@ -407,9 +373,6 @@ class Federation:
 
     def __iter__(self) -> Iterator[Dbm]:
         return iter(self.parts)
-
-    def union(self, other: "Federation") -> "Federation":
-        return Federation(self.clocks, self.parts + other.parts)
 
     def subtract_zone(self, z: Dbm) -> "Federation":
         out: list[Dbm] = []

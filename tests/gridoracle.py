@@ -138,7 +138,7 @@ def dbm_mask(d, n: int) -> np.ndarray:
         for j in range(d.size):
             if i == j:
                 continue
-            b = d.m[i][j]
+            b = d.m[i * d.size + j]
             if b >= INF:
                 continue
             diff = vals[i] - vals[j]

@@ -250,6 +250,14 @@ def test_theorem_check_empty_values(inc3_file, capsys):
     assert "at least one rational" in capsys.readouterr().err
 
 
+def test_theorem_check_zero_denominator_exits_one(inc3_file, capsys):
+    assert main(["theorem-check", str(inc3_file), "--values", "2,1/0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert "verdict:" not in captured.out
+
+
 # -- bounds on numeric options ------------------------------------------------------
 
 
@@ -308,6 +316,14 @@ def test_malformed_automaton_document_exits_one(tmp_path, capsys, doc):
     f.write_text(doc)
     assert main(["lang", str(f)]) == 1   # a ModelError, not an AttributeError traceback
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_deeply_nested_automaton_document_exits_one(tmp_path, capsys):
+    f = tmp_path / "deep.pera"
+    f.write_text("[" * 100_000)
+    assert main(["lang", str(f), "-p", "p=0"]) == 1   # not a RecursionError traceback
+    err = capsys.readouterr().err
+    assert err.startswith("error: not valid JSON")
 
 
 # -- simulate-2cm ----------------------------------------------------------------------

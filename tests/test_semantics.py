@@ -45,11 +45,6 @@ def test_analyzer_rejects_parametric_automaton():
         Analyzer(build(loop(), "wrapped"))
 
 
-def test_analyzer_rejects_small_max_const(loop2):
-    with pytest.raises(ModelError):
-        Analyzer(loop2, ExplorationConfig(max_const=1))
-
-
 def test_initial_must_contain_origin():
     a = one_loc((), invariant=(Atom("x", ">=", 1),))
     with pytest.raises(ModelError):
@@ -68,7 +63,7 @@ def test_successor_hand_case():
     loc, zone = ana.successor(ana.initial(), a.edges[0])
     assert loc == "only"
     # delay to x >= 2, then reset: exactly the origin again, delay-closed later
-    assert zone.key() == Z.origin(("x",)).key()
+    assert zone == Z.origin(("x",))
     nxt = ana.successors((loc, zone))
     assert len(nxt) == 1
 
@@ -124,7 +119,7 @@ def two_loc(edge, invariants):
 )
 def test_successor_matches_stepwise_reference(edge, invariants, fires):
     ana = Analyzer(two_loc(edge, invariants))
-    for zone in (Z.origin(ana.clocks), Z.universe(ana.clocks)):
+    for zone in (Z.origin(ana.clocks), Z.from_constraints(ana.clocks, ())):
         s = (edge.source, zone)
         got = ana.successor(s, edge)
         assert got == stepwise_successor(ana, s, edge)
@@ -202,11 +197,6 @@ def test_zone_graph_reaches_fixpoint(loop2):
     assert ids == set(range(len(g.nodes)))
     for src, _, dst in g.edges:
         assert 0 <= src < len(g.nodes) and 0 <= dst < len(g.nodes)
-
-
-def test_zone_graph_depth_zero(loop2):
-    g = zone_graph(loop2, depth=0)
-    assert len(g.nodes) == 1 and g.edges == []
 
 
 def test_zone_graph_node_limit(loop2):
@@ -362,4 +352,4 @@ def test_widen_is_extrapolation(loop2):
     init = ana.initial()
     widened = ana.widen(init)
     assert widened[0] == init[0]
-    assert widened[1].key() == Z.extrapolate(init[1], ana.max_const).key()
+    assert widened[1] == Z.extrapolate(init[1], ana.max_const)
