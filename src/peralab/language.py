@@ -179,17 +179,24 @@ def _lassos(a: Pera, cfg: ExplorationConfig) -> frozenset[Lasso]:
     found once each by only walking nodes with ids at or above the
     start node's; stems are the shortest, lexicographically smallest
     words reaching the cycle's start within the depth bound.  The cycle
-    word is reported in its minimal rotation.
+    word is reported in its minimal rotation.  The cycle search drops a
+    path as soon as its next node cannot get back to the start node, over
+    ids above the start's, within what is left of the depth bound.  That
+    is exact: every way to close the cycle from there stays on those ids,
+    so it takes at least that distance, and no dropped path closes
+    within k.
     """
     g = zone_graph(a, cfg)
     k = cfg.depth
     accepting = a.accepting
     out: set[Lasso] = set()
 
-    # adjacency with actions
+    # adjacency with actions, and reverse adjacency for distances
     adj: dict[int, list[tuple[str, int]]] = {i: [] for i in range(len(g.nodes))}
+    radj: dict[int, list[int]] = {i: [] for i in range(len(g.nodes))}
     for src, act, dst in g.edges:
         adj[src].append((act, dst))
+        radj[dst].append(src)
 
     # shortest-lex stem per node, bounded by k
     stems: dict[int, Word] = {g.initial: ()}
@@ -206,8 +213,25 @@ def _lassos(a: Pera, cfg: ExplorationConfig) -> frozenset[Lasso]:
 
     is_acc = [loc in accepting for loc, _ in g.nodes]
 
+    def dist_to(c0: int) -> dict[int, int]:
+        # fewest edges from each node above c0 back to c0, through ids
+        # above c0; only up to k - 1, as a longer way back closes no
+        # cycle within k
+        dist: dict[int, int] = {}
+        frontier = [c0]
+        for d in range(1, k):
+            nxt = []
+            for nid in frontier:
+                for src in radj[nid]:
+                    if src > c0 and src not in dist:
+                        dist[src] = d
+                        nxt.append(src)
+            frontier = nxt
+        return dist
+
     def cycles_from(c0: int) -> Iterable[Word]:
         # elementary cycles with minimal node id c0, length <= k
+        dist = dist_to(c0)
         stack: list[tuple[int, Word, frozenset[int], bool]] = [
             (c0, (), frozenset({c0}), is_acc[c0])
         ]
@@ -218,7 +242,7 @@ def _lassos(a: Pera, cfg: ExplorationConfig) -> frozenset[Lasso]:
                     if hit and len(word) + 1 <= k:
                         yield word + (act,)
                     continue
-                if dst < c0 or dst in visited or len(word) + 1 >= k:
+                if dst not in dist or len(word) + 1 + dist[dst] > k or dst in visited:
                     continue
                 stack.append((dst, word + (act,), visited | {dst}, hit or is_acc[dst]))
 

@@ -51,6 +51,12 @@ def _atom_constraints(atom: Atom, clocks: Sequence[str]) -> list[tuple[int, int,
         raise ModelError(f"atom {atom.text()} still parametric; valuate first")
     i = clocks.index(atom.clock) + 1
     c = atom.offset
+    if Z.le(c) >= Z.INF:
+        # a packed bound at INF or above would read as no bound at all
+        raise ModelError(
+            f"constant {c} in {atom.text()} is too large for a zone bound "
+            f"(at most {(Z.INF >> 1) - 1}, after rescaling)"
+        )
     out = []
     if atom.rel in ("<", "<=", "="):
         out.append((i, 0, Z.lt(c) if atom.rel == "<" else Z.le(c)))
@@ -103,8 +109,8 @@ class Analyzer:
         self.edges_from: dict[str, list[Edge]] = {loc: [] for loc in a.locations}
         for e in a.edges:
             self.edges_from[e.source].append(e)
-        # edge -> [fire zone, wait zone]; the wait zone stays _PENDING
-        # until blocking first asks for it
+        # edge -> [fire zone, wait zone, reset clock]; the wait zone
+        # stays _PENDING until blocking first asks for it
         self._edge_zones: dict[Edge, list] = {}
         self._blocking_cache: dict[Sym, bool] = {}
 
@@ -120,10 +126,11 @@ class Analyzer:
     def _edge_entry(self, e: Edge) -> list:
         entry = self._edge_zones.get(e)
         if entry is None:
-            entry = self._edge_zones[e] = [self._fire_zone(e), _PENDING]
+            clock = self.automaton.clock_of(e.action)
+            entry = self._edge_zones[e] = [self._fire_zone(e, clock), _PENDING, clock]
         return entry
 
-    def _fire_zone(self, e: Edge) -> Z.Dbm | None:
+    def _fire_zone(self, e: Edge, reset_clock: str) -> Z.Dbm | None:
         """Zone of points where `e` fires into its target's invariant.
 
         Conjoins guard, source invariant, and the pull-back of the
@@ -154,13 +161,13 @@ class Analyzer:
         loc, zone = s
         if e.source != loc:
             raise ModelError("edge does not start at the state's location")
-        fire = self._edge_entry(e)[0]
+        fire, _, clock = self._edge_entry(e)
         if fire is None:
             return None
         stepped = Z.intersect(Z.up(zone), fire)
         if stepped is None:
             return None
-        return (e.target, Z.reset(stepped, self.automaton.clock_of(e.action)))
+        return (e.target, Z.reset(stepped, clock))
 
     def successors(self, s: Sym) -> list[tuple[Edge, Sym]]:
         out = []

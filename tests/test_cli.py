@@ -217,6 +217,7 @@ def test_theorem_check_halting_machine(inc3_file, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "interpreter: halts after 3 steps" in out
+    assert "encoding: wrapped  " in out
     assert "-- valuation p=2 --" in out and "-- valuation p=5 --" in out
     assert "verdict: consistent with halting" in out
 
@@ -243,6 +244,29 @@ def test_theorem_check_builds_one_reference_per_scale(loop_file, monkeypatch, ca
     assert capsys.readouterr().out.count("rescaled by 2 to clear denominators") == 3
     # p = 0 at scale 1, p = 0 at scale 2, and the three values
     assert len(built) == 5
+
+
+@pytest.mark.parametrize("semantics,encoding", [("reach", "buchi"), ("safety", "safety")])
+def test_theorem_check_picks_encoding_from_semantics(inc3_file, capsys, semantics, encoding):
+    argv = ["theorem-check", str(inc3_file), "--values", "1,2,5", "-k", "6", "--semantics", semantics]
+    assert main(argv) == 0
+    body = capsys.readouterr().out.split(TIMING_HEADER)[0]
+    assert f"encoding: {encoding}  " in body
+    verdicts = [line for line in body.splitlines() if line.startswith("verdict: ")]
+    assert len(verdicts) == 4
+    assert verdicts[0].startswith("verdict: differs; prefix witness [")
+    assert verdicts[0].endswith("only on the p=1 side")
+    assert verdicts[1].startswith("verdict: differs; prefix witness [")
+    assert verdicts[1].endswith("only on the p=2 side")
+    assert verdicts[2:] == ["verdict: equal up to bound", "verdict: consistent with halting"]
+
+
+def test_theorem_check_rejects_buchi(inc3_file, capsys):
+    argv = ["theorem-check", str(inc3_file), "--values", "1", "--semantics", "buchi"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "invalid choice: 'buchi'" in captured.err
+    assert "verdict:" not in captured.out
 
 
 def test_theorem_check_empty_values(inc3_file, capsys):
@@ -324,6 +348,40 @@ def test_deeply_nested_automaton_document_exits_one(tmp_path, capsys):
     assert main(["lang", str(f), "-p", "p=0"]) == 1   # not a RecursionError traceback
     err = capsys.readouterr().err
     assert err.startswith("error: not valid JSON")
+
+
+# one location: invariant x <= p, an `a` self-loop guarded x >= p+1
+NEVER_FIRES = Pera.from_text(json.dumps({
+    "actions": [{"action": "a", "clock": "x"}],
+    "parameters": ["p"],
+    "locations": [{"name": "l", "invariant": "x <= p"}],
+    "initial": "l",
+    "edges": [{"from": "l", "guard": "x >= p+1", "action": "a", "to": "l"}],
+})).to_text()
+
+
+def test_constant_too_large_for_a_zone_bound_exits_one(tmp_path, capsys):
+    f = tmp_path / "never.pera"
+    f.write_text(NEVER_FIRES)
+    assert main(["lang", str(f), "-p", "p=5", "-k", "2"]) == 0
+    body = capsys.readouterr().out.split(TIMING_HEADER)[0]
+    assert "prefix words: 1\n" in body and "\na\n" not in body
+    # 2^39 packs to 2^40 + 1, past the infinity sentinel: the bound
+    # x <= p used to vanish, so `a` and `a a` were listed
+    assert main(["lang", str(f), "-p", "p=549755813888", "-k", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: constant 549755813888 in x <= 549755813888")
+    assert "too large for a zone bound" in captured.err
+    assert captured.out == ""
+
+
+def test_constant_too_large_after_rescaling_exits_one(tmp_path, capsys):
+    f = tmp_path / "never.pera"
+    f.write_text(NEVER_FIRES)
+    # 2^38 is small enough alone, but clearing the half doubles it
+    argv = ["compare", str(f), "-p", "p=274877906944", "-p", "p=1/2", "-k", "2"]
+    assert main(argv) == 1
+    assert "too large for a zone bound" in capsys.readouterr().err
 
 
 # -- simulate-2cm ----------------------------------------------------------------------

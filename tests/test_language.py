@@ -12,8 +12,8 @@ from peralab.language import (
     compare,
     enumerate_language,
 )
-from peralab.minsky import inc3, loop
-from peralab.semantics import ExplorationConfig, ResourceExhausted
+from peralab.minsky import inc3, loop, trivial
+from peralab.semantics import ExplorationConfig, ResourceExhausted, zone_graph
 
 
 def cfg(depth, **kw):
@@ -150,6 +150,53 @@ def test_lassos_respect_accepting_set():
     sample = enumerate_language(a, cfg(3), "buchi")
     # the pure self-loop at u never visits v, so it is not a lasso here
     assert all("b" in c for _, c in sample.lassos)
+
+
+# -- lasso search against the unpruned reference ------------------------------------
+
+
+def reference_lassos(a, config):
+    """The lasso set by the plain search: every simple path from the
+    cycle start over ids at or above it, cut only by the depth bound."""
+    g = zone_graph(a, config)
+    k = config.depth
+    adj = {i: [] for i in range(len(g.nodes))}
+    for src, act, dst in g.edges:
+        adj[src].append((act, dst))
+    stems = {g.initial: ()}
+    frontier = [g.initial]
+    for _ in range(k):
+        nxt = []
+        for nid in sorted(frontier, key=lambda n: stems[n]):
+            for act, dst in sorted(adj[nid]):
+                if dst not in stems:
+                    stems[dst] = stems[nid] + (act,)
+                    nxt.append(dst)
+        frontier = nxt
+    is_acc = [loc in a.accepting for loc, _ in g.nodes]
+    out = set()
+    for c0, stem in stems.items():
+        stack = [(c0, (), frozenset({c0}), is_acc[c0])]
+        while stack:
+            nid, word, visited, hit = stack.pop()
+            for act, dst in adj[nid]:
+                if dst == c0:
+                    if hit and len(word) + 1 <= k:
+                        out.add((stem, _min_rotation(word + (act,))))
+                    continue
+                if dst < c0 or dst in visited or len(word) + 1 >= k:
+                    continue
+                stack.append((dst, word + (act,), visited | {dst}, hit or is_acc[dst]))
+    return frozenset(out)
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 3, 31])
+@pytest.mark.parametrize("make", [loop, inc3, trivial], ids=["loop", "inc3", "halt"])
+def test_pruned_lassos_match_unpruned_search(make, p):
+    a = build(make(), "buchi").valuate({"p": p})
+    for depth in (0, 1, 2, 4, 7, 10):
+        want = reference_lassos(a, cfg(depth))
+        assert enumerate_language(a, cfg(depth), "buchi").lassos == want, depth
 
 
 # -- comparison ----------------------------------------------------------------
