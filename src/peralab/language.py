@@ -185,8 +185,14 @@ def _lassos(a: Pera, cfg: ExplorationConfig) -> frozenset[Lasso]:
     is exact: every way to close the cycle from there stays on those ids,
     so it takes at least that distance, and no dropped path closes
     within k.
+
+    Building the zone graph only 2k levels deep is exact too: a stem
+    reaches its cycle start within k steps and the cycle goes at most
+    k - 1 further, so every lasso edge leaves a node within 2k - 1 steps
+    of the initial node, and the cut graph keeps the fixpoint graph's
+    ids and every edge out of those nodes.
     """
-    g = zone_graph(a, cfg)
+    g = zone_graph(a, cfg, levels=2 * cfg.depth)
     k = cfg.depth
     accepting = a.accepting
     out: set[Lasso] = set()

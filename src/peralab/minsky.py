@@ -8,7 +8,7 @@ combined zero-test/decrement.  Execution is deterministic.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 from .core import ModelError
@@ -39,6 +39,7 @@ class Machine:
     initial: str
     halt: str
     program: tuple[tuple[str, Instruction], ...]
+    _by_state: dict[str, Instruction] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         states = set(self.states)
@@ -49,6 +50,7 @@ class Machine:
         prog = dict(self.program)
         if len(prog) != len(self.program):
             raise ModelError("state has two instructions")
+        object.__setattr__(self, "_by_state", prog)
         if self.halt in prog:
             raise ModelError("halt state cannot carry an instruction")
         for st in self.states:
@@ -65,7 +67,7 @@ class Machine:
                     raise ModelError(f"goto target {t!r} not declared")
 
     def instruction(self, state: str) -> Instruction | None:
-        return dict(self.program).get(state)
+        return self._by_state.get(state)
 
 
 Config = tuple[str, int, int]

@@ -138,7 +138,6 @@ class Analyzer:
         clock are decided at zero, the rest constrain the unchanged
         clocks directly.  Exact because every atom bounds one clock.
         """
-        reset_clock = self.automaton.clock_of(e.action)
         cons: list[tuple[int, int, int]] = []
         for atom in (*e.guard, *self.automaton.invariant(e.source)):
             cons.extend(_atom_constraints(atom, self.clocks))
@@ -217,11 +216,14 @@ class ZoneGraph:
     node_index: dict[Sym, int] = field(default_factory=dict)
 
 
-def zone_graph(a: Pera, cfg: ExplorationConfig | None = None) -> ZoneGraph:
-    """Widened reachability graph, explored to fixpoint.
+def zone_graph(a: Pera, cfg: ExplorationConfig | None = None, levels: int | None = None) -> ZoneGraph:
+    """Widened reachability graph, explored to fixpoint, or `levels` levels deep.
 
-    Nodes are deduplicated by location plus widened zone.  Whether a
-    node blocks is left to `Analyzer.is_blocking`.
+    Nodes are deduplicated by location plus widened zone and numbered
+    breadth first, so a graph cut at `levels` is a prefix of the
+    fixpoint graph: its first nodes, with every edge out of the nodes
+    fewer than `levels` steps from the start.  Whether a node blocks is
+    left to `Analyzer.is_blocking`.
     """
     cfg = cfg or ExplorationConfig()
     ana = Analyzer(a, cfg)
@@ -229,7 +231,9 @@ def zone_graph(a: Pera, cfg: ExplorationConfig | None = None) -> ZoneGraph:
     g = ZoneGraph(nodes=[start], edges=[])
     g.node_index[start] = 0
     frontier = [(0, start)]
-    while frontier:
+    level = 0
+    while frontier and (levels is None or level < levels):
+        level += 1
         nxt: list[tuple[int, Sym]] = []
         for sid, s in frontier:
             for e, succ in ana.successors(s):

@@ -146,6 +146,16 @@ def test_lang_node_limit_exhaustion(wrapped_loop_file, capsys):
     assert "resource exhaustion:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("limit,code", [(74, 2), (75, 0)])
+def test_buchi_node_limit_counts_only_explored_nodes(tmp_path, loop_file, capsys, limit, code):
+    # at k = 4 the lasso search builds the 75 nodes within 2k = 8 levels,
+    # not the 813 of the fixpoint graph
+    out = tmp_path / "b.pera"
+    assert main(["encode", str(loop_file), "--variant", "buchi", "-o", str(out)]) == 0
+    argv = ["lang", str(out), "-p", "p=100", "--semantics", "buchi", "-k", "4"]
+    assert main(argv + ["--node-limit", str(limit)]) == code
+
+
 def test_lang_deterministic(wrapped_loop_file, capsys):
     args = ["lang", str(wrapped_loop_file), "-p", "p=2", "-k", "5"]
     assert main(args) == 0

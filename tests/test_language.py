@@ -190,11 +190,13 @@ def reference_lassos(a, config):
     return frozenset(out)
 
 
-@pytest.mark.parametrize("p", [0, 1, 2, 3, 31])
+@pytest.mark.parametrize("p", [0, 1, 2, 3, 31, 65, 100])
 @pytest.mark.parametrize("make", [loop, inc3, trivial], ids=["loop", "inc3", "halt"])
 def test_pruned_lassos_match_unpruned_search(make, p):
+    # the reference walks the fixpoint graph, so it also checks the 2k-level
+    # bound; at p = 65 and 100 that bound cuts the graph well short at depth 4
     a = build(make(), "buchi").valuate({"p": p})
-    for depth in (0, 1, 2, 4, 7, 10):
+    for depth in (4,) if p > 31 else (0, 1, 2, 4, 7, 10):
         want = reference_lassos(a, cfg(depth))
         assert enumerate_language(a, cfg(depth), "buchi").lassos == want, depth
 

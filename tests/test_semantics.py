@@ -199,6 +199,25 @@ def test_zone_graph_reaches_fixpoint(loop2):
         assert 0 <= src < len(g.nodes) and 0 <= dst < len(g.nodes)
 
 
+@pytest.mark.parametrize("levels", [0, 1, 3, 8, 10_000])
+def test_bounded_zone_graph_is_prefix_of_fixpoint(levels):
+    a = build(loop(), "buchi").valuate({"p": 65})
+    full = zone_graph(a)
+    g = zone_graph(a, levels=levels)
+    # breadth-first depth of every fixpoint node, from the fixpoint edges
+    depth = {full.initial: 0}
+    frontier = {full.initial}
+    while frontier:
+        d = depth[next(iter(frontier))] + 1
+        frontier = {dst for src, _, dst in full.edges if src in frontier and dst not in depth}
+        depth.update(dict.fromkeys(frontier, d))
+    n = len(g.nodes)
+    assert n == sum(1 for d in depth.values() if d <= levels)
+    assert g.nodes == full.nodes[:n]
+    assert g.node_index == {s: full.node_index[s] for s in g.nodes}
+    assert g.edges == [e for e in full.edges if depth[e[0]] < levels]
+
+
 def test_zone_graph_node_limit(loop2):
     with pytest.raises(ResourceExhausted):
         zone_graph(loop2, ExplorationConfig(node_limit=3))
