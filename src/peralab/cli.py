@@ -20,9 +20,7 @@ from pathlib import Path
 
 from .core import ModelError, Pera, integerize, parse_valuation
 from .encoder import VARIANTS, build
-from .language import (
-    SEMANTICS, Determinized, LanguageSample, compare as compare_samples, enumerate_language,
-)
+from .language import SEMANTICS, Determinized, compare as compare_samples, lassos, lassos_text
 from .minsky import parse_machine, run
 from .semantics import ExplorationConfig, ResourceExhausted
 
@@ -99,34 +97,32 @@ def _sample_stats(semantics: str, counts: tuple[int, ...]) -> list[str]:
 
 
 def _observe(a: Pera, cfg: ExplorationConfig, semantics: str):
-    """An observation of `a` for `compare`, with its counts.
+    """What `lang` and `compare` observe of `a`, with its counts.
 
-    Büchi lassos are sampled; the other semantics are determinized and
-    counted level by level, which expands every state set a comparison
-    can visit, so running out of nodes happens here and not mid-compare.
+    Büchi semantics gives the lasso set.  The others give the
+    determinized automaton, counted level by level, which expands every
+    state set a comparison or a word listing can visit, so running out
+    of nodes happens here and not halfway through a report.
     """
     if semantics == "buchi":
-        obs = enumerate_language(a, cfg, semantics)
-    else:
-        obs = Determinized(a, cfg, semantics)
-    return obs, obs.counts()
+        found = lassos(a, cfg)
+        return found, (len(found),)
+    det = Determinized(a, cfg, semantics)
+    return det, det.counts()
 
 
-def _sample_body(s: LanguageSample) -> list[str]:
-    lines = []
-    if s.semantics == "buchi":
-        lines.append("-- lassos --")
-        lines.append(s.lassos_text().rstrip("\n"))
-        return lines
-    lines.append("-- prefix --")
-    lines.append(s.words_text("prefix").rstrip("\n"))
-    if s.semantics == "maximal":
-        lines.append("-- maximal finite --")
-        lines.append(s.words_text("maximal_finite").rstrip("\n"))
-    else:
-        lines.append("-- accepted --")
-        lines.append(s.words_text("accepted").rstrip("\n"))
-    return lines
+def _print_words(det: Determinized, flagged_count: int) -> None:
+    """The prefix and the flagged word sections, one line per word.
+
+    Words come from `det.words()`, already in (length, word) order, and
+    each section is written in one call.  The prefix words always hold
+    the empty word; an empty flagged section prints as a blank line.
+    """
+    print("-- prefix --")
+    sys.stdout.writelines(" ".join(w) + "\n" for w, _ in det.words())
+    print("-- maximal finite --" if det.semantics == "maximal" else "-- accepted --")
+    flagged = (" ".join(w) + "\n" for w, s in det.words() if det.flagged(s))
+    sys.stdout.writelines(flagged if flagged_count else ("\n",))
 
 
 # -- subcommands ---------------------------------------------------------
@@ -150,16 +146,19 @@ def cmd_lang(args) -> int:
         scale, (va,) = _valuate_rescaled(a, vals)
     cfg = ExplorationConfig(depth=args.depth, node_limit=args.node_limit)
     with timings.time("enumerate"):
-        sample = enumerate_language(va, cfg, args.semantics)
+        obs, counts = _observe(va, cfg, args.semantics)
     print(f"automaton: {args.pera}")
     print(f"valuation: {_fmt_valuation(vals) or '(none)'}")
     if scale != 1:
         print(f"rescaled by {scale} to clear denominators")
     print(f"semantics: {args.semantics}  depth: {args.depth}")
-    for line in _sample_stats(args.semantics, sample.counts()):
+    for line in _sample_stats(args.semantics, counts):
         print(line)
-    for line in _sample_body(sample):
-        print(line)
+    if args.semantics == "buchi":
+        print("-- lassos --")
+        print(lassos_text(obs), end="")
+    else:
+        _print_words(obs, counts[1])
     print(timings.footer())
     return 0
 

@@ -311,19 +311,22 @@ class Pera:
         if not isinstance(doc, dict):
             raise ModelError("malformed automaton document: expected a JSON object")
         try:
-            params = tuple(doc.get("parameters", []))
-            actions = tuple((d["action"], d["clock"]) for d in doc["actions"])
-            locations = tuple(d["name"] for d in doc["locations"])
+            params = _names(doc.get("parameters", []), "parameters")
+            actions = tuple(
+                (_name(d["action"], "action"), _name(d["clock"], "clock"))
+                for d in doc["actions"]
+            )
+            locations = tuple(_name(d["name"], "location") for d in doc["locations"])
             invariants = {   # empty ones are trimmed by the constructor
                 d["name"]: parse_guard(d.get("invariant", "true"), params)
                 for d in doc["locations"]
             }
             edges = tuple(
                 Edge(
-                    d["from"],
+                    _name(d["from"], "edge source"),
                     parse_guard(d.get("guard", "true"), params),
-                    d["action"],
-                    d["to"],
+                    _name(d["action"], "edge action"),
+                    _name(d["to"], "edge target"),
                 )
                 for d in doc["edges"]
             )
@@ -331,13 +334,27 @@ class Pera:
                 actions=actions,
                 parameters=params,
                 locations=locations,
-                initial=doc["initial"],
+                initial=_name(doc["initial"], "initial location"),
                 edges=edges,
                 invariants=invariants,
-                accepting=frozenset(doc.get("accepting", [])),
+                accepting=frozenset(_names(doc.get("accepting", []), "accepting")),
             )
         except (KeyError, TypeError) as exc:
             raise ModelError(f"malformed automaton document: {exc}") from exc
+
+
+def _name(value, what: str) -> str:
+    """`value` if it is a string; names are compared and sorted as strings."""
+    if not isinstance(value, str):
+        raise ModelError(f"malformed automaton document: {what}: {value!r} is not a string")
+    return value
+
+
+def _names(value, what: str) -> tuple[str, ...]:
+    """`value` as a tuple of names, if it is a JSON list of strings."""
+    if not isinstance(value, list):
+        raise ModelError(f"malformed automaton document: {what}: {value!r} is not a list")
+    return tuple(_name(v, what) for v in value)
 
 
 def _check_atoms(guard, clocks, params, where):

@@ -1,23 +1,24 @@
 """Depth-bounded untimed languages, decided on a determinized automaton.
 
-The core is `Determinized`: an on-the-fly subset construction over
-symbolic states (widened unless cfg.extrapolate is off).  Its states
-are frozensets of symbolic states, its transitions are memoized per
-set, and each set carries one flag:
+The one finite-word core is `Determinized`: an on-the-fly subset
+construction over symbolic states (widened unless cfg.extrapolate is
+off).  Its states are frozensets of symbolic states, its transitions
+are memoized per set, and each set carries one flag:
 
 - maximal: some run spelling the word can end blocked;
 - reach: some run spelling the word ends in an accepting location;
 - safety: always set, so the accepted words are the prefix words.
 
-Three views sit on that core.  `Determinized.counts` gives the number
-of prefix and flagged words by a level-by-level count, without
-materializing a word.  `compare` on two determinized automata walks
-pairs of sets breadth first and returns the shortest, lexicographically
-least distinguishing word.  `enumerate_language` lists the words
-themselves for `lang`, deciding each flag once per set.
+Everything else is a view on that core.  `Determinized.counts` gives
+the number of prefix and flagged words by a level-by-level count,
+without materializing a word.  `Determinized.words` walks the words
+breadth first, in (length, word) order, for `lang` to print.  `compare`
+on two determinized automata walks pairs of sets breadth first and
+returns the shortest, lexicographically least distinguishing word.
 
-Büchi semantics records stem/cycle lassos through accepting locations
-on the widened zone graph instead; its samples are compared as sets.
+Büchi semantics is observed through `lassos` instead: stem/cycle pairs
+through accepting locations on the widened zone graph, which `compare`
+diffs as sets.
 """
 
 from __future__ import annotations
@@ -33,43 +34,6 @@ SEMANTICS = ("maximal", "buchi", "reach", "safety")
 Word = tuple[str, ...]
 Lasso = tuple[Word, Word]
 States = frozenset[Sym]
-
-
-@dataclass(frozen=True)
-class LanguageSample:
-    """Everything observable about one automaton's language at depth k."""
-
-    semantics: str
-    depth: int
-    prefix_words: frozenset[Word]
-    maximal_finite_words: frozenset[Word] = frozenset()
-    accepted_words: frozenset[Word] = frozenset()
-    lassos: frozenset[Lasso] = frozenset()
-
-    def words_text(self, which: str = "prefix") -> str:
-        table = {
-            "prefix": self.prefix_words,
-            "maximal_finite": self.maximal_finite_words,
-            "accepted": self.accepted_words,
-        }
-        if which not in table:
-            raise ModelError(f"unknown word set {which!r}")
-        lines = [" ".join(w) for w in sorted(table[which], key=lambda w: (len(w), w))]
-        return "\n".join(lines) + "\n"
-
-    def counts(self) -> tuple[int, ...]:
-        """(lassos,) under Büchi, else (prefix words, maximal or accepted words)."""
-        if self.semantics == "buchi":
-            return (len(self.lassos),)
-        flagged = self.maximal_finite_words if self.semantics == "maximal" else self.accepted_words
-        return len(self.prefix_words), len(flagged)
-
-    def lassos_text(self) -> str:
-        def key(l: Lasso):
-            return (len(l[0]) + len(l[1]), l[0], l[1])
-
-        lines = [" ".join(s) + " | " + " ".join(c) for s, c in sorted(self.lassos, key=key)]
-        return "\n".join(lines) + "\n"
 
 
 def _min_rotation(word: Word) -> Word:
@@ -159,21 +123,29 @@ class Determinized:
         return prefix, flagged
 
     def words(self) -> Iterator[tuple[Word, States]]:
-        """Every word of length <= depth with its state set, breadth first."""
+        """Every word of length <= depth with its state set, breadth first.
+
+        Actions are taken in sorted order, so the words come sorted by
+        (length, word).  The last level is yielded but not kept.
+        """
         frontier: list[tuple[Word, States]] = [((), self.start)]
         yield (), self.start
-        for _ in range(self.depth):
+        for left in range(self.depth, 0, -1):
             nxt: list[tuple[Word, States]] = []
             for word, states in frontier:
                 for act, succ in self.step(states).items():
                     w2 = word + (act,)
-                    nxt.append((w2, succ))
+                    if left > 1:
+                        nxt.append((w2, succ))
                     yield w2, succ
             frontier = nxt
 
 
-def _lassos(a: Pera, cfg: ExplorationConfig) -> frozenset[Lasso]:
+def lassos(a: Pera, cfg: ExplorationConfig) -> frozenset[Lasso]:
     """Stem/cycle pairs through accepting locations, on the widened graph.
+
+    This is what Büchi semantics observes; it always works on the
+    widened zone graph, whatever cfg.extrapolate says.
 
     Cycles are elementary (no repeated node except the endpoints),
     found once each by only walking nodes with ids at or above the
@@ -192,6 +164,7 @@ def _lassos(a: Pera, cfg: ExplorationConfig) -> frozenset[Lasso]:
     of the initial node, and the cut graph keeps the fixpoint graph's
     ids and every edge out of those nodes.
     """
+    _check_observable(a, "buchi")
     g = zone_graph(a, cfg, levels=2 * cfg.depth)
     k = cfg.depth
     accepting = a.accepting
@@ -267,29 +240,15 @@ def _check_observable(a: Pera, semantics: str) -> None:
         raise ModelError(f"{semantics} semantics needs a declared accepting set")
 
 
-def enumerate_language(a: Pera, cfg: ExplorationConfig, semantics: str) -> LanguageSample:
-    """Observe one automaton's untimed language at cfg.depth.
+def _lasso_key(l: Lasso):
+    """Shortest first, then by stem, then by cycle."""
+    return (len(l[0]) + len(l[1]), l[0], l[1])
 
-    See the module docstring for what each semantics records.  Büchi
-    always works on the widened zone graph; the other three honor
-    cfg.extrapolate.
-    """
-    _check_observable(a, semantics)
-    if semantics == "buchi":
-        return LanguageSample(semantics, cfg.depth, frozenset(), lassos=_lassos(a, cfg))
 
-    det = Determinized(a, cfg, semantics)
-    prefix: set[Word] = set()
-    flagged: set[Word] = set()
-    for word, states in det.words():
-        prefix.add(word)
-        if det.flagged(states):
-            flagged.add(word)
-    if semantics == "maximal":
-        return LanguageSample(semantics, cfg.depth, frozenset(prefix), frozenset(flagged))
-    return LanguageSample(
-        semantics, cfg.depth, frozenset(prefix), accepted_words=frozenset(flagged)
-    )
+def lassos_text(found: frozenset[Lasso]) -> str:
+    """One `stem | cycle` line per lasso, in `_lasso_key` order."""
+    lines = [" ".join(s) + " | " + " ".join(c) for s, c in sorted(found, key=_lasso_key)]
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -313,14 +272,6 @@ class CompareResult:
         return f"differs; {field} witness [{shown}] only on the {owner} side"
 
 
-def _word_diff(left: frozenset[Word], right: frozenset[Word]):
-    delta = left.symmetric_difference(right)
-    if not delta:
-        return None
-    w = min(delta, key=lambda w: (len(w), w))
-    return w, ("left" if w in left else "right")
-
-
 _FLAG_FIELD = {"maximal": "maximal_finite", "reach": "accepted", "safety": "accepted"}
 
 
@@ -332,7 +283,7 @@ def _product_walk(left: Determinized, right: Determinized) -> CompareResult:
     the shortest, lexicographically least distinguishing word.  A pair
     seen before is skipped: its first visit came by a word no longer and
     no greater.  A prefix difference wins over a flag difference at the
-    same word, as in the sample comparison.
+    same word.
     """
     none: States = frozenset()
     field = _FLAG_FIELD[left.semantics]
@@ -358,40 +309,25 @@ def _product_walk(left: Determinized, right: Determinized) -> CompareResult:
     return CompareResult(True)
 
 
-def compare(s1: LanguageSample | Determinized, s2: LanguageSample | Determinized) -> CompareResult:
+def compare(
+    s1: Determinized | frozenset[Lasso], s2: Determinized | frozenset[Lasso]
+) -> CompareResult:
     """Bounded-language comparison; a difference names its shortest witness.
 
-    Takes two `LanguageSample`s, whose word or lasso sets are diffed, or
-    two `Determinized` automata, which are walked as a product without
-    listing their words.  Both give the same result on the same inputs.
+    Takes two `Determinized` automata, which are walked as a product
+    without listing their words, or two lasso sets, whose least lasso
+    on one side only, in `_lasso_key` order, is the witness.
     """
-    if s1.semantics != s2.semantics:
-        raise ModelError("samples use different semantics")
-    if s1.depth != s2.depth:
-        raise ModelError("samples use different depth bounds")
-    if isinstance(s1, Determinized) != isinstance(s2, Determinized):
-        raise ModelError("compare needs two samples or two determinized automata")
-    if isinstance(s1, Determinized):
+    if isinstance(s1, Determinized) and isinstance(s2, Determinized):
+        if s1.semantics != s2.semantics:
+            raise ModelError("the two automata use different semantics")
+        if s1.depth != s2.depth:
+            raise ModelError("the two automata use different depth bounds")
         return _product_walk(s1, s2)
-    if s1.semantics == "buchi":
-        delta = s1.lassos.symmetric_difference(s2.lassos)
-        if not delta:
-            return CompareResult(True)
-        l = min(delta, key=lambda l: (len(l[0]) + len(l[1]), l[0], l[1]))
-        return CompareResult(False, "lassos", l, "left" if l in s1.lassos else "right")
-    fields = (
-        ("prefix", s1.prefix_words, s2.prefix_words),
-        ("maximal_finite", s1.maximal_finite_words, s2.maximal_finite_words),
-        ("accepted", s1.accepted_words, s2.accepted_words),
-    )
-    best = None
-    for name, left, right in fields:
-        hit = _word_diff(left, right)
-        if hit is None:
-            continue
-        w, owner = hit
-        if best is None or (len(w), w) < (len(best[1]), best[1]):
-            best = (name, w, owner)
-    if best is None:
+    if not (isinstance(s1, frozenset) and isinstance(s2, frozenset)):
+        raise ModelError("compare needs two determinized automata or two lasso sets")
+    delta = s1.symmetric_difference(s2)
+    if not delta:
         return CompareResult(True)
-    return CompareResult(False, best[0], best[1], best[2])
+    l = min(delta, key=_lasso_key)
+    return CompareResult(False, "lassos", l, "left" if l in s1 else "right")

@@ -11,7 +11,7 @@ from itertools import product
 import pytest
 
 from peralab.encoder import build, derive_schedule, encode_core
-from peralab.language import compare, enumerate_language
+from wordsets import compare, enumerate_language
 from peralab.minsky import inc3, loop, run, trivial
 from peralab.semantics import ExplorationConfig, concrete_simulate
 

@@ -2,6 +2,7 @@
 
 import json
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,9 @@ from peralab.core import Pera
 from peralab.language import Determinized
 from peralab.encoder import build
 from peralab.minsky import loop
+from peralab.semantics import ExplorationConfig
+
+from wordsets import enumerate_language
 
 MACHINES = Path(__file__).resolve().parent.parent / "scripts" / "machines"
 
@@ -143,7 +147,20 @@ def test_lang_fractional_valuation_matches_rescaled_automaton(tmp_path, wrapped_
 def test_lang_node_limit_exhaustion(wrapped_loop_file, capsys):
     code = main(["lang", str(wrapped_loop_file), "-p", "p=2", "--node-limit", "2"])
     assert code == 2
-    assert "resource exhaustion:" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "resource exhaustion:" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("limit,code", [(228, 2), (229, 0)])
+def test_lang_exhausted_on_the_last_set_prints_nothing(wrapped_loop_file, capsys, limit, code):
+    # p = 2 at k = 8 has 229 determinized state sets; they are all built
+    # before the report starts, so running out on the last prints no
+    # partial word list
+    argv = ["lang", str(wrapped_loop_file), "-p", "p=2", "--node-limit", str(limit)]
+    assert main(argv) == code
+    out = capsys.readouterr().out
+    assert (out == "") == (code == 2)
 
 
 @pytest.mark.parametrize("limit,code", [(74, 2), (75, 0)])
@@ -163,6 +180,37 @@ def test_lang_deterministic(wrapped_loop_file, capsys):
     assert main(args) == 0
     second = strip_timings(capsys.readouterr().out)
     assert first == second
+
+
+# the encoding each finite-word semantics is read on
+LANG_ENCODING = {"maximal": "wrapped", "reach": "buchi", "safety": "safety"}
+
+
+@pytest.mark.parametrize("k", [0, 3])
+@pytest.mark.parametrize("p", ["0", "2", "1/2"])
+@pytest.mark.parametrize("semantics", ["maximal", "reach", "safety"])
+def test_lang_prints_the_reference_word_sets(tmp_path, capsys, semantics, p, k):
+    a = build(loop(), LANG_ENCODING[semantics])
+    f = tmp_path / "a.pera"
+    f.write_text(a.to_text())
+    assert main(["lang", str(f), "-p", f"p={p}", "-k", str(k), "--semantics", semantics]) == 0
+    body = strip_timings(capsys.readouterr().out)
+
+    v = Fraction(p)
+    va = a.rescale(v.denominator).valuate({"p": v.numerator})
+    ref = enumerate_language(va, ExplorationConfig(depth=k), semantics)
+    if semantics == "maximal":
+        title, flagged = "maximal finite", ref.maximal_finite_words
+    else:
+        title, flagged = "accepted", ref.accepted_words
+
+    def section(title, words):
+        lines = [" ".join(w) for w in sorted(words, key=lambda w: (len(w), w))]
+        return f"-- {title} --\n" + "\n".join(lines) + "\n"
+
+    assert body.endswith(section("prefix", ref.prefix_words) + section(title, flagged))
+    if not flagged:  # maximal at p = 0, and reach at k = 0
+        assert body.endswith(f"-- {title} --\n\n")
 
 
 def test_lang_buchi_output(tmp_path, loop_file, capsys):
@@ -344,12 +392,35 @@ NUMERIC_INVARIANT = json.dumps({
 })
 
 
-@pytest.mark.parametrize("doc", ["[]", NUMERIC_INVARIANT], ids=["top-level-list", "numeric-invariant"])
-def test_malformed_automaton_document_exits_one(tmp_path, capsys, doc):
+def one_location_document(**fields) -> str:
+    doc = {"actions": [{"action": "a", "clock": "x"}], "locations": [{"name": "l"}],
+           "initial": "l", "edges": [{"from": "l", "action": "a", "to": "l"}]}
+    return json.dumps({**doc, **fields})
+
+
+MALFORMED = {
+    "top-level-list": ("[]", "expected a JSON object"),
+    "numeric-invariant": (NUMERIC_INVARIANT, "expected a guard string"),
+    # `lang` sorts and joins names, so a name must be a string
+    "integer-action": (one_location_document(
+        actions=[{"action": 1, "clock": "x"}, {"action": "b", "clock": "y"}],
+        edges=[{"from": "l", "action": 1, "to": "l"}, {"from": "l", "action": "b", "to": "l"}],
+    ), "action: 1 is not a string"),
+    "integer-parameter": (one_location_document(parameters=[1]), "parameters: 1 is not a string"),
+    # a bare string is not a list of one-letter names
+    "string-parameters": (one_location_document(parameters="pq"), "is not a list"),
+    "string-accepting": (one_location_document(accepting="l"), "is not a list"),
+}
+
+
+@pytest.mark.parametrize("doc,message", list(MALFORMED.values()), ids=list(MALFORMED))
+def test_malformed_automaton_document_exits_one(tmp_path, capsys, doc, message):
     f = tmp_path / "bad.pera"
     f.write_text(doc)
     assert main(["lang", str(f)]) == 1   # a ModelError, not an AttributeError traceback
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert message in err
 
 
 def test_deeply_nested_automaton_document_exits_one(tmp_path, capsys):

@@ -7,13 +7,15 @@ from peralab.encoder import build
 from peralab.language import (
     CompareResult,
     Determinized,
-    LanguageSample,
     _min_rotation,
     compare,
-    enumerate_language,
+    lassos,
+    lassos_text,
 )
 from peralab.minsky import inc3, loop, trivial
 from peralab.semantics import ExplorationConfig, ResourceExhausted, zone_graph
+
+from wordsets import LanguageSample, compare as compare_sets, enumerate_language
 
 
 def cfg(depth, **kw):
@@ -74,7 +76,7 @@ def test_maximal_finite_witnesses():
 
 def test_node_limit_exhaustion(loop2):
     with pytest.raises(ResourceExhausted):
-        enumerate_language(loop2, cfg(6, node_limit=2), "maximal")
+        Determinized(loop2, cfg(6, node_limit=2), "maximal").counts()
 
 
 # -- semantics dispatch -------------------------------------------------------
@@ -82,18 +84,19 @@ def test_node_limit_exhaustion(loop2):
 
 def test_unknown_semantics(loop2):
     with pytest.raises(ModelError):
-        enumerate_language(loop2, cfg(3), "timed")
+        Determinized(loop2, cfg(3), "timed")
 
 
 def test_parametric_automaton_rejected():
     with pytest.raises(ModelError):
-        enumerate_language(build(loop(), "wrapped"), cfg(3), "maximal")
+        Determinized(build(loop(), "wrapped"), cfg(3), "maximal")
 
 
 def test_accepting_set_required(loop2):
-    for sem in ("buchi", "reach"):
-        with pytest.raises(ModelError):
-            enumerate_language(loop2, cfg(3), sem)
+    with pytest.raises(ModelError):
+        lassos(loop2, cfg(3))
+    with pytest.raises(ModelError):
+        Determinized(loop2, cfg(3), "reach")
 
 
 def test_safety_accepts_every_prefix():
@@ -129,12 +132,11 @@ def test_lassos_on_hand_built_cycle():
         edges=(Edge("u", (), "a", "v"), Edge("v", (), "b", "u")),
         accepting=frozenset({"u"}),
     )
-    sample = enumerate_language(a, cfg(4), "buchi")
+    found = lassos(a, cfg(4))
     # the origin zone is never revisited, so the cycle sits one step in
-    assert (("a",), ("a", "b")) in sample.lassos
-    assert all(c == _min_rotation(c) for _, c in sample.lassos)
-    assert not any(c == ("b", "a") for _, c in sample.lassos)
-    assert sample.prefix_words == frozenset()
+    assert (("a",), ("a", "b")) in found
+    assert all(c == _min_rotation(c) for _, c in found)
+    assert not any(c == ("b", "a") for _, c in found)
 
 
 def test_lassos_respect_accepting_set():
@@ -147,9 +149,8 @@ def test_lassos_respect_accepting_set():
                Edge("u", (), "a", "u")),
         accepting=frozenset({"v"}),
     )
-    sample = enumerate_language(a, cfg(3), "buchi")
     # the pure self-loop at u never visits v, so it is not a lasso here
-    assert all("b" in c for _, c in sample.lassos)
+    assert all("b" in c for _, c in lassos(a, cfg(3)))
 
 
 # -- lasso search against the unpruned reference ------------------------------------
@@ -198,7 +199,7 @@ def test_pruned_lassos_match_unpruned_search(make, p):
     a = build(make(), "buchi").valuate({"p": p})
     for depth in (4,) if p > 31 else (0, 1, 2, 4, 7, 10):
         want = reference_lassos(a, cfg(depth))
-        assert enumerate_language(a, cfg(depth), "buchi").lassos == want, depth
+        assert lassos(a, cfg(depth)) == want, depth
 
 
 # -- comparison ----------------------------------------------------------------
@@ -206,7 +207,7 @@ def test_pruned_lassos_match_unpruned_search(make, p):
 
 def test_compare_equal_on_self(loop2):
     s = enumerate_language(loop2, cfg(4), "maximal")
-    res = compare(s, s)
+    res = compare_sets(s, s)
     assert res.equal and res.text("A", "B") == "equal up to bound"
 
 
@@ -214,22 +215,22 @@ def test_compare_mismatched_settings(loop2):
     a = enumerate_language(loop2, cfg(3), "maximal")
     b = enumerate_language(loop2, cfg(4), "maximal")
     with pytest.raises(ModelError):
-        compare(a, b)
+        compare_sets(a, b)
     c = enumerate_language(build(loop(), "safety").valuate({"p": 2}), cfg(3), "safety")
     with pytest.raises(ModelError):
-        compare(a, c)
+        compare_sets(a, c)
 
 
 def test_compare_shortest_witness_and_symmetry(loop0):
     one = build(loop(), "wrapped").valuate({"p": 1})
     left = enumerate_language(one, cfg(4), "maximal")
     right = enumerate_language(loop0, cfg(4), "maximal")
-    res = compare(left, right)
+    res = compare_sets(left, right)
     assert not res.equal
     assert res.field == "maximal_finite"
     assert res.witness == ("a_1", "a_1")
     assert res.owner == "left"
-    mirrored = compare(right, left)
+    mirrored = compare_sets(right, left)
     assert mirrored.witness == res.witness and mirrored.owner == "right"
     assert "only on the A side" in res.text("A", "B")
 
@@ -238,15 +239,12 @@ def test_compare_prefers_shorter_field_witness():
     a = LanguageSample("maximal", 2, frozenset({(), ("a",)}), frozenset())
     b = LanguageSample("maximal", 2, frozenset({(), ("a",), ("a", "a")}),
                        frozenset({("a",)}))
-    res = compare(a, b)
+    res = compare_sets(a, b)
     assert res.witness == ("a",) and res.field == "maximal_finite"
 
 
 def test_compare_buchi_lassos():
-    s1 = LanguageSample("buchi", 4, frozenset(),
-                        lassos=frozenset({(("a",), ("b",))}))
-    s2 = LanguageSample("buchi", 4, frozenset(), lassos=frozenset())
-    res = compare(s1, s2)
+    res = compare(frozenset({(("a",), ("b",))}), frozenset())
     assert not res.equal and res.field == "lassos"
     assert res.witness == (("a",), ("b",)) and res.owner == "left"
     assert res.text("A", "B") == "differs; lassos witness [a | b] only on the A side"
@@ -267,7 +265,7 @@ def assert_product_walk_matches_samples(a, pairs, semantics):
         samples = {p: enumerate_language(autos[p], cfg(depth), semantics) for p in periods}
         dets = {p: Determinized(autos[p], cfg(depth), semantics) for p in periods}
         for pa, pb in pairs:
-            want = compare(samples[pa], samples[pb])
+            want = compare_sets(samples[pa], samples[pb])
             assert compare(dets[pa], dets[pb]) == want, (pa, pb, depth)
         for p in periods:
             assert dets[p].counts() == samples[p].counts(), (p, depth)
@@ -298,14 +296,14 @@ def test_product_walk_reports_prefix_before_flag():
                  edges=(Edge("u", (), "b", "v"),))
     want = CompareResult(False, "prefix", ("a",), "left")
     samples = [enumerate_language(x, cfg(2), "maximal") for x in (left, right)]
-    assert compare(*samples) == want
+    assert compare_sets(*samples) == want
     assert compare(*(Determinized(x, cfg(2), "maximal") for x in (left, right))) == want
 
 
 def test_product_walk_needs_matching_inputs(loop2):
     det = Determinized(loop2, cfg(3), "maximal")
     with pytest.raises(ModelError):
-        compare(det, enumerate_language(loop2, cfg(3), "maximal"))
+        compare(det, frozenset())
     with pytest.raises(ModelError):
         compare(det, Determinized(loop2, cfg(4), "maximal"))
     with pytest.raises(ModelError):
@@ -320,16 +318,7 @@ def test_counts_without_words(loop0):
 # -- textual renderings -----------------------------------------------------------
 
 
-def test_words_text_format():
-    s = LanguageSample("maximal", 2, frozenset({(), ("b",), ("a", "b"), ("a",)}))
-    assert s.words_text("prefix") == "\na\nb\na b\n"
-    with pytest.raises(ModelError):
-        s.words_text("lassos")
-
-
 def test_lassos_text_format():
-    s = LanguageSample(
-        "buchi", 3, frozenset(),
-        lassos=frozenset({(("a",), ("b", "c")), ((), ("a",))}),
-    )
-    assert s.lassos_text() == " | a\na | b c\n"
+    found = frozenset({(("a",), ("b", "c")), ((), ("a",))})
+    assert lassos_text(found) == " | a\na | b c\n"
+    assert lassos_text(frozenset()) == "\n"

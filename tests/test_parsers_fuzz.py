@@ -1,13 +1,18 @@
 """Both input parsers either parse or raise ModelError, on any input.
 
 The CLI turns a ModelError into `error: ...` and exit 1; any other
-exception type escaping a parser would end in a traceback instead.
+exception type escaping a parser would end in a traceback instead.  An
+automaton document that parses must also get through `lang`.
 """
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from peralab.cli import main
 from peralab.core import ModelError, Pera
 from peralab.minsky import parse_machine
 
@@ -42,16 +47,50 @@ documents = st.fixed_dictionaries(
      "edges": listed(edges)},
     optional={"parameters": either(st.just(["p"])), "accepting": either(st.lists(names, max_size=2))},
 )
-pera_texts = (documents | json_values).map(json.dumps) | st.text(max_size=40)
 
 
-@given(pera_texts)
+@st.composite
+def self_loops(draw):
+    """One location with one self-loop, each name used the same way throughout.
+
+    A name is any JSON scalar one time in four, used consistently, and a
+    list now and then a bare value, so these documents pass the
+    cross-reference checks and test what the parser lets through to the
+    analysis.
+    """
+    act, clock, loc = (
+        draw(st.integers(0, 3).flatmap(lambda r, n=n: st.just(n) if r else scalars))
+        for n in ("a", "x", "l")
+    )
+    return {
+        "actions": [{"action": act, "clock": clock}],
+        "parameters": draw(either(st.sampled_from([[], ["p"]]))),
+        "locations": [{"name": loc}],
+        "initial": loc,
+        "edges": [{"from": loc, "action": act, "to": loc}],
+        "accepting": draw(either(st.just([loc]))),
+    }
+
+
+pera_texts = (documents | self_loops() | json_values).map(json.dumps) | st.text(max_size=40)
+
+
+@pytest.fixture(scope="module")
+def doc_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "doc.pera"
+
+
+@given(text=pera_texts)
 @settings(deadline=None, max_examples=400)
-def test_pera_parser_raises_only_model_error(text):
+def test_pera_parser_raises_only_model_error(doc_path, text):
     try:
         Pera.from_text(text)
     except ModelError:
-        pass
+        return
+    doc_path.write_text(text)
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = main(["lang", str(doc_path), "-k", "1"])
+    assert code in (0, 1)   # an answer or a model error, never a traceback
 
 
 states = st.sampled_from(["s0", "s1", "sh", "x"])

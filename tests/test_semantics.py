@@ -6,7 +6,6 @@ import pytest
 
 from peralab.core import Atom, Edge, ModelError, Pera
 from peralab.encoder import build, derive_schedule, encode_core
-from peralab.language import enumerate_language
 from peralab.minsky import inc3, loop
 from peralab.semantics import (
     Analyzer,
@@ -19,6 +18,8 @@ from peralab.semantics import (
     zone_graph,
 )
 from peralab import zones as Z
+
+from wordsets import enumerate_language
 
 
 def one_loc(edges, invariant=(), actions=(("a", "x"),)):

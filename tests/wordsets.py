@@ -1,0 +1,90 @@
+"""The reference for peralab's bounded languages: explicit word sets.
+
+`enumerate_language` lists every word of length <= k into frozensets,
+one per observed set, and `compare` diffs two such samples set by set
+and reports the shortest, lexicographically least word on one side
+only.  This is the brute-force view that `Determinized.counts`, the
+product walk in `peralab.language.compare` and the word listing of
+`peralab lang` are checked against; nothing in `src` uses it.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from peralab.core import ModelError
+from peralab.language import (
+    CompareResult, Determinized, Lasso, Word, compare as compare_lassos, lassos,
+)
+
+
+@dataclass(frozen=True)
+class LanguageSample:
+    """Everything observable about one automaton's language at depth k."""
+
+    semantics: str
+    depth: int
+    prefix_words: frozenset[Word]
+    maximal_finite_words: frozenset[Word] = frozenset()
+    accepted_words: frozenset[Word] = frozenset()
+    lassos: frozenset[Lasso] = frozenset()
+
+    def counts(self) -> tuple[int, ...]:
+        """(lassos,) under Büchi, else (prefix words, maximal or accepted words)."""
+        if self.semantics == "buchi":
+            return (len(self.lassos),)
+        flagged = self.maximal_finite_words if self.semantics == "maximal" else self.accepted_words
+        return len(self.prefix_words), len(flagged)
+
+
+def enumerate_language(a, cfg, semantics: str) -> LanguageSample:
+    """Observe one automaton's untimed language at cfg.depth, word by word."""
+    if semantics == "buchi":
+        return LanguageSample(semantics, cfg.depth, frozenset(), lassos=lassos(a, cfg))
+
+    det = Determinized(a, cfg, semantics)
+    prefix: set[Word] = set()
+    flagged: set[Word] = set()
+    for word, states in det.words():
+        prefix.add(word)
+        if det.flagged(states):
+            flagged.add(word)
+    if semantics == "maximal":
+        return LanguageSample(semantics, cfg.depth, frozenset(prefix), frozenset(flagged))
+    return LanguageSample(
+        semantics, cfg.depth, frozenset(prefix), accepted_words=frozenset(flagged)
+    )
+
+
+def _word_diff(left: frozenset[Word], right: frozenset[Word]):
+    delta = left.symmetric_difference(right)
+    if not delta:
+        return None
+    w = min(delta, key=lambda w: (len(w), w))
+    return w, ("left" if w in left else "right")
+
+
+def compare(s1: LanguageSample, s2: LanguageSample) -> CompareResult:
+    """Set-by-set comparison of two samples; the shortest witness wins."""
+    if s1.semantics != s2.semantics:
+        raise ModelError("samples use different semantics")
+    if s1.depth != s2.depth:
+        raise ModelError("samples use different depth bounds")
+    if s1.semantics == "buchi":
+        return compare_lassos(s1.lassos, s2.lassos)
+    fields = (
+        ("prefix", s1.prefix_words, s2.prefix_words),
+        ("maximal_finite", s1.maximal_finite_words, s2.maximal_finite_words),
+        ("accepted", s1.accepted_words, s2.accepted_words),
+    )
+    best = None
+    for name, left, right in fields:
+        hit = _word_diff(left, right)
+        if hit is None:
+            continue
+        w, owner = hit
+        if best is None or (len(w), w) < (len(best[1]), best[1]):
+            best = (name, w, owner)
+    if best is None:
+        return CompareResult(True)
+    return CompareResult(False, best[0], best[1], best[2])
