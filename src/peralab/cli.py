@@ -8,11 +8,14 @@ two valuations (compare), run the halting-dichotomy experiment
 a delimited footer so golden tests can strip them.
 
 Exit codes: 0 success, 1 input or model error, 2 resource exhaustion.
+A reader that closes stdout early (`peralab lang ... | head`) ends the
+run with exit 1 and no message.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from fractions import Fraction
@@ -345,10 +348,19 @@ def main(argv=None) -> int:
         return 1 if exc.code else 0
     try:
         _check_bounds(args)
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except ResourceExhausted as exc:
         print(f"resource exhaustion: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # stdout's reader is gone; point the descriptor at devnull so the
+        # flush at interpreter exit does not fail a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (ModelError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

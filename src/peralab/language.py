@@ -47,11 +47,11 @@ class Determinized:
 
     `step` maps a set of symbolic states to its successor set per
     action, in sorted action order, leaving out actions with no
-    successor; tables are memoized, and every new table counts its
-    entries against cfg.node_limit.  Successor sets are interned, so
+    successor; tables are memoized.  Successor sets are interned, so
     equal sets are one object and memo lookups stop at identity instead
-    of comparing zones.  `flagged` is the per-set flag described in the
-    module docstring, also memoized.
+    of comparing zones, and the number of distinct sets is what
+    cfg.node_limit bounds.  `flagged` is the per-set flag described in
+    the module docstring, also memoized.
     """
 
     def __init__(self, a: Pera, cfg: ExplorationConfig, semantics: str):
@@ -68,7 +68,6 @@ class Determinized:
         self._trans: dict[States, dict[str, States]] = {}
         self._sets: dict[States, States] = {self.start: self.start}
         self._flags: dict[States, bool] = {}
-        self._seen_sets = 1
 
     def step(self, states: States) -> dict[str, States]:
         table = self._trans.get(states)
@@ -86,8 +85,7 @@ class Determinized:
             s = frozenset(succ[act])
             table[act] = self._sets.setdefault(s, s)
         self._trans[states] = table
-        self._seen_sets += len(table)
-        if self._seen_sets > self.node_limit:
+        if len(self._sets) > self.node_limit:
             raise ResourceExhausted(
                 f"language walk exceeded {self.node_limit} determinized states"
             )

@@ -137,6 +137,10 @@ class Analyzer:
         target invariant through the edge's reset: atoms on the reset
         clock are decided at zero, the rest constrain the unchanged
         clocks directly.  Exact because every atom bounds one clock.
+
+        For the same reason the result is a box, the closure of
+        single-clock bounds, which is what lets `successor` meet it with
+        `Z.meet_box` instead of a full closure.
         """
         cons: list[tuple[int, int, int]] = []
         for atom in (*e.guard, *self.automaton.invariant(e.source)):
@@ -163,7 +167,7 @@ class Analyzer:
         fire, _, clock = self._edge_entry(e)
         if fire is None:
             return None
-        stepped = Z.intersect(Z.up(zone), fire)
+        stepped = Z.meet_box(Z.up(zone), fire)
         if stepped is None:
             return None
         return (e.target, Z.reset(stepped, clock))

@@ -13,6 +13,13 @@ list, closes it where needed, and hands it over, so every matrix handed
 out is canonical (shortest-path closed).  Emptiness is always explicit:
 constructors and operators return None for an empty zone rather than an
 inconsistent matrix.
+
+Closing is an O(n³) Floyd-Warshall (`_close`).  `from_constraints`,
+`intersect`, `down`, `subtract` (once per piece), `time_pred` and a
+widening `extrapolate` run it.  `origin`, `up` and `reset` keep a
+canonical matrix canonical by construction, and `meet_box`, the meet
+with a zone of single-clock bounds that every successor step uses,
+closes its result in O(n²).
 """
 
 from __future__ import annotations
@@ -228,6 +235,60 @@ def intersect(a: Dbm, b: Dbm) -> Dbm | None:
     if not _close(m, a.size):
         return None
     return Dbm(a.clocks, m)
+
+
+def meet_box(d: Dbm, box: Dbm) -> Dbm | None:
+    """`intersect(d, box)` for a box, in O(n²) with no Floyd-Warshall.
+
+    `box` must be canonical with every constraint on one clock, so its
+    arcs all touch the reference node 0 and a shortest path of the meet
+    passes 0 at most once: i -> a (d), a -> 0 (upper bound), 0 -> k
+    (lower bound), k -> j (d).  Only box bounds tighter than d's own can
+    shorten a path.  `col[j]` is the shortest 0 -> j path and `row[i]`
+    the shortest i -> 0 path; every entry then closes in one step, and
+    the meet is empty iff a cycle through 0 is negative.  Returns `d`
+    itself when the box tightens nothing.
+    """
+    if d.clocks != box.clocks:
+        raise ValueError("clock sets differ")
+    n = d.size
+    dm, bm = d.m, box.m
+    lows = [k for k in range(1, n) if bm[k] < dm[k]]
+    ups = [a for a in range(1, n) if bm[a * n] < dm[a * n]]
+    if not lows and not ups:
+        return d
+    col = list(dm[:n])
+    for k in lows:
+        lk = bm[k]
+        for j, b in enumerate(dm[k * n:(k + 1) * n]):
+            if b < INF:
+                c = lk + b - ((lk | b) & 1)
+                if c < col[j]:
+                    col[j] = c
+    if col[0] < LE_ZERO:
+        return None
+    row = list(dm[::n])
+    for a in ups:
+        ua = bm[a * n]
+        ca = col[a]
+        if ca < INF and ca + ua - ((ca | ua) & 1) < LE_ZERO:
+            return None
+        for i, b in enumerate(dm[a::n]):
+            if b < INF:
+                c = b + ua - ((b | ua) & 1)
+                if c < row[i]:
+                    row[i] = c
+    finite = [(j, c) for j, c in enumerate(col) if c < INF]
+    m = list(dm)
+    for i, r in enumerate(row):
+        if r >= INF:
+            continue
+        base = i * n
+        for j, c in finite:
+            c = r + c - ((r | c) & 1)
+            if c < m[base + j]:
+                m[base + j] = c
+    return Dbm(d.clocks, m)
 
 
 def up(d: Dbm) -> Dbm:

@@ -1,12 +1,16 @@
 """End-to-end command-line behavior, run in process."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import peralab
 from peralab.cli import TIMING_HEADER, main
 from peralab.core import Pera
 from peralab.language import Determinized
@@ -152,15 +156,22 @@ def test_lang_node_limit_exhaustion(wrapped_loop_file, capsys):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("limit,code", [(228, 2), (229, 0)])
+@pytest.mark.parametrize("limit,code", [(56, 2), (57, 0)])
 def test_lang_exhausted_on_the_last_set_prints_nothing(wrapped_loop_file, capsys, limit, code):
-    # p = 2 at k = 8 has 229 determinized state sets; they are all built
-    # before the report starts, so running out on the last prints no
-    # partial word list
+    # p = 2 at k = 8 has 57 distinct determinized state sets; they are
+    # all built before the report starts, so running out on the last
+    # prints no partial word list
     argv = ["lang", str(wrapped_loop_file), "-p", "p=2", "--node-limit", str(limit)]
     assert main(argv) == code
     out = capsys.readouterr().out
     assert (out == "") == (code == 2)
+
+
+def test_lang_node_limit_counts_distinct_sets(wrapped_loop_file, capsys):
+    # p = 0 at k = 8 builds 81 distinct sets behind 325 transitions
+    argv = ["lang", str(wrapped_loop_file), "-p", "p=0", "-k", "8"]
+    assert main(argv + ["--node-limit", "100"]) == 0
+    assert main(argv + ["--node-limit", "80"]) == 2
 
 
 @pytest.mark.parametrize("limit,code", [(74, 2), (75, 0)])
@@ -221,6 +232,19 @@ def test_lang_buchi_output(tmp_path, loop_file, capsys):
     assert code == 0
     text = capsys.readouterr().out
     assert "lassos:" in text and "-- lassos --" in text
+
+
+def test_lang_into_a_closed_pipe_exits_one_quietly(wrapped_loop_file):
+    # the reader takes one line and leaves, as `peralab lang ... | head -1`
+    src = Path(peralab.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    argv = [sys.executable, "-m", "peralab", "lang", str(wrapped_loop_file), "-p", "p=0", "-k", "8"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline().startswith(b"automaton: ")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert err == b""
 
 
 # -- compare ---------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Zone exploration, blocking detection, and concrete replay."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from peralab.core import Atom, Edge, ModelError, Pera
-from peralab.encoder import build, derive_schedule, encode_core
-from peralab.minsky import inc3, loop
+from peralab.encoder import VARIANTS, build, derive_schedule, encode_core
+from peralab.minsky import inc3, loop, parse_machine
 from peralab.semantics import (
     Analyzer,
     ExplorationConfig,
@@ -140,6 +141,30 @@ def test_successor_matches_stepwise_reference_on_encodings(machine, variant):
                 assert got == stepwise_successor(ana, s, e)
                 fired += got is not None
         assert fired > 0
+
+
+MACHINE_FILES = Path(__file__).resolve().parent.parent / "scripts" / "machines"
+
+
+@pytest.mark.parametrize("name", ["loop", "inc3", "halt"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_fire_zones_are_boxes(name, variant):
+    """`successor` meets with `meet_box`, which needs every fire zone to be a box."""
+    path = MACHINE_FILES / f"{name}.2cm"
+    a = build(parse_machine(path.read_text(), name=name), variant)
+    for scale, p in ((1, 0), (1, 2), (2, 1)):                  # p = 0, 2, 1/2
+        ana = Analyzer(a.rescale(scale).valuate({"p": p}))
+        n = len(ana.clocks) + 1
+        for e in ana.automaton.edges:
+            fire = ana._edge_entry(e)[0]
+            if fire is None:
+                continue
+            m = fire.m
+            for i in range(1, n):
+                for j in range(1, n):
+                    up, low = m[i * n], m[j]
+                    via_zero = Z.INF if up >= Z.INF else up + low - ((up | low) & 1)
+                    assert i == j or m[i * n + j] == via_zero, (e, fire)
 
 
 # -- blocking ---------------------------------------------------------------

@@ -57,6 +57,32 @@ def test_intersect_basic():
     assert Z.intersect(a, zone(("x",), (0, 1, Z.lt(-2)))) is None
 
 
+def test_meet_box_without_a_tighter_bound_returns_the_zone():
+    d = zone(("x",), (1, 0, Z.le(2)), (0, 1, Z.le(-1)))       # 1 <= x <= 2
+    assert Z.meet_box(d, zone(("x",), (1, 0, Z.le(5)))) is d
+
+
+def test_meet_box_empty_through_a_lower_bound_alone():
+    d = zone(("x",), (1, 0, Z.le(2)))                          # x <= 2
+    assert Z.meet_box(d, zone(("x",), (0, 1, Z.le(-3)))) is None   # x >= 3
+
+
+def test_meet_box_empty_through_a_lower_upper_cycle():
+    # x - y <= 1 bounds neither clock alone; with x >= 3 it forces y >= 2
+    d = zone(CLOCKS, (1, 2, Z.le(1)))
+    box = zone(CLOCKS, (0, 1, Z.le(-3)), (2, 0, Z.le(1)))      # x >= 3, y <= 1
+    assert Z.meet_box(d, box) is None
+    assert Z.intersect(d, box) is None
+
+
+def test_meet_box_strictness_at_a_shared_endpoint():
+    d = zone(("x",), (0, 1, Z.le(-3)))                         # x >= 3
+    assert Z.meet_box(d, zone(("x",), (1, 0, Z.lt(3)))) is None
+    point = Z.meet_box(d, zone(("x",), (1, 0, Z.le(3))))
+    assert point.satisfies_point((Fraction(3),))
+    assert point == Z.intersect(d, zone(("x",), (1, 0, Z.le(3))))
+
+
 def test_up_drops_upper_bounds():
     a = Z.origin(("x", "y"))
     up = Z.up(a)

@@ -167,3 +167,43 @@ def test_known_half_grid_blind_spot_documented():
     pt = d.sample_point()
     assert d.satisfies_point(pt)
     assert pt[0] < 1 and pt[1] > 0 and pt[1] < pt[0]
+
+
+def _random_box(rng: random.Random, n: int) -> list[G.Constraint]:
+    """Single-clock bounds only, the shape of every fire zone."""
+    cons: list[G.Constraint] = []
+    for _ in range(rng.randint(1, 2 * n)):
+        k = rng.randint(1, n)
+        if rng.random() < 0.5:
+            cons.append((k, 0, rng.random() < 0.5, rng.randint(0, 4)))
+        else:
+            cons.append((0, k, rng.random() < 0.5, rng.randint(-4, 0)))
+    return cons
+
+
+def test_meet_box_agrees_with_intersect_and_grid():
+    rng = random.Random(20261018)
+    done = empty = 0
+    while done < 1000:
+        n = rng.randint(1, 3)
+        clocks = CLOCK_NAMES[:n]
+        cons_a = _random_constraints(rng, n)
+        cons_box = _random_box(rng, n)
+        da = Z.from_constraints(clocks, _encode(cons_a))
+        box = Z.from_constraints(clocks, _encode(cons_box))
+        if da is None or box is None:
+            continue
+        mask_box = _raw_mask(cons_box, n)
+        for zone, want_mask in ((da, _raw_mask(cons_a, n)), (Z.up(da), G.up_mask(cons_a, n))):
+            got = Z.meet_box(zone, box)
+            want = Z.intersect(zone, box)
+            # the same canonical tuple, or both empty
+            assert (got and got.m) == (want and want.m), (zone, box)
+            expect = G.half_view(want_mask & mask_box)
+            if got is None:
+                empty += 1
+                assert not expect.any(), (zone, box)
+            else:
+                assert np.array_equal(G.half_view(G.dbm_mask(got, n)), expect), (zone, box)
+        done += 1
+    assert empty > 50, f"only {empty} empty meets: the empty paths went untested"
