@@ -372,8 +372,11 @@ def parse_valuation(pairs: Sequence[str]) -> dict[str, Fraction]:
         name, sep, val = item.partition("=")
         if not sep or not name:
             raise ModelError(f"expected NAME=VALUE, got {item!r}")
+        name = name.strip()
+        if name in out:
+            raise ModelError(f"parameter {name!r} is given more than once")
         try:
-            out[name.strip()] = Fraction(val.strip())
+            out[name] = Fraction(val.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ModelError(f"bad value in {item!r}: {exc}") from exc
     return out

@@ -62,7 +62,7 @@ class Determinized:
         self.depth = cfg.depth
         self.node_limit = cfg.node_limit
         self.widen = cfg.extrapolate
-        self.ana = Analyzer(a, cfg)
+        self.ana = Analyzer(a)
         init = self.ana.initial()
         self.start: States = frozenset({self.ana.widen(init) if self.widen else init})
         self._trans: dict[States, dict[str, States]] = {}

@@ -2,9 +2,12 @@
 
 The symbolic layer answers "where does edge e fire" with one zone per
 edge (guard, source invariant, and target invariant pulled back
-through the reset).  Delay-closed discrete successors and blocking
-states (concrete states from which no delay reaches any fireable edge)
-are both computed from it.  A finite zone graph is built via
+through the reset), and "from where can e be waited for" with its
+wait zone.  `Analyzer` builds both on first use and memoizes them per
+edge.  Delay-closed discrete successors come from the fire zone;
+blocking states (concrete states from which no delay reaches any
+fireable edge) are what is left of a zone after subtracting every wait
+zone, a tuple of disjoint pieces.  A finite zone graph is built via
 maximum-constant widening; its nodes carry no blocking flag, callers
 that need one ask `Analyzer.is_blocking`.  The concrete layer replays
 explicit delay/action scripts with exact rational arithmetic.
@@ -41,8 +44,6 @@ class ExplorationConfig:
 
 
 Sym = tuple[str, Z.Dbm]
-
-_PENDING = object()
 
 
 def _atom_constraints(atom: Atom, clocks: Sequence[str]) -> list[tuple[int, int, int]]:
@@ -96,11 +97,10 @@ class Analyzer:
     whose guard is unsatisfiable never fires.
     """
 
-    def __init__(self, a: Pera, cfg: ExplorationConfig | None = None):
+    def __init__(self, a: Pera):
         if a.parameters:
             raise ModelError("automaton still has parameters; valuate it first")
         self.automaton = a
-        self.cfg = cfg or ExplorationConfig()
         self.clocks = a.clocks
         self.max_const = a.max_constant()
         self.inv_zone: dict[str, Z.Dbm | None] = {
@@ -109,9 +109,10 @@ class Analyzer:
         self.edges_from: dict[str, list[Edge]] = {loc: [] for loc in a.locations}
         for e in a.edges:
             self.edges_from[e.source].append(e)
-        # edge -> [fire zone, wait zone, reset clock]; the wait zone
-        # stays _PENDING until blocking first asks for it
-        self._edge_zones: dict[Edge, list] = {}
+        self.reset_clock: dict[str, str] = dict(a.actions)
+        # edge -> fire zone and edge -> wait zone, filled on first use
+        self._fire: dict[Edge, Z.Dbm | None] = {}
+        self._wait: dict[Edge, Z.Dbm | None] = {}
         self._blocking_cache: dict[Sym, bool] = {}
 
     # -- symbolic steps ------------------------------------------------
@@ -123,15 +124,8 @@ class Analyzer:
             raise ModelError("initial invariant excludes the all-zero valuation")
         return (self.automaton.initial, start)
 
-    def _edge_entry(self, e: Edge) -> list:
-        entry = self._edge_zones.get(e)
-        if entry is None:
-            clock = self.automaton.clock_of(e.action)
-            entry = self._edge_zones[e] = [self._fire_zone(e, clock), _PENDING, clock]
-        return entry
-
-    def _fire_zone(self, e: Edge, reset_clock: str) -> Z.Dbm | None:
-        """Zone of points where `e` fires into its target's invariant.
+    def _fire_zone(self, e: Edge) -> Z.Dbm | None:
+        """Zone of points where `e` fires into its target's invariant; memoized.
 
         Conjoins guard, source invariant, and the pull-back of the
         target invariant through the edge's reset: atoms on the reset
@@ -142,35 +136,46 @@ class Analyzer:
         single-clock bounds, which is what lets `successor` meet it with
         `Z.meet_box` instead of a full closure.
         """
+        try:
+            return self._fire[e]
+        except KeyError:
+            pass
+        reset_clock = self.reset_clock[e.action]
         cons: list[tuple[int, int, int]] = []
         for atom in (*e.guard, *self.automaton.invariant(e.source)):
             cons.extend(_atom_constraints(atom, self.clocks))
+        fire = None
         for atom in self.automaton.invariant(e.target):
             if atom.clock != reset_clock:
                 cons.extend(_atom_constraints(atom, self.clocks))
             elif not atom_holds(atom, {reset_clock: Fraction(0)}):
-                return None
-        return Z.from_constraints(self.clocks, cons)
+                break
+        else:
+            fire = Z.from_constraints(self.clocks, cons)
+        self._fire[e] = fire
+        return fire
 
     def _wait_zone(self, e: Edge) -> Z.Dbm | None:
-        """Source-invariant points that can wait until the fire zone of `e`."""
-        entry = self._edge_entry(e)
-        if entry[1] is _PENDING:
-            entry[1] = None if entry[0] is None else Z.time_pred(entry[0], self.inv_zone[e.source])
-        return entry[1]
+        """Source-invariant points that can wait until the fire zone of `e`; memoized."""
+        try:
+            return self._wait[e]
+        except KeyError:
+            fire = self._fire_zone(e)
+            wait = self._wait[e] = None if fire is None else Z.time_pred(fire, self.inv_zone[e.source])
+            return wait
 
     def successor(self, s: Sym, e: Edge) -> Sym | None:
         """Delay-closed discrete successor, None when unfireable."""
         loc, zone = s
         if e.source != loc:
             raise ModelError("edge does not start at the state's location")
-        fire, _, clock = self._edge_entry(e)
+        fire = self._fire_zone(e)
         if fire is None:
             return None
         stepped = Z.meet_box(Z.up(zone), fire)
         if stepped is None:
             return None
-        return (e.target, Z.reset(stepped, clock))
+        return (e.target, Z.reset(stepped, self.reset_clock[e.action]))
 
     def successors(self, s: Sym) -> list[tuple[Edge, Sym]]:
         out = []
@@ -185,27 +190,28 @@ class Analyzer:
 
     # -- blocking ----------------------------------------------------------
 
-    def blocking_subset(self, s: Sym) -> Z.Federation:
+    def blocking_subset(self, s: Sym) -> tuple[Z.Dbm, ...]:
         """Concrete states in `s` with no delay-then-discrete extension.
 
         Start from the whole zone and carve out, per edge, every point
         that can wait (inside the invariant) until the edge's fire
-        zone.  What remains blocks.
+        zone.  What remains blocks, as disjoint pieces; none when
+        nothing does.
         """
         loc, zone = s
-        fed = Z.Federation(self.clocks, (zone,))
+        pieces: tuple[Z.Dbm, ...] = (zone,)
         for e in self.edges_from[loc]:
             wait = self._wait_zone(e)
             if wait is None:
                 continue
-            fed = fed.subtract_zone(wait)
-            if fed.is_empty():
+            pieces = tuple(q for p in pieces for q in Z.subtract(p, wait))
+            if not pieces:
                 break
-        return fed
+        return pieces
 
     def is_blocking(self, s: Sym) -> bool:
         if s not in self._blocking_cache:
-            self._blocking_cache[s] = not self.blocking_subset(s).is_empty()
+            self._blocking_cache[s] = bool(self.blocking_subset(s))
         return self._blocking_cache[s]
 
 
@@ -230,7 +236,7 @@ def zone_graph(a: Pera, cfg: ExplorationConfig | None = None, levels: int | None
     left to `Analyzer.is_blocking`.
     """
     cfg = cfg or ExplorationConfig()
-    ana = Analyzer(a, cfg)
+    ana = Analyzer(a)
     start = ana.widen(ana.initial())
     g = ZoneGraph(nodes=[start], edges=[])
     g.node_index[start] = 0

@@ -12,7 +12,8 @@ the module functions build `Dbm` instances; each one fills a fresh flat
 list, closes it where needed, and hands it over, so every matrix handed
 out is canonical (shortest-path closed).  Emptiness is always explicit:
 constructors and operators return None for an empty zone rather than an
-inconsistent matrix.
+inconsistent matrix.  A non-convex set is a plain tuple of disjoint
+zones, as `subtract` returns it; the empty tuple is the empty set.
 
 Closing is an O(n³) Floyd-Warshall (`_close`).  `from_constraints`,
 `intersect`, `down`, `subtract` (once per piece), `time_pred` and a
@@ -24,7 +25,7 @@ closes its result in O(n²).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 INF = 1 << 40
 
@@ -146,28 +147,27 @@ class Dbm:
         can be replaced by weak ones minus a unit without losing
         feasibility (any violating cycle in the scaled graph would need
         more strict arcs than a simple cycle has).  The weak integer
-        system then has the classic all-lower-bounds solution.
+        system then has the classic all-lower-bounds solution.  Absent
+        arcs are None, not `INF`: a scaled finite bound can pass `INF`.
         """
         from fractions import Fraction
 
         n = self.size
         scale = 2 * n
-        g = [INF] * (n * n)
-        for idx, b in enumerate(self.m):
-            if b < INF:
-                g[idx] = scale * (b >> 1) - (0 if b & 1 else 1)
+        g = [None if b >= INF else scale * (b >> 1) - (0 if b & 1 else 1) for b in self.m]
         # integer Floyd-Warshall, no strictness bits
         for k in range(n):
             for i in range(n):
                 gik = g[i * n + k]
-                if gik >= INF:
+                if gik is None:
                     continue
                 for j in range(n):
                     gkj = g[k * n + j]
-                    if gkj >= INF:
+                    if gkj is None:
                         continue
                     c = gik + gkj
-                    if c < g[i * n + j]:
+                    gij = g[i * n + j]
+                    if gij is None or c < gij:
                         g[i * n + j] = c
         for i in range(n):
             if g[i * n + i] < 0:
@@ -416,35 +416,3 @@ def extrapolate(d: Dbm, max_const: int) -> Dbm:
         return Dbm(d.clocks, m)
     return d
 
-
-class Federation:
-    """A finite union of same-clock zones, kept free of empty members."""
-
-    __slots__ = ("clocks", "parts")
-
-    def __init__(self, clocks: Sequence[str], parts: Iterable[Dbm] = ()):
-        self.clocks = tuple(clocks)
-        self.parts: tuple[Dbm, ...] = tuple(p for p in parts if p is not None)
-        for p in self.parts:
-            if p.clocks != self.clocks:
-                raise ValueError("clock sets differ inside federation")
-
-    def is_empty(self) -> bool:
-        return not self.parts
-
-    def __iter__(self) -> Iterator[Dbm]:
-        return iter(self.parts)
-
-    def subtract_zone(self, z: Dbm) -> "Federation":
-        out: list[Dbm] = []
-        for p in self.parts:
-            out.extend(subtract(p, z))
-        return Federation(self.clocks, out)
-
-    def satisfies_point(self, point: Sequence) -> bool:
-        return any(p.satisfies_point(point) for p in self.parts)
-
-    def sample_point(self):
-        if not self.parts:
-            raise ValueError("empty federation has no points")
-        return self.parts[0].sample_point()

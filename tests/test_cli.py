@@ -133,6 +133,15 @@ def test_lang_rejects_unknown_parameter(wrapped_loop_file, capsys):
     assert "unknown parameter" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["lang", "-p", "p=1,p=2"], ["compare", "-p", "p=0", "-p", "p=1,p=2"]])
+def test_repeated_parameter_exits_one(wrapped_loop_file, capsys, flags):
+    # a later value must not silently replace an earlier one
+    assert main([flags[0], str(wrapped_loop_file), *flags[1:], "-k", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "parameter 'p' is given more than once" in captured.err
+
+
 def test_lang_fractional_valuation_matches_rescaled_automaton(tmp_path, wrapped_loop_file, capsys):
     code = main(["lang", str(wrapped_loop_file), "-p", "p=1/2", "-k", "4"])
     assert code == 0
@@ -324,8 +333,28 @@ def test_theorem_check_builds_one_reference_per_scale(loop_file, monkeypatch, ca
     code = main(["theorem-check", str(loop_file), "--values", "1/2,3/2,5/2", "-k", "6"])
     assert code == 0
     assert capsys.readouterr().out.count("rescaled by 2 to clear denominators") == 3
-    # p = 0 at scale 1, p = 0 at scale 2, and the three values
-    assert len(built) == 5
+    # p = 0 once, at scale 1, and the three values at scale 2
+    assert len(built) == 4
+
+
+def test_theorem_check_witnesses_match_compare_at_each_scale(loop_file, wrapped_loop_file, capsys):
+    # the p = 0 reference is built at scale 1 only; every witness must
+    # still be the one compare finds against p = 0 at the value's scale
+    values = ["1/2", "1/3", "2/5"]
+    assert main(["theorem-check", str(loop_file), "--values", ",".join(values), "-k", "6"]) == 0
+    body = strip_timings(capsys.readouterr().out)
+    got = [line for line in body.splitlines() if line.startswith("verdict: differs")]
+    want = []
+    for v in values:
+        argv = ["compare", str(wrapped_loop_file), "-p", "p=0", "-p", f"p={v}", "-k", "6"]
+        assert main(argv) == 0
+        out = strip_timings(capsys.readouterr().out)
+        assert f"rescaled by {Fraction(v).denominator} to clear denominators" in out
+        verdict = next(line for line in out.splitlines() if line.startswith("verdict: "))
+        want.append(verdict.replace("on the A side", "on the reference side")
+                    .replace("on the B side", f"on the p={v} side"))
+    assert len(got) == 3
+    assert got == want
 
 
 @pytest.mark.parametrize("semantics,encoding", [("reach", "buchi"), ("safety", "safety")])
@@ -354,6 +383,16 @@ def test_theorem_check_rejects_buchi(inc3_file, capsys):
 def test_theorem_check_empty_values(inc3_file, capsys):
     assert main(["theorem-check", str(inc3_file), "--values", " "]) == 1
     assert "at least one rational" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("values", ["0", "1,0"])
+def test_theorem_check_rejects_a_zero_value(loop_file, capsys, values):
+    # p = 0 against the p = 0 reference is always equal, which would
+    # read as a halting verdict for a machine that never halts
+    assert main(["theorem-check", str(loop_file), "--values", values]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--values must be positive" in captured.err
 
 
 def test_theorem_check_zero_denominator_exits_one(inc3_file, capsys):

@@ -190,6 +190,11 @@ def test_parse_valuation():
         parse_valuation(["p=one"])
 
 
+def test_parse_valuation_rejects_a_repeated_name():
+    with pytest.raises(ModelError, match="'p' is given more than once"):
+        parse_valuation(["p=1", " p =2"])
+
+
 def test_integerize():
     ints, scale = integerize({"p": Fraction(1, 2)})
     assert (ints, scale) == ({"p": 1}, 2)

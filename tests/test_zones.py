@@ -5,6 +5,7 @@ in test_zones_oracle; these are the frozen small cases and the
 algebraic laws that make failures easy to read.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -159,29 +160,44 @@ def test_sample_point_lands_inside():
     assert all(isinstance(v, Fraction) for v in pt)
 
 
+def test_sample_point_of_the_origin():
+    assert Z.origin(("x",)).sample_point() == (Fraction(0),)
+
+
+def test_sample_point_with_large_constants_lands_inside():
+    # scaled by 2n = 8, the bounds pass INF = 2^40; read as absent, they
+    # would give a point on the strict bound z - y < 187545927887
+    a = zone(("x", "y", "z"), (3, 2, Z.lt(187_545_927_887)), (0, 3, Z.lt(-457_803_143_320)))
+    assert a.satisfies_point(a.sample_point())
+
+
+def test_sample_point_lands_inside_for_large_constants():
+    rng = random.Random(20261018)
+    for _ in range(300):
+        clocks = ("x", "y", "z")[: rng.randint(1, 3)]
+        n = len(clocks) + 1
+        cons = []
+        for _ in range(rng.randint(1, 4)):
+            i, j = rng.sample(range(n), 2)
+            c = rng.randint(1 << 30, 1 << 39) * (-1 if i == 0 else 1)
+            cons.append((i, j, (Z.lt if rng.random() < 0.5 else Z.le)(c)))
+        a = Z.from_constraints(clocks, cons)
+        if a is not None:
+            assert a.satisfies_point(a.sample_point()), a
+
+
 def test_pretty_mentions_constraints():
     a = zone(("x",), (1, 0, Z.le(2)))
     text = a.pretty()
     assert "x" in text and "2" in text
 
 
-# -- federation ---------------------------------------------------------------
-
-
-def test_federation_union_subtract():
+def test_subtract_chain_carves_and_empties():
     u = Z.from_constraints(("x",), ())
-    fed = Z.Federation(("x",), (u,))
-    assert not fed.is_empty()
-    carved = fed.subtract_zone(zone(("x",), (1, 0, Z.le(3))))
-    assert carved.satisfies_point((Fraction(4),))
-    assert not carved.satisfies_point((Fraction(1),))
-    gone = carved.subtract_zone(u)
-    assert gone.is_empty()
-
-
-def test_federation_sample_point():
-    fed = Z.Federation(("x",), (Z.origin(("x",)),))
-    assert fed.sample_point() == (Fraction(0),)
+    carved = Z.subtract(u, zone(("x",), (1, 0, Z.le(3))))
+    assert any(p.satisfies_point((Fraction(4),)) for p in carved)
+    assert not any(p.satisfies_point((Fraction(1),)) for p in carved)
+    assert [q for p in carved for q in Z.subtract(p, u)] == []
 
 
 # -- structural properties -----------------------------------------------------
