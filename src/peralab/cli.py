@@ -24,7 +24,8 @@ from pathlib import Path
 
 from .core import ModelError, Pera, integerize, parse_valuation
 from .encoder import VARIANTS, build
-from .language import SEMANTICS, Determinized, compare as compare_samples, lassos, lassos_text
+from .language import FLAG_LABEL, SEMANTICS, Determinized, lassos, lassos_text
+from .language import compare as compare_samples
 from .minsky import parse_machine, run
 from .semantics import ExplorationConfig, ResourceExhausted
 
@@ -88,8 +89,7 @@ def _fmt_valuation(vals: dict[str, Fraction]) -> str:
 def _sample_stats(semantics: str, counts: tuple[int, ...]) -> list[str]:
     if semantics == "buchi":
         return [f"lassos: {counts[0]}"]
-    flagged = "maximal finite words" if semantics == "maximal" else "accepted words"
-    return [f"prefix words: {counts[0]}", f"{flagged}: {counts[1]}"]
+    return [f"prefix words: {counts[0]}", f"{FLAG_LABEL[semantics]} words: {counts[1]}"]
 
 
 def _observe(a: Pera, cfg: ExplorationConfig, semantics: str):
@@ -116,7 +116,7 @@ def _print_words(det: Determinized, flagged_count: int) -> None:
     """
     print("-- prefix --")
     sys.stdout.writelines(" ".join(w) + "\n" for w, _ in det.words())
-    print("-- maximal finite --" if det.semantics == "maximal" else "-- accepted --")
+    print(f"-- {FLAG_LABEL[det.semantics]} --")
     flagged = (" ".join(w) + "\n" for w, s in det.words() if det.flagged(s))
     sys.stdout.writelines(flagged if flagged_count else ("\n",))
 

@@ -370,14 +370,16 @@ def parse_valuation(pairs: Sequence[str]) -> dict[str, Fraction]:
     out: dict[str, Fraction] = {}
     for item in pairs:
         name, sep, val = item.partition("=")
+        name = name.strip()
         if not sep or not name:
             raise ModelError(f"expected NAME=VALUE, got {item!r}")
-        name = name.strip()
         if name in out:
             raise ModelError(f"parameter {name!r} is given more than once")
         try:
             out[name] = Fraction(val.strip())
-        except (ValueError, ZeroDivisionError) as exc:
+        except ZeroDivisionError:
+            raise ModelError(f"bad value in {item!r}: zero denominator") from None
+        except ValueError as exc:
             raise ModelError(f"bad value in {item!r}: {exc}") from exc
     return out
 

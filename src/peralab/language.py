@@ -1,9 +1,9 @@
 """Depth-bounded untimed languages, decided on a determinized automaton.
 
 The one finite-word core is `Determinized`: an on-the-fly subset
-construction over symbolic states (widened unless cfg.extrapolate is
-off).  Its states are frozensets of symbolic states, its transitions
-are memoized per set, and each set carries one flag:
+construction over one `ZoneGraph` (widened unless cfg.extrapolate is
+off).  Its states are frozensets of that graph's node ids, its
+transitions are memoized per set, and each set carries one flag:
 
 - maximal: some run spelling the word can end blocked;
 - reach: some run spelling the word ends in an accepting location;
@@ -27,13 +27,16 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .core import ModelError, Pera
-from .semantics import Analyzer, ExplorationConfig, ResourceExhausted, Sym, zone_graph
+from .semantics import ExplorationConfig, ResourceExhausted, ZoneGraph, zone_graph
 
 SEMANTICS = ("maximal", "buchi", "reach", "safety")
 
 Word = tuple[str, ...]
 Lasso = tuple[Word, Word]
-States = frozenset[Sym]
+States = frozenset[int]   # node ids of one ZoneGraph
+
+# what each finite-word semantics calls its flagged words, in reports
+FLAG_LABEL = {"maximal": "maximal finite", "reach": "accepted", "safety": "accepted"}
 
 
 def _min_rotation(word: Word) -> Word:
@@ -45,13 +48,14 @@ def _min_rotation(word: Word) -> Word:
 class Determinized:
     """One automaton's word language, determinized on the fly.
 
-    `step` maps a set of symbolic states to its successor set per
-    action, in sorted action order, leaving out actions with no
-    successor; tables are memoized.  Successor sets are interned, so
-    equal sets are one object and memo lookups stop at identity instead
-    of comparing zones, and the number of distinct sets is what
-    cfg.node_limit bounds.  `flagged` is the per-set flag described in
-    the module docstring, also memoized.
+    `step` maps a set of node ids to the union of their successor ids
+    per action, in sorted action order, leaving out actions with no
+    successor; tables are memoized, and so are the nodes' own successors
+    in `graph`, so a symbolic state shared by many sets is expanded
+    once.  Successor sets are interned, so equal sets are one object,
+    and the number of distinct sets is what cfg.node_limit bounds.
+    `flagged` is the per-set flag described in the module docstring,
+    also memoized.
     """
 
     def __init__(self, a: Pera, cfg: ExplorationConfig, semantics: str):
@@ -61,10 +65,8 @@ class Determinized:
         self.semantics = semantics
         self.depth = cfg.depth
         self.node_limit = cfg.node_limit
-        self.widen = cfg.extrapolate
-        self.ana = Analyzer(a)
-        init = self.ana.initial()
-        self.start: States = frozenset({self.ana.widen(init) if self.widen else init})
+        self.graph = ZoneGraph(a, widen=cfg.extrapolate)
+        self.start: States = frozenset({self.graph.initial})
         self._trans: dict[States, dict[str, States]] = {}
         self._sets: dict[States, States] = {self.start: self.start}
         self._flags: dict[States, bool] = {}
@@ -73,13 +75,10 @@ class Determinized:
         table = self._trans.get(states)
         if table is not None:
             return table
-        ana = self.ana
-        succ: dict[str, set[Sym]] = {}
-        for sym in states:
-            for e in ana.edges_from[sym[0]]:
-                nxt = ana.successor(sym, e)
-                if nxt is not None:
-                    succ.setdefault(e.action, set()).add(ana.widen(nxt) if self.widen else nxt)
+        succ: dict[str, set[int]] = {}
+        for nid in states:
+            for act, targets in self.graph.succ(nid).items():
+                succ.setdefault(act, set()).update(targets)
         table = {}
         for act in sorted(succ):
             s = frozenset(succ[act])
@@ -94,11 +93,12 @@ class Determinized:
     def flagged(self, states: States) -> bool:
         flag = self._flags.get(states)
         if flag is None:
+            nodes = self.graph.nodes
             if self.semantics == "maximal":
-                flag = any(self.ana.is_blocking(s) for s in states)
+                flag = any(self.graph.ana.is_blocking(nodes[n]) for n in states)
             elif self.semantics == "reach":
-                accepting = self.ana.automaton.accepting
-                flag = any(loc in accepting for loc, _ in states)
+                accepting = self.graph.ana.automaton.accepting
+                flag = any(nodes[n][0] in accepting for n in states)
             else:
                 flag = True
             self._flags[states] = flag
@@ -270,9 +270,6 @@ class CompareResult:
         return f"differs; {field} witness [{shown}] only on the {owner} side"
 
 
-_FLAG_FIELD = {"maximal": "maximal_finite", "reach": "accepted", "safety": "accepted"}
-
-
 def _product_walk(left: Determinized, right: Determinized) -> CompareResult:
     """Breadth-first walk over pairs of sets, up to the depth bound.
 
@@ -284,7 +281,7 @@ def _product_walk(left: Determinized, right: Determinized) -> CompareResult:
     same word.
     """
     none: States = frozenset()
-    field = _FLAG_FIELD[left.semantics]
+    field = FLAG_LABEL[left.semantics].replace(" ", "_")
     seen = {(left.start, right.start)}
     frontier: list[tuple[Word, States, States]] = [((), left.start, right.start)]
     for level in range(left.depth + 1):

@@ -7,17 +7,20 @@ wait zone.  `Analyzer` builds both on first use and memoizes them per
 edge.  Delay-closed discrete successors come from the fire zone;
 blocking states (concrete states from which no delay reaches any
 fireable edge) are what is left of a zone after subtracting every wait
-zone, a tuple of disjoint pieces.  A finite zone graph is built via
-maximum-constant widening; its nodes carry no blocking flag, callers
-that need one ask `Analyzer.is_blocking`.  The concrete layer replays
-explicit delay/action scripts with exact rational arithmetic.
+zone, a tuple of disjoint pieces.  `ZoneGraph`, finite by
+maximum-constant widening, numbers each symbolic state once and builds
+its successors on first use; `zone_graph` expands it breadth first,
+and `language.Determinized` on demand, as sets of node ids.  Nodes
+carry no blocking flag, callers that need one ask
+`Analyzer.is_blocking`.  The concrete layer replays explicit
+delay/action scripts with exact rational arithmetic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .core import Atom, Edge, Guard, ModelError, Pera
 from . import zones as Z
@@ -177,14 +180,6 @@ class Analyzer:
             return None
         return (e.target, Z.reset(stepped, self.reset_clock[e.action]))
 
-    def successors(self, s: Sym) -> list[tuple[Edge, Sym]]:
-        out = []
-        for e in self.edges_from[s[0]]:
-            nxt = self.successor(s, e)
-            if nxt is not None:
-                out.append((e, nxt))
-        return out
-
     def widen(self, s: Sym) -> Sym:
         return (s[0], Z.extrapolate(s[1], self.max_const))
 
@@ -218,48 +213,72 @@ class Analyzer:
 # -- zone graph --------------------------------------------------------------
 
 
-@dataclass
 class ZoneGraph:
-    nodes: list[Sym]
-    edges: list[tuple[int, str, int]]            # (source id, action, target id)
-    initial: int = 0
-    node_index: dict[Sym, int] = field(default_factory=dict)
+    """Symbolic states numbered once each, with successors built on first use.
+
+    A state is widened before it is numbered unless `widen` is off
+    (only tests turn it off).  `succ(nid)` gives the node's successor
+    ids per action, in sorted action order, from one `Analyzer.successor`
+    call per edge on first use.  Targets are numbered in `edges_from`
+    order, so expanding nodes in id order numbers them breadth first.
+    `edges` holds the sorted (source, action, target) triples of the
+    nodes expanded so far.
+    """
+
+    def __init__(self, a: Pera, widen: bool = True):
+        self.ana = Analyzer(a)
+        self.widen = widen
+        self.nodes: list[Sym] = []
+        self.node_index: dict[Sym, int] = {}
+        self._succ: dict[int, dict[str, tuple[int, ...]]] = {}
+        self.initial = self._intern(self.ana.initial())
+
+    def _intern(self, s: Sym) -> int:
+        if self.widen:
+            s = self.ana.widen(s)
+        nid = self.node_index.get(s)
+        if nid is None:
+            nid = self.node_index[s] = len(self.nodes)
+            self.nodes.append(s)
+        return nid
+
+    def succ(self, nid: int) -> dict[str, tuple[int, ...]]:
+        table = self._succ.get(nid)
+        if table is None:
+            ana = self.ana
+            s = self.nodes[nid]
+            out: dict[str, set[int]] = {}
+            for e in ana.edges_from[s[0]]:
+                nxt = ana.successor(s, e)
+                if nxt is not None:
+                    out.setdefault(e.action, set()).add(self._intern(nxt))
+            table = self._succ[nid] = {act: tuple(out[act]) for act in sorted(out)}
+        return table
+
+    @property
+    def edges(self) -> list[tuple[int, str, int]]:
+        return sorted((n, act, d) for n, t in self._succ.items() for act, ds in t.items() for d in ds)
 
 
 def zone_graph(a: Pera, cfg: ExplorationConfig | None = None, levels: int | None = None) -> ZoneGraph:
     """Widened reachability graph, explored to fixpoint, or `levels` levels deep.
 
-    Nodes are deduplicated by location plus widened zone and numbered
-    breadth first, so a graph cut at `levels` is a prefix of the
-    fixpoint graph: its first nodes, with every edge out of the nodes
-    fewer than `levels` steps from the start.  Whether a node blocks is
-    left to `Analyzer.is_blocking`.
+    Nodes are expanded in id order, so they are numbered breadth first
+    and the ids of one level follow those of the level before.  A graph
+    cut at `levels` is therefore a prefix of the fixpoint graph: its
+    first nodes, with every edge out of the nodes fewer than `levels`
+    steps from the start.  Whether a node blocks is left to
+    `Analyzer.is_blocking`.
     """
     cfg = cfg or ExplorationConfig()
-    ana = Analyzer(a)
-    start = ana.widen(ana.initial())
-    g = ZoneGraph(nodes=[start], edges=[])
-    g.node_index[start] = 0
-    frontier = [(0, start)]
-    level = 0
-    while frontier and (levels is None or level < levels):
-        level += 1
-        nxt: list[tuple[int, Sym]] = []
-        for sid, s in frontier:
-            for e, succ in ana.successors(s):
-                w = ana.widen(succ)
-                tid = g.node_index.get(w)
-                if tid is None:
-                    tid = len(g.nodes)
-                    if tid >= cfg.node_limit:
-                        raise ResourceExhausted(f"zone graph exceeded {cfg.node_limit} nodes")
-                    g.nodes.append(w)
-                    g.node_index[w] = tid
-                    nxt.append((tid, w))
-                g.edges.append((sid, e.action, tid))
-        frontier = nxt
-    # drop duplicate edges from re-expansion of shared successors
-    g.edges = sorted(set(g.edges))
+    g = ZoneGraph(a)
+    lo, hi, level = 0, 1, 0
+    while lo < hi and (levels is None or level < levels):
+        for nid in range(lo, hi):
+            g.succ(nid)
+            if len(g.nodes) > cfg.node_limit:
+                raise ResourceExhausted(f"zone graph exceeded {cfg.node_limit} nodes")
+        lo, hi, level = hi, len(g.nodes), level + 1
     return g
 
 

@@ -188,6 +188,10 @@ def test_parse_valuation():
         parse_valuation(["p"])
     with pytest.raises(ModelError):
         parse_valuation(["p=one"])
+    with pytest.raises(ModelError, match="expected NAME=VALUE"):
+        parse_valuation([" =1"])
+    with pytest.raises(ModelError, match="zero denominator"):
+        parse_valuation(["p=1/0"])
 
 
 def test_parse_valuation_rejects_a_repeated_name():

@@ -13,7 +13,7 @@ from peralab.language import (
     lassos_text,
 )
 from peralab.minsky import inc3, loop, trivial
-from peralab.semantics import ExplorationConfig, ResourceExhausted, zone_graph
+from peralab.semantics import Analyzer, ExplorationConfig, ResourceExhausted, zone_graph
 
 from wordsets import LanguageSample, compare as compare_sets, enumerate_language
 
@@ -313,6 +313,23 @@ def test_product_walk_needs_matching_inputs(loop2):
 def test_counts_without_words(loop0):
     det = Determinized(loop0, cfg(8), "maximal")
     assert det.counts() == ((4 ** 9 - 1) // 3, 0)
+
+
+def test_successor_runs_once_per_node_and_edge(monkeypatch):
+    """Sets that share a symbolic state expand it once, in the shared graph."""
+    calls = 0
+    raw = Analyzer.successor
+
+    def counting(self, s, e):
+        nonlocal calls
+        calls += 1
+        return raw(self, s, e)
+
+    monkeypatch.setattr(Analyzer, "successor", counting)
+    det = Determinized(build(inc3(), "wrapped").valuate({"p": 5}), cfg(8), "maximal")
+    det.counts()
+    g = det.graph
+    assert calls == sum(len(g.ana.edges_from[g.nodes[n][0]]) for n in g._succ)
 
 
 # -- textual renderings -----------------------------------------------------------
