@@ -27,7 +27,7 @@ from .encoder import VARIANTS, build
 from .language import FLAG_LABEL, SEMANTICS, Determinized, lassos, lassos_text
 from .language import compare as compare_samples
 from .minsky import parse_machine, run
-from .semantics import ExplorationConfig, ResourceExhausted
+from .semantics import ExplorationConfig, ResourceExhausted, check_zone_bounds
 
 TIMING_HEADER = "--- timings ---"
 
@@ -110,15 +110,18 @@ def _observe(a: Pera, cfg: ExplorationConfig, semantics: str):
 def _print_words(det: Determinized, flagged_count: int) -> None:
     """The prefix and the flagged word sections, one line per word.
 
-    Words come from `det.words()`, already in (length, word) order, and
-    each section is written in one call.  The prefix words always hold
-    the empty word; an empty flagged section prints as a blank line.
+    Both sections are written by one `writelines` call each over
+    `det.lines()`, the breadth-first walk that builds each line from
+    its parent's and comes in (length, word) order.  The flagged walk
+    only enters sets from which a flagged set is still reachable, so a
+    handful of flagged words costs a handful of paths, not a second
+    walk of every prefix word.  The prefix words always hold the empty
+    word; an empty flagged section prints as a blank line.
     """
     print("-- prefix --")
-    sys.stdout.writelines(" ".join(w) + "\n" for w, _ in det.words())
+    sys.stdout.writelines(det.lines())
     print(f"-- {FLAG_LABEL[det.semantics]} --")
-    flagged = (" ".join(w) + "\n" for w, s in det.words() if det.flagged(s))
-    sys.stdout.writelines(flagged if flagged_count else ("\n",))
+    sys.stdout.writelines(det.lines(flagged=True) if flagged_count else ("\n",))
 
 
 # -- subcommands ---------------------------------------------------------
@@ -210,6 +213,13 @@ def cmd_theorem_check(args) -> int:
         raise ModelError("--values must list at least one rational")
     if min(values) <= 0:
         raise ModelError(f"--values must be positive, got {min(values)}; p=0 is the reference")
+    repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
+    if repeated is not None:
+        raise ModelError(f"--values gives p={repeated} more than once")
+    # every valuation is built and its constants checked before the report starts
+    valuated = [_valuate_rescaled(a, {"p": v}) for v in values]
+    for _, (va,) in valuated:
+        check_zone_bounds(va)
     cfg = ExplorationConfig(depth=args.depth, node_limit=args.node_limit)
 
     print(f"machine: {m.name}  states: {len(m.states)}  initial: {m.initial}  halt: {m.halt}")
@@ -225,12 +235,11 @@ def cmd_theorem_check(args) -> int:
         ref, _ = _observe(a.valuate({"p": 0}), cfg, args.semantics)
     any_equal = False
     all_differ = True
-    for v in values:
+    for v, (scale, (va,)) in zip(values, valuated):
         label = f"p={v}"
         print(f"-- valuation {label} --")
         try:
             with _timed(timings, f"explore {label}"):
-                scale, (va,) = _valuate_rescaled(a, {"p": v})
                 s, counts = _observe(va, cfg, args.semantics)
         except ResourceExhausted as exc:
             print(f"resource exhaustion: {exc}")

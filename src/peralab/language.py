@@ -11,10 +11,16 @@ transitions are memoized per set, and each set carries one flag:
 
 Everything else is a view on that core.  `Determinized.counts` gives
 the number of prefix and flagged words by a level-by-level count,
-without materializing a word.  `Determinized.words` walks the words
-breadth first, in (length, word) order, for `lang` to print.  `compare`
-on two determinized automata walks pairs of sets breadth first and
-returns the shortest, lexicographically least distinguishing word.
+without materializing a word.  `Determinized.lines` is the one word
+walk, for `lang` to print: breadth first, in (length, word) order, it
+builds each word's report line from its parent's text with one string
+concatenation, keeps one level in memory and streams the last.  Its
+flagged filter enters a set only if a flagged set is reachable from it
+within the steps left, read backwards off the tables `counts` built, so
+listing a few flagged words among many prefix words skips the rest of
+the tree.  `compare` on two determinized automata walks pairs of sets
+breadth first and returns the shortest, lexicographically least
+distinguishing word.
 
 Büchi semantics is observed through `lassos` instead: stem/cycle pairs
 through accepting locations on the widened zone graph, which `compare`
@@ -120,23 +126,62 @@ class Determinized:
             level = nxt
         return prefix, flagged
 
-    def words(self) -> Iterator[tuple[Word, States]]:
-        """Every word of length <= depth with its state set, breadth first.
+    def _flag_horizon(self) -> list[set[States]]:
+        """`out[r]`: the sets that reach a flagged set within r steps.
 
-        Actions are taken in sorted order, so the words come sorted by
-        (length, word).  The last level is yielded but not kept.
+        Read backwards off the memoized tables and flags, after `counts`
+        has built every set within the depth, so nothing new is stepped.
         """
-        frontier: list[tuple[Word, States]] = [((), self.start)]
-        yield (), self.start
-        for left in range(self.depth, 0, -1):
-            nxt: list[tuple[Word, States]] = []
-            for word, states in frontier:
-                for act, succ in self.step(states).items():
-                    w2 = word + (act,)
-                    if left > 1:
-                        nxt.append((w2, succ))
-                    yield w2, succ
-            frontier = nxt
+        self.counts()
+        out = [{s for s, flag in self._flags.items() if flag}]
+        for _ in range(self.depth):
+            near = out[-1]
+            out.append(near | {s for s, t in self._trans.items() if not near.isdisjoint(t.values())})
+        return out
+
+    def lines(self, flagged: bool = False) -> Iterator[str]:
+        """Every word of length <= depth as its report line, breadth first.
+
+        A line is the word's actions joined by spaces, then a newline.
+        Actions are taken in sorted order, so the lines come sorted by
+        (length, word).  Each word of the current level keeps its text
+        followed by a space, so a child's line is that text plus the
+        action and a newline, one concatenation.  One level is kept;
+        the last level is yielded but not stored.
+
+        With `flagged`, only the flagged words are listed, and a set is
+        entered with r steps left only if it reaches a flagged set
+        within r steps (`_flag_horizon`).
+        """
+        near = self._flag_horizon() if flagged else None
+
+        def keep(states: States, left: int) -> bool:
+            return near is None or states in near[left]
+
+        def show(states: States) -> bool:
+            return near is None or self.flagged(states)
+
+        if not keep(self.start, self.depth):
+            return
+        if show(self.start):
+            yield "\n"
+        level = [("", self.start)]
+        for left in range(self.depth - 1, -1, -1):   # steps left below the next level
+            moves: dict[States, tuple[list[str], list[tuple[str, States]]]] = {}
+            nxt: list[tuple[str, States]] = []
+            for text, states in level:
+                move = moves.get(states)
+                if move is None:
+                    table = self.step(states).items()
+                    move = moves[states] = (
+                        [act + "\n" for act, t in table if show(t)],
+                        [(act + " ", t) for act, t in table if left and keep(t, left)],
+                    )
+                for tail in move[0]:
+                    yield text + tail
+                for tail, t in move[1]:
+                    nxt.append((text + tail, t))
+            level = nxt
 
 
 def lassos(a: Pera, cfg: ExplorationConfig) -> frozenset[Lasso]:

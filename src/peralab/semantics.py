@@ -69,6 +69,13 @@ def _atom_constraints(atom: Atom, clocks: Sequence[str]) -> list[tuple[int, int,
     return out
 
 
+def check_zone_bounds(a: Pera) -> None:
+    """Raise `_atom_constraints`'s error if a constant of `a` is too large for a zone bound."""
+    for guard in (*a.invariants.values(), *(e.guard for e in a.edges)):
+        for atom in guard:
+            _atom_constraints(atom, a.clocks)
+
+
 def guard_zone(guard: Guard, clocks: Sequence[str]) -> Z.Dbm | None:
     cons: list[tuple[int, int, int]] = []
     for a in guard:

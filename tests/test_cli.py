@@ -1,5 +1,7 @@
 """End-to-end command-line behavior, run in process."""
 
+import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -11,11 +13,12 @@ from pathlib import Path
 import pytest
 
 import peralab
+from peralab import cli
 from peralab.cli import TIMING_HEADER, main
 from peralab.core import Pera
 from peralab.language import Determinized
 from peralab.encoder import build
-from peralab.minsky import loop
+from peralab.minsky import loop, parse_machine
 from peralab.semantics import ExplorationConfig
 
 from wordsets import enumerate_language
@@ -206,31 +209,68 @@ def test_lang_deterministic(wrapped_loop_file, capsys):
 LANG_ENCODING = {"maximal": "wrapped", "reach": "buchi", "safety": "safety"}
 
 
-@pytest.mark.parametrize("k", [0, 3])
-@pytest.mark.parametrize("p", ["0", "2", "1/2"])
-@pytest.mark.parametrize("semantics", ["maximal", "reach", "safety"])
-def test_lang_prints_the_reference_word_sets(tmp_path, capsys, semantics, p, k):
-    a = build(loop(), LANG_ENCODING[semantics])
-    f = tmp_path / "a.pera"
-    f.write_text(a.to_text())
-    assert main(["lang", str(f), "-p", f"p={p}", "-k", str(k), "--semantics", semantics]) == 0
-    body = strip_timings(capsys.readouterr().out)
+@pytest.mark.parametrize("semantics,p,k", [
+    *itertools.product(("maximal", "reach", "safety"), ("0", "2", "1/2"), (0, 3)),
+    # loop has 8 maximal words among 87,381 here: the flagged walk
+    # enters only the few sets that still reach one
+    ("maximal", "2", 8),
+])
+def test_lang_prints_the_reference_word_sets(tmp_path, capsys, monkeypatch, semantics, p, k):
+    built: list[Determinized] = []
 
-    v = Fraction(p)
-    va = a.rescale(v.denominator).valuate({"p": v.numerator})
-    ref = enumerate_language(va, ExplorationConfig(depth=k), semantics)
-    if semantics == "maximal":
-        title, flagged = "maximal finite", ref.maximal_finite_words
-    else:
-        title, flagged = "accepted", ref.accepted_words
+    def recorded(*args):
+        built.append(Determinized(*args))
+        return built[-1]
 
     def section(title, words):
         lines = [" ".join(w) for w in sorted(words, key=lambda w: (len(w), w))]
         return f"-- {title} --\n" + "\n".join(lines) + "\n"
 
-    assert body.endswith(section("prefix", ref.prefix_words) + section(title, flagged))
-    if not flagged:  # maximal at p = 0, and reach at k = 0
-        assert body.endswith(f"-- {title} --\n\n")
+    monkeypatch.setattr(cli, "Determinized", recorded)
+    v = Fraction(p)
+    cfg = ExplorationConfig(depth=k)
+    for name in ("loop", "inc3", "halt"):
+        m = parse_machine((MACHINES / f"{name}.2cm").read_text(), name=name)
+        a = build(m, LANG_ENCODING[semantics])
+        f = tmp_path / f"{name}.pera"
+        f.write_text(a.to_text())
+        assert main(["lang", str(f), "-p", f"p={p}", "-k", str(k), "--semantics", semantics]) == 0
+        body = strip_timings(capsys.readouterr().out)
+
+        va = a.rescale(v.denominator).valuate({"p": v.numerator})
+        ref = enumerate_language(va, cfg, semantics)
+        if semantics == "maximal":
+            title, flagged = "maximal finite", ref.maximal_finite_words
+        else:
+            title, flagged = "accepted", ref.accepted_words
+
+        assert body.endswith(section("prefix", ref.prefix_words) + section(title, flagged))
+        if not flagged:  # maximal at p = 0, and reach at k = 0
+            assert body.endswith(f"-- {title} --\n\n")
+
+        # printing builds, steps and flags no set that counting did not
+        counted = Determinized(va, cfg, semantics)
+        counted.counts()
+        printed = built[-1]
+        assert len(printed._sets) == len(counted._sets)
+        assert printed._trans.keys() == counted._trans.keys()
+        assert printed._flags.keys() == counted._flags.keys()
+
+
+@pytest.mark.parametrize("semantics,k,digest", [
+    ("maximal", 8, "6c724a42efbf1fe19c7916446e2f4a613fd750fca80212a1369ba35efb47d616"),
+    ("reach", 6, "1c0b12b47f67376595d4b388bd749335b8a316783af2fcb3ee7380a3a1345c16"),
+    ("safety", 6, "d9a008a9d5ed0c57f36a5e80150ccb505a56066e04ec8ef36a6518eb3917cf7d"),
+])
+def test_lang_report_bytes_are_pinned(tmp_path, capsys, semantics, k, digest):
+    # SHA-256 of the report body after its `automaton:` line, which
+    # names the temporary file; 2.7 MB for maximal at k = 8
+    f = tmp_path / "loop.pera"
+    f.write_text(build(loop(), LANG_ENCODING[semantics]).to_text())
+    assert main(["lang", str(f), "-p", "p=2", "-k", str(k), "--semantics", semantics]) == 0
+    path_line, rest = strip_timings(capsys.readouterr().out).split("\n", 1)
+    assert path_line == f"automaton: {f}"
+    assert hashlib.sha256(rest.encode()).hexdigest() == digest
 
 
 def test_lang_buchi_output(tmp_path, loop_file, capsys):
@@ -395,6 +435,15 @@ def test_theorem_check_rejects_a_zero_value(loop_file, capsys, values):
     assert "--values must be positive" in captured.err
 
 
+@pytest.mark.parametrize("values,shown", [("1,1", "p=1"), ("2,4/2", "p=2"), ("1/2,3,2/4", "p=1/2")])
+def test_theorem_check_rejects_a_repeated_value(loop_file, capsys, values, shown):
+    # values are compared as rationals, so 2 and 4/2 are the same one
+    assert main(["theorem-check", str(loop_file), "--values", values, "-k", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --values gives {shown} more than once\n"
+
+
 def test_theorem_check_zero_denominator_exits_one(inc3_file, capsys):
     assert main(["theorem-check", str(inc3_file), "--values", "2,1/0"]) == 1
     captured = capsys.readouterr()
@@ -526,6 +575,16 @@ def test_constant_too_large_after_rescaling_exits_one(tmp_path, capsys):
     argv = ["compare", str(f), "-p", "p=274877906944", "-p", "p=1/2", "-k", "2"]
     assert main(argv) == 1
     assert "too large for a zone bound" in capsys.readouterr().err
+
+
+def test_theorem_check_checks_every_constant_before_the_report(loop_file, capsys):
+    # 10^12 is past the zone-bound ceiling; the p = 2 section used to be
+    # printed before the error
+    assert main(["theorem-check", str(loop_file), "--values", "2,1e12", "-k", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: constant 1000000000000 in ")
+    assert "too large for a zone bound (at most 549755813887, after rescaling)" in captured.err
 
 
 # -- simulate-2cm ----------------------------------------------------------------------

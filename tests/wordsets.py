@@ -1,11 +1,13 @@
 """The reference for peralab's bounded languages: explicit word sets.
 
 `enumerate_language` lists every word of length <= k into frozensets,
-one per observed set, and `compare` diffs two such samples set by set
-and reports the shortest, lexicographically least word on one side
-only.  This is the brute-force view that `Determinized.counts`, the
-product walk in `peralab.language.compare` and the word listing of
-`peralab lang` are checked against; nothing in `src` uses it.
+one per observed set, by its own word-by-word breadth-first search over
+`Determinized.step` and `Determinized.flagged`, and `compare` diffs two
+such samples set by set and reports the shortest, lexicographically
+least word on one side only.  This is the brute-force view that
+`Determinized.counts`, the product walk in `peralab.language.compare`
+and the word walk of `peralab lang` are checked against; nothing in
+`src` uses it.
 """
 
 from __future__ import annotations
@@ -45,10 +47,16 @@ def enumerate_language(a, cfg, semantics: str) -> LanguageSample:
     det = Determinized(a, cfg, semantics)
     prefix: set[Word] = set()
     flagged: set[Word] = set()
-    for word, states in det.words():
-        prefix.add(word)
-        if det.flagged(states):
-            flagged.add(word)
+    frontier = [((), det.start)]
+    for level in range(cfg.depth + 1):
+        nxt = []
+        for word, states in frontier:
+            prefix.add(word)
+            if det.flagged(states):
+                flagged.add(word)
+            if level < cfg.depth:
+                nxt.extend((word + (act,), succ) for act, succ in det.step(states).items())
+        frontier = nxt
     if semantics == "maximal":
         return LanguageSample(semantics, cfg.depth, frozenset(prefix), frozenset(flagged))
     return LanguageSample(
