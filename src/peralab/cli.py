@@ -221,18 +221,19 @@ def cmd_theorem_check(args) -> int:
     for _, (va,) in valuated:
         check_zone_bounds(va)
     cfg = ExplorationConfig(depth=args.depth, node_limit=args.node_limit)
+    # Multiplying every constant by one positive factor leaves the
+    # untimed language as it is (Alur & Dill, TCS 1994), so the p = 0
+    # reference at scale 1 stands for p = 0 at every scale.  It is
+    # explored before the report starts, so running out of nodes on it
+    # prints no partial report.
+    with _timed(timings, "explore p=0"):
+        ref, _ = _observe(a.valuate({"p": 0}), cfg, args.semantics)
 
     print(f"machine: {m.name}  states: {len(m.states)}  initial: {m.initial}  halt: {m.halt}")
     print(f"interpreter: {halt_note}")
     print(f"encoding: {variant}  locations: {len(a.locations)}  edges: {len(a.edges)}")
     print("reference valuation: p=0")
     print(f"semantics: {args.semantics}  depth: {args.depth}")
-
-    # Multiplying every constant by one positive factor leaves the
-    # untimed language as it is (Alur & Dill, TCS 1994), so the p = 0
-    # reference at scale 1 stands for p = 0 at every scale.
-    with _timed(timings, "explore p=0"):
-        ref, _ = _observe(a.valuate({"p": 0}), cfg, args.semantics)
     any_equal = False
     all_differ = True
     for v, (scale, (va,)) in zip(values, valuated):

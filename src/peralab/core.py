@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -214,28 +214,18 @@ class Pera:
             v = values[p]
             if not isinstance(v, int) or v < 0:
                 raise ModelError(f"parameter {p!r} must be a nonnegative integer")
-        new_edges = []
+        edges = []
         for e in self.edges:
             try:
                 guard = tuple(a.valuate(values) for a in e.guard)
             except UnsatisfiableAtom:
                 continue
-            new_edges.append(Edge(e.source, guard, e.action, e.target))
-        new_inv = {}
-        for loc, guard in self.invariants.items():
-            atoms = []
-            for a in guard:
-                va = a.valuate(values)
-                atoms.append(va)
-            new_inv[loc] = tuple(atoms)
-        return Pera(
-            actions=self.actions,
+            edges.append(Edge(e.source, guard, e.action, e.target))
+        return replace(
+            self,
             parameters=(),
-            locations=self.locations,
-            initial=self.initial,
-            edges=tuple(new_edges),
-            invariants=new_inv,
-            accepting=self.accepting,
+            edges=tuple(edges),
+            invariants={loc: tuple(a.valuate(values) for a in g) for loc, g in self.invariants.items()},
         )
 
     def rescale(self, factor: int) -> "Pera":
@@ -248,20 +238,13 @@ class Pera:
         if factor <= 0:
             raise ModelError("scale factor must be positive")
 
-        def sc(a: Atom) -> Atom:
-            return Atom(a.clock, a.rel, a.offset * factor, a.param)
+        def sc(g: Guard) -> Guard:
+            return tuple(Atom(a.clock, a.rel, a.offset * factor, a.param) for a in g)
 
-        return Pera(
-            actions=self.actions,
-            parameters=self.parameters,
-            locations=self.locations,
-            initial=self.initial,
-            edges=tuple(
-                Edge(e.source, tuple(sc(a) for a in e.guard), e.action, e.target)
-                for e in self.edges
-            ),
-            invariants={loc: tuple(sc(a) for a in g) for loc, g in self.invariants.items()},
-            accepting=self.accepting,
+        return replace(
+            self,
+            edges=tuple(Edge(e.source, sc(e.guard), e.action, e.target) for e in self.edges),
+            invariants={loc: sc(g) for loc, g in self.invariants.items()},
         )
 
     def max_constant(self) -> int:

@@ -15,11 +15,11 @@ always becomes `l_halt`/`lbar_halt` regardless of its source name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .core import Atom, Edge, Guard, ModelError, Pera
-from .minsky import Inc, Machine, TestDec, step as machine_step
+from .minsky import Inc, Machine, step as machine_step
 
 PARAM = "p"
 SIGMA = (("a_t", "t"), ("a_1", "x1"), ("a_2", "x2"), ("a_z", "z"))
@@ -34,14 +34,6 @@ def main_loc(m: Machine, state: str) -> str:
 
 def bar_loc(m: Machine, state: str) -> str:
     return "lbar_halt" if state == m.halt else f"lbar_{state}"
-
-
-def _counter_clock(k: int) -> str:
-    return "x1" if k == 1 else "x2"
-
-
-def _counter_action(k: int) -> str:
-    return "a_1" if k == 1 else "a_2"
 
 
 def encode_core(m: Machine) -> Pera:
@@ -75,16 +67,13 @@ def encode_core(m: Machine) -> Pera:
 
     for s, ins in m.program:
         src = main_loc(m, s)
+        xk, ak = f"x{ins.counter}", f"a_{ins.counter}"
         if isinstance(ins, Inc):
-            xk = _counter_clock(ins.counter)
-            edges.append(Edge(src, (Atom(xk, "=", -1, PARAM),), _counter_action(ins.counter), bar_loc(m, ins.goto)))
+            edges.append(Edge(src, (Atom(xk, "=", -1, PARAM),), ak, bar_loc(m, ins.goto)))
         else:
-            xk = _counter_clock(ins.counter)
             edges.append(Edge(src, (Atom("t", "=", 0), Atom(xk, "=", 0)), "a_t", bar_loc(m, ins.if_zero)))
             for t_side in (Atom("t", "<", 1), Atom("t", ">", 1)):
-                edges.append(
-                    Edge(src, (Atom(xk, "=", 1), t_side), _counter_action(ins.counter), bar_loc(m, ins.if_pos))
-                )
+                edges.append(Edge(src, (Atom(xk, "=", 1), t_side), ak, bar_loc(m, ins.if_pos)))
 
     for s in m.states:
         edges.append(
@@ -128,14 +117,11 @@ def wrap_preservation(gadget: Pera) -> Pera:
         edges.append(Edge("l_halt", (), act, "l_acc2"))
         edges.append(Edge("l_acc1", (), act, "l_acc1"))
         edges.append(Edge("l_acc2", (), act, "l_acc2"))
-    return Pera(
-        actions=gadget.actions,
-        parameters=gadget.parameters,
+    return replace(
+        gadget,
         locations=gadget.locations + ("l_start", "l_acc1", "l_acc2"),
         initial="l_start",
         edges=tuple(edges),
-        invariants=dict(gadget.invariants),
-        accepting=gadget.accepting,
     )
 
 
@@ -158,15 +144,7 @@ def add_sink(a: Pera) -> Pera:
         for act, _ in SIGMA:
             edges.append(Edge(bar, (Atom("t", "=", 0, PARAM), Atom("z", "=", -1, PARAM)), act, "l_sink"))
             edges.append(Edge(bar, (Atom("t", "=", 0), Atom("z", "=", -1, PARAM)), act, "l_sink"))
-    return Pera(
-        actions=a.actions,
-        parameters=a.parameters,
-        locations=a.locations + ("l_sink",),
-        initial=a.initial,
-        edges=tuple(edges),
-        invariants=dict(a.invariants),
-        accepting=a.accepting,
-    )
+    return replace(a, locations=a.locations + ("l_sink",), edges=tuple(edges))
 
 
 def buchi_variant(a: Pera) -> Pera:
@@ -174,13 +152,10 @@ def buchi_variant(a: Pera) -> Pera:
     for need in ("l_sink", "l_acc1", "l_acc2"):
         if need not in a.locations:
             raise ModelError(f"{need!r} missing; build the wrapped+sink automaton first")
-    return Pera(
+    return replace(
+        a,
         actions=a.actions + (EXTRA_ACTION,),
-        parameters=a.parameters,
-        locations=a.locations,
-        initial=a.initial,
         edges=a.edges + (Edge("l_sink", (), EXTRA_ACTION[0], "l_sink"),),
-        invariants=dict(a.invariants),
         accepting=frozenset({"l_acc1", "l_acc2", "l_sink"}),
     )
 
@@ -193,24 +168,11 @@ def safety_variant(a: Pera) -> Pera:
     """
     if "l_sink" not in a.locations:
         raise ModelError("l_sink missing; build the wrapped+sink automaton first")
-    seen: set[Edge] = set()
-    edges: list[Edge] = []
-    for e in a.edges:
-        if e.target == "l_sink" and e.source != "l_sink":
-            e = Edge(e.source, e.guard, EXTRA_ACTION[0], e.target)
-        if e in seen:
-            continue
-        seen.add(e)
-        edges.append(e)
-    return Pera(
-        actions=a.actions + (EXTRA_ACTION,),
-        parameters=a.parameters,
-        locations=a.locations,
-        initial=a.initial,
-        edges=tuple(edges),
-        invariants=dict(a.invariants),
-        accepting=a.accepting,
+    edges = (
+        replace(e, action=EXTRA_ACTION[0]) if e.target == "l_sink" and e.source != "l_sink" else e
+        for e in a.edges
     )
+    return replace(a, actions=a.actions + (EXTRA_ACTION,), edges=tuple(dict.fromkeys(edges)))
 
 
 VARIANTS = ("plain", "wrapped", "sink", "buchi", "safety")
@@ -233,19 +195,7 @@ def build(m: Machine, variant: str = "wrapped") -> Pera:
 
 # -- deterministic schedule ----------------------------------------------
 
-
-@dataclass(frozen=True)
-class Checkpoint:
-    """Expectation at a settled tick: counter clocks mirror the counters.
-
-    `after_index` is the script position after which the check applies;
-    -1 means the initial instant, before any step.
-    """
-
-    after_index: int
-    steps_done: int
-    c1: int
-    c2: int
+_ACTION_OF = {clk: act for act, clk in SIGMA}
 
 
 @dataclass(frozen=True)
@@ -255,7 +205,6 @@ class Schedule:
     period: int
     steps: int
     script: tuple[tuple[Fraction, str, str], ...]   # (delay, action, target)
-    checkpoints: tuple[Checkpoint, ...]
 
 
 def derive_schedule(m: Machine, period: int) -> Schedule:
@@ -263,154 +212,83 @@ def derive_schedule(m: Machine, period: int) -> Schedule:
 
     Simulates the machine for as many steps as the budget (one less
     than the period) or the halting time allows, emitting the exact
-    delays at which each wrap, instruction and return edge fires, plus
-    a checkpoint at every settled tick instant.  The generator tracks
-    clock values itself and fails loudly if the construction's timing
-    story ever disagrees with it.
+    delays at which each wrap, instruction and return edge fires, then
+    wraps on to the next tick so the last step is witnessed at t = 0.
+    Each event is a candidate `(delay, priority, kind, clock)`: the
+    earliest fires, wraps first on a tie, and resets `clock`.  The
+    generator tracks clock values itself and fails loudly if the
+    construction's timing story ever disagrees with it.
     """
     if period < 1:
         raise ModelError("schedule derivation needs a positive integer period")
-    # how many steps the machine itself can make
     budget = period - 1
-    cfg = (m.initial, 0, 0)
-    halins = 0
-    probe = cfg
-    while halins < budget and m.instruction(probe[0]) is not None:
-        probe = machine_step(m, probe)
-        halins += 1
-    n_steps = halins
-
-    clocks = {"t": Fraction(0), "x1": Fraction(0), "x2": Fraction(0), "z": Fraction(0)}
-    script: list[tuple[Fraction, str, str]] = []
-    checkpoints: list[Checkpoint] = []
-    at_main = True
-    state, c1, c2 = cfg
-    steps_done = 0
     p = Fraction(period)
-
-    def advance(d: Fraction) -> None:
-        for c in clocks:
-            clocks[c] += d
-
-    def emit(d: Fraction, action: str, target: str, reset: str) -> None:
-        advance(d)
-        clocks[reset] = Fraction(0)
-        script.append((d, action, target))
-
-    def maybe_checkpoint() -> None:
-        if clocks["t"] == 0 and clocks["x1"] < p and clocks["x2"] < p:
-            if clocks["x1"] != c1 or clocks["x2"] != c2:
-                raise AssertionError(
-                    f"tick desync: clocks ({clocks['x1']},{clocks['x2']}) vs counters ({c1},{c2})"
-                )
-            checkpoints.append(Checkpoint(len(script) - 1, steps_done, c1, c2))
-
-    guard_rounds = 0
-    while not (at_main and steps_done == n_steps):
-        guard_rounds += 1
-        if guard_rounds > 20 * period * (n_steps + 2) + 100:
-            raise AssertionError("schedule generator failed to converge")
-        here = main_loc(m, state) if at_main else bar_loc(m, state)
-        cand: list[tuple[Fraction, int, str]] = []
-        for prio, (clk, act) in enumerate((("t", "a_t"), ("x1", "a_1"), ("x2", "a_2"))):
-            cand.append((p - clocks[clk], prio, f"wrap:{act}:{clk}"))
-        if at_main:
-            ins = m.instruction(state)
-            if isinstance(ins, Inc):
-                xk = _counter_clock(ins.counter)
-                d = (p - 1) - clocks[xk]
-                if d >= 0:
-                    cand.append((d, 3, f"inc:{ins.counter}:{ins.goto}"))
-            elif isinstance(ins, TestDec):
-                xk = _counter_clock(ins.counter)
-                val = c1 if ins.counter == 1 else c2
-                if val == 0:
-                    d = -clocks["t"] % p
-                    cand.append((d, 3, f"ifz:{ins.counter}:{ins.if_zero}"))
-                else:
-                    d = 1 - clocks[xk] if clocks[xk] <= 1 else (p - clocks[xk]) + 1
-                    cand.append((d, 3, f"dec:{ins.counter}:{ins.if_pos}"))
+    clocks = dict.fromkeys(("t", "x1", "x2", "z"), Fraction(0))
+    script: list[tuple[Fraction, str, str]] = []
+    state, c1, c2 = m.initial, 0, 0
+    steps_done = rounds = settle_rounds = 0
+    at_main = True
+    while True:
+        tick = clocks["t"] == 0 and clocks["x1"] < p and clocks["x2"] < p
+        if tick and (clocks["x1"], clocks["x2"]) != (c1, c2):
+            raise AssertionError(
+                f"tick desync: clocks ({clocks['x1']},{clocks['x2']}) vs counters ({c1},{c2})"
+            )
+        ins = m.instruction(state)
+        done = at_main and (steps_done == budget or ins is None)
+        if done and tick:
+            break
+        if done:
+            settle_rounds += 1
+            if settle_rounds > 8:
+                raise AssertionError("settling phase failed to reach a tick")
         else:
-            d = (p - 1) - clocks["z"]
-            if d < 0:
-                raise AssertionError("budget clock overran the return moment")
-            cand.append((d, 3, f"ret:{state}"))
-        delay, _, ev = min(cand, key=lambda c: (c[0], c[1]))
+            rounds += 1
+            if rounds > 20 * period * (budget + 2) + 100:
+                raise AssertionError("schedule generator failed to converge")
+        cand = [(p - clocks[clk], prio, "wrap", clk) for prio, clk in enumerate(("t", "x1", "x2"))]
+        if not done and not at_main:
+            cand.append(((p - 1) - clocks["z"], 3, "return", "z"))
+        elif not done:
+            xk = f"x{ins.counter}"
+            if isinstance(ins, Inc):
+                if clocks[xk] <= p - 1:
+                    cand.append(((p - 1) - clocks[xk], 3, "step", xk))
+            elif (c1 if ins.counter == 1 else c2) == 0:
+                cand.append((-clocks["t"] % p, 3, "step", "t"))
+            elif clocks[xk] <= 1:
+                # past 1, the wrap of xk comes first
+                cand.append((1 - clocks[xk], 3, "step", xk))
+        delay, _, kind, clk = min(cand)
         if delay < 0:
-            raise AssertionError(f"negative delay for {ev}")
-        kind, _, rest = ev.partition(":")
+            raise AssertionError(f"negative delay for the {kind} on {clk}")
+        for c in clocks:
+            clocks[c] += delay
         if kind == "wrap":
-            act, clk = rest.split(":")
             # fires only when the clock really is at the period boundary
-            if clocks[clk] + delay != p:
+            if clocks[clk] != p:
                 raise AssertionError("wrap scheduled off the boundary")
-            emit(delay, act, here, clk)
-            maybe_checkpoint()
-            continue
-        if kind == "inc":
-            kstr, goto = rest.split(":")
-            k = int(kstr)
-            xk = _counter_clock(k)
-            if clocks[xk] + delay != p - 1:
-                raise AssertionError("increment scheduled off its firing value")
-            emit(delay, _counter_action(k), bar_loc(m, goto), xk)
-            state = goto
-            if k == 1:
-                c1 += 1
-            else:
-                c2 += 1
-            steps_done += 1
-            at_main = False
-            continue
-        if kind == "ifz":
-            kstr, goto = rest.split(":")
-            xk = _counter_clock(int(kstr))
-            if clocks["t"] + delay != 0 and clocks["t"] + delay != p:
-                raise AssertionError("zero test away from a tick")
-            if clocks[xk] + delay not in (Fraction(0), p):
-                raise AssertionError("zero test with a nonzero counter clock")
-            emit(delay, "a_t", bar_loc(m, goto), "t")
-            state = goto
-            steps_done += 1
-            at_main = False
-            maybe_checkpoint()
-            continue
-        if kind == "dec":
-            kstr, goto = rest.split(":")
-            k = int(kstr)
-            xk = _counter_clock(k)
-            if clocks[xk] + delay != 1:
+            target = main_loc(m, state) if at_main else bar_loc(m, state)
+        elif kind == "return":
+            if clocks["z"] != p - 1 or not 0 < clocks["t"] < p:
+                raise AssertionError("return scheduled outside its window")
+            target, at_main = main_loc(m, state), True
+        else:
+            if isinstance(ins, Inc):
+                if clocks[xk] != p - 1:
+                    raise AssertionError("increment scheduled off its firing value")
+            elif clk == "t":
+                if clocks["t"] not in (0, p):
+                    raise AssertionError("zero test away from a tick")
+                if clocks[xk] not in (0, p):
+                    raise AssertionError("zero test with a nonzero counter clock")
+            elif clocks[xk] != 1:
                 raise AssertionError("decrement away from its firing value")
-            if clocks["t"] + delay == 1:
+            elif clocks["t"] == 1:
                 raise AssertionError("decrement at the forbidden tick offset")
-            emit(delay, _counter_action(k), bar_loc(m, goto), xk)
-            state = goto
-            if k == 1:
-                c1 -= 1
-            else:
-                c2 -= 1
+            state, c1, c2 = machine_step(m, (state, c1, c2))
             steps_done += 1
-            at_main = False
-            continue
-        # return edge
-        t_after = clocks["t"] + delay
-        if clocks["z"] + delay != p - 1 or not (0 < t_after < p):
-            raise AssertionError("return scheduled outside its window")
-        emit(delay, "a_z", main_loc(m, state), "z")
-        at_main = True
-
-    # settle to the next tick so the last step is witnessed at t = 0
-    here = main_loc(m, state)
-    settle_rounds = 0
-    while not (clocks["t"] == 0 and clocks["x1"] < p and clocks["x2"] < p):
-        settle_rounds += 1
-        if settle_rounds > 8:
-            raise AssertionError("settling phase failed to reach a tick")
-        delay, _, act, clk = min(
-            (p - clocks[clk], prio, act, clk)
-            for prio, (clk, act) in enumerate((("t", "a_t"), ("x1", "a_1"), ("x2", "a_2")))
-        )
-        emit(delay, act, here, clk)
-    maybe_checkpoint()
-
-    return Schedule(period, n_steps, tuple(script), tuple(checkpoints))
+            target, at_main = bar_loc(m, state), False
+        clocks[clk] = Fraction(0)
+        script.append((delay, _ACTION_OF[clk], target))
+    return Schedule(period, steps_done, tuple(script))

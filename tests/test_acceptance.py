@@ -12,10 +12,11 @@ import pytest
 
 from peralab.encoder import build, derive_schedule, encode_core
 from wordsets import compare, enumerate_language
-from peralab.minsky import inc3, loop, run, trivial
+from peralab.minsky import inc3, loop, run, trace, trivial
 from peralab.semantics import ExplorationConfig, concrete_simulate
 
 from gridoracle import GRID_UNITS
+from replay import settled_zero_instants
 from test_zones_oracle import compare_random_instances
 
 
@@ -31,28 +32,6 @@ def all_words(alphabet, k):
     for length in range(k + 1):
         words.update(product(alphabet, repeat=length))
     return frozenset(words)
-
-
-def settled_zero_instants(run_):
-    """(machine steps done, x1, x2) at each settled instant showing t = 0.
-
-    An instant is settled once the last zero-delay step at that absolute
-    time has fired.  Machine steps are counted by main-to-intermediary
-    edges.
-    """
-    idx = {c: i for i, c in enumerate(run_.clocks)}
-    out = []
-    steps_done = 0
-    if not run_.steps or run_.steps[0].delay > 0:
-        out.append((0, Fraction(0), Fraction(0)))
-    for i, st in enumerate(run_.steps):
-        src, dst = st.edge.source, st.edge.target
-        if src.startswith("l_") and dst.startswith("lbar_"):
-            steps_done += 1
-        settled = i + 1 == len(run_.steps) or run_.steps[i + 1].delay > 0
-        if settled and st.valuation[idx["t"]] == 0:
-            out.append((steps_done, st.valuation[idx["x1"]], st.valuation[idx["x2"]]))
-    return out
 
 
 def test_acceptance_1_zero_period_language():
@@ -86,7 +65,6 @@ def test_acceptance_2_encoding_fidelity():
             assert sch.steps == min(period - 1, halting)
             a = encode_core(m).valuate({"p": period})
             replay = concrete_simulate(a, sch.script)
-            from peralab.minsky import trace
             expected = list(trace(m, sch.steps))
             instants = settled_zero_instants(replay)
             assert instants, "no settled t=0 instant observed"

@@ -361,6 +361,16 @@ def test_theorem_check_looping_machine(loop_file, capsys):
     assert "verdict: consistent with non-halting" in out
 
 
+def test_theorem_check_reference_exhaustion_prints_no_report(loop_file, capsys):
+    # the p = 0 reference is explored before the header, so running out
+    # of nodes on it leaves stdout empty
+    code = main(["theorem-check", str(loop_file), "--values", "1", "--node-limit", "3"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("resource exhaustion:")
+
+
 def test_theorem_check_builds_one_reference_per_scale(loop_file, monkeypatch, capsys):
     built = []
     init = Determinized.__init__

@@ -1,6 +1,8 @@
 """Machine-to-automaton construction: structure, naming, schedules."""
 
-from fractions import Fraction
+import hashlib
+import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,8 +19,10 @@ from peralab.encoder import (
     safety_variant,
     wrap_preservation,
 )
-from peralab.minsky import BENCHMARKS, Inc, Machine, TestDec, inc3, loop, trivial, trace
+from peralab.minsky import BENCHMARKS, Inc, Machine, TestDec, inc3, loop, parse_machine, trivial, trace
 from peralab.semantics import concrete_simulate
+
+from replay import settled_zero_instants
 
 
 EXPECTED = {"inc3": (8, 31), "loop": (6, 25), "trivial": (2, 7)}
@@ -164,24 +168,23 @@ def test_build_dispatch():
 # -- schedules -----------------------------------------------------------------------
 
 
+def check_replay(m, period):
+    """The schedule replays on the gadget, and every settled tick instant
+    of the replay shows the interpreter's counters on x1 and x2."""
+    sch = derive_schedule(m, period)
+    run = concrete_simulate(encode_core(m).valuate({"p": period}), sch.script)
+    expected = list(trace(m, sch.steps))
+    assert sch.steps == len(expected) - 1
+    instants = settled_zero_instants(run)
+    assert max(steps for steps, _, _ in instants) == sch.steps
+    for steps, x1, x2 in instants:
+        assert (x1, x2) == expected[steps][1:]
+
+
 @pytest.mark.parametrize("name", sorted(BENCHMARKS))
 @pytest.mark.parametrize("period", [1, 2, 3, 4, 5, 6])
 def test_schedule_replays_on_gadget(name, period):
-    m = BENCHMARKS[name]()
-    sch = derive_schedule(m, period)
-    a = encode_core(m).valuate({"p": period})
-    run = concrete_simulate(a, sch.script)
-    expected = list(trace(m, sch.steps))
-    assert sch.steps == len(expected) - 1
-    for cp in sch.checkpoints:
-        vals = (
-            dict(zip(run.clocks, run.steps[cp.after_index].valuation))
-            if cp.after_index >= 0
-            else {c: Fraction(0) for c in run.clocks}
-        )
-        assert vals["t"] == 0
-        assert (vals["x1"], vals["x2"]) == (cp.c1, cp.c2)
-        assert (cp.c1, cp.c2) == expected[cp.steps_done][1:]
+    check_replay(BENCHMARKS[name](), period)
 
 
 def test_schedule_step_budget():
@@ -216,15 +219,61 @@ def machines(draw):
 @settings(deadline=None, max_examples=60)
 def test_schedule_replay_property(m, period):
     """Any derived schedule must replay cleanly and keep counters honest."""
-    sch = derive_schedule(m, period)
-    a = encode_core(m).valuate({"p": period})
-    run = concrete_simulate(a, sch.script)
-    expected = list(trace(m, sch.steps))
-    for cp in sch.checkpoints:
-        vals = (
-            dict(zip(run.clocks, run.steps[cp.after_index].valuation))
-            if cp.after_index >= 0
-            else {c: Fraction(0) for c in run.clocks}
-        )
-        assert vals["t"] == 0
-        assert (vals["x1"], vals["x2"]) == (cp.c1, cp.c2) == expected[cp.steps_done][1:]
+    check_replay(m, period)
+
+
+# -- pinned outputs ---------------------------------------------------------------
+#
+# SHA-256 digests of every bundled encoding and of a corpus of forced
+# schedules.  They pin the exact output, so a change to how derived
+# automata or schedules are built must leave every byte unchanged.
+
+MACHINE_FILES = Path(__file__).resolve().parent.parent / "scripts" / "machines"
+ENCODINGS_SHA256 = "b52d80d3d6cc3e3425f6aeaacc51c5f6b206e6f96df9595bc6e15e4676dda5ad"
+SCHEDULES_SHA256 = "da3c8032f20d1513c73338708762e9956b4d34884447e8f279eedd10502947c8"
+
+
+def bundled_machines():
+    yield from (BENCHMARKS[name]() for name in sorted(BENCHMARKS))
+    for path in sorted(MACHINE_FILES.glob("*.2cm")):
+        yield parse_machine(path.read_text(), name=path.stem)
+
+
+def test_encodings_pinned():
+    h = hashlib.sha256()
+    for m in bundled_machines():
+        for v in VARIANTS:
+            a = build(m, v)
+            h.update(a.to_text().encode())
+            for p in (0, 1, 2, 5):
+                h.update(a.valuate({"p": p}).to_text().encode())
+            h.update(a.rescale(3).valuate({"p": 7}).to_text().encode())
+    assert h.hexdigest() == ENCODINGS_SHA256
+
+
+def seeded_machine(rng):
+    """A random machine of the `machines()` shape, drawn from `rng`."""
+    n = rng.randint(1, 4)
+    states = tuple(f"s{i}" for i in range(n)) + ("sh",)
+    program = []
+    for i in range(n):
+        counter = rng.randint(1, 2)
+        t1 = rng.choice(states)
+        if rng.random() < 0.5:
+            program.append((f"s{i}", Inc(counter, t1)))
+        else:
+            program.append((f"s{i}", TestDec(counter, t1, rng.choice(states))))
+    return Machine("rand", states, "s0", "sh", tuple(program))
+
+
+def test_schedules_pinned():
+    rng = random.Random(13)
+    pairs = [(BENCHMARKS[name](), p) for name in sorted(BENCHMARKS) for p in range(1, 7)]
+    pairs += [(seeded_machine(rng), p) for _ in range(100) for p in range(1, 8)]
+    h = hashlib.sha256()
+    for m, period in pairs:
+        sch = derive_schedule(m, period)
+        h.update(f"{m.name} p={period} steps={sch.steps}\n".encode())
+        for delay, action, target in sch.script:
+            h.update(f"{delay} {action} {target}\n".encode())
+    assert h.hexdigest() == SCHEDULES_SHA256
