@@ -204,9 +204,10 @@ class Pera:
         """Return the concrete automaton under integer parameter values.
 
         Edges whose guard contains an unsatisfiable atom are dropped:
-        they could never fire.  Invariant atoms that become trivially
-        true are dropped; an unsatisfiable invariant atom is an error
-        because it would silence a whole location.
+        they could never fire.  An atom that becomes trivially true (a
+        lower bound below 0) is kept, in guards and invariants alike, as
+        the stand-in `x >= 0`; an unsatisfiable invariant atom is an
+        error because it would silence a whole location.
         """
         for p in self.parameters:
             if p not in values:

@@ -24,13 +24,17 @@ distinguishing word.
 
 Büchi semantics is observed through `lassos` instead: stem/cycle pairs
 through accepting locations on the widened zone graph, which `compare`
-diffs as sets.
+diffs as sets.  Its elementary-cycle search backtracks over one shared
+action list and on-path table, on per-start edge tables pruned to the
+nodes that can still close the cycle within the bound, and rotates each
+distinct cycle word once per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import cache
+from typing import Iterator
 
 from .core import ModelError, Pera
 from .semantics import ExplorationConfig, ResourceExhausted, ZoneGraph, zone_graph
@@ -46,9 +50,11 @@ FLAG_LABEL = {"maximal": "maximal finite", "reach": "accepted", "safety": "accep
 
 
 def _min_rotation(word: Word) -> Word:
+    """The least rotation of `word`, tried only at the positions of its least letter."""
     if not word:
         return word
-    return min(tuple(word[i:] + word[:i]) for i in range(len(word)))
+    least = min(word)
+    return min(word[i:] + word[:i] for i, act in enumerate(word) if act == least)
 
 
 class Determinized:
@@ -194,12 +200,20 @@ def lassos(a: Pera, cfg: ExplorationConfig) -> frozenset[Lasso]:
     found once each by only walking nodes with ids at or above the
     start node's; stems are the shortest, lexicographically smallest
     words reaching the cycle's start within the depth bound.  The cycle
-    word is reported in its minimal rotation.  The cycle search drops a
-    path as soon as its next node cannot get back to the start node, over
-    ids above the start's, within what is left of the depth bound.  That
-    is exact: every way to close the cycle from there stays on those ids,
-    so it takes at least that distance, and no dropped path closes
-    within k.
+    word is reported in its minimal rotation.
+
+    For a start c0 the search keeps only the edges into c0 or into nodes
+    above c0 that can get back to c0, over ids above c0, within k - 1
+    steps (a node's kept edges are listed on its first visit, as at small
+    k most nodes are never visited), and drops a path as soon as its next
+    node cannot get back within what is left of the depth bound.  That is exact: every way to
+    close the cycle from there stays on those ids, so it takes at least
+    that distance, and no dropped path closes within k.  The search
+    backtracks over one action list and one on-path table indexed by
+    node id, pushing and popping one entry per step.  Each start's cycle
+    words are collected in a set before they are rotated, and each
+    distinct word is rotated once per call, since many starts close the
+    same words.
 
     Building the zone graph only 2k levels deep is exact too: a stem
     reaches its cycle start within k steps and the cycle goes at most
@@ -210,12 +224,10 @@ def lassos(a: Pera, cfg: ExplorationConfig) -> frozenset[Lasso]:
     _check_observable(a, "buchi")
     g = zone_graph(a, cfg, levels=2 * cfg.depth)
     k = cfg.depth
-    accepting = a.accepting
-    out: set[Lasso] = set()
 
-    # adjacency with actions, and reverse adjacency for distances
-    adj: dict[int, list[tuple[str, int]]] = {i: [] for i in range(len(g.nodes))}
-    radj: dict[int, list[int]] = {i: [] for i in range(len(g.nodes))}
+    # adjacency with actions, in sorted order, and reverse adjacency for distances
+    adj: list[list[tuple[str, int]]] = [[] for _ in g.nodes]
+    radj: list[list[int]] = [[] for _ in g.nodes]
     for src, act, dst in g.edges:
         adj[src].append((act, dst))
         radj[dst].append(src)
@@ -226,20 +238,22 @@ def lassos(a: Pera, cfg: ExplorationConfig) -> frozenset[Lasso]:
     for _ in range(k):
         nxt = []
         for nid in sorted(frontier, key=lambda n: stems[n]):
-            for act, dst in sorted(adj[nid]):
+            for act, dst in adj[nid]:
                 if dst not in stems:
                     stems[dst] = stems[nid] + (act,)
                     nxt.append(dst)
         frontier = nxt
     # breadth order makes stems shortest; stem-sorted expansion makes ties lex-min
 
-    is_acc = [loc in accepting for loc, _ in g.nodes]
+    is_acc = [loc in a.accepting for loc, _ in g.nodes]
+    on_path = [False] * len(g.nodes)
+    del g  # the search reads only these tables, so free the zones before it
 
     def dist_to(c0: int) -> dict[int, int]:
         # fewest edges from each node above c0 back to c0, through ids
-        # above c0; only up to k - 1, as a longer way back closes no
-        # cycle within k
-        dist: dict[int, int] = {}
+        # above c0, and 0 for c0 itself; only up to k - 1, as a longer
+        # way back closes no cycle within k
+        dist = {c0: 0}
         frontier = [c0]
         for d in range(1, k):
             nxt = []
@@ -251,27 +265,54 @@ def lassos(a: Pera, cfg: ExplorationConfig) -> frozenset[Lasso]:
             frontier = nxt
         return dist
 
-    def cycles_from(c0: int) -> Iterable[Word]:
-        # elementary cycles with minimal node id c0, length <= k
+    def cycle_words(c0: int) -> set[Word]:
+        # words of the elementary cycles through an accepting node with
+        # minimal node id c0, of length at most k
         dist = dist_to(c0)
-        stack: list[tuple[int, Word, frozenset[int], bool]] = [
-            (c0, (), frozenset({c0}), is_acc[c0])
-        ]
-        while stack:
-            nid, word, visited, hit = stack.pop()
-            for act, dst in adj[nid]:
-                if dst == c0:
-                    if hit and len(word) + 1 <= k:
-                        yield word + (act,)
-                    continue
-                if dst not in dist or len(word) + 1 + dist[dst] > k or dst in visited:
-                    continue
-                stack.append((dst, word + (act,), visited | {dst}, hit or is_acc[dst]))
 
-    for c0, stem in stems.items():
-        for cyc in cycles_from(c0):
-            out.add((stem, _min_rotation(cyc)))
-    return frozenset(out)
+        def pruned(nid: int) -> list[tuple[int, str, int]]:
+            # nid's edges into c0 or into nodes that can get back to c0,
+            # as (target's distance back to c0, action, target)
+            return [(dist[dst], act, dst) for act, dst in adj[nid] if dst in dist]
+
+        kept = {c0: pruned(c0)}    # per node, built on its first visit
+        words: set[Word] = set()
+        word: list[str] = []
+        path = [c0]
+        on_path[c0] = True
+        room = k - 1               # how far the next target may be from c0
+        hits = is_acc[c0]          # accepting nodes on the path
+        todo = [iter(kept[c0])]    # per path node, its edges not tried yet
+        while todo:
+            for d, act, dst in todo[-1]:
+                if d > room:
+                    continue
+                if dst == c0:
+                    if hits:
+                        words.add((*word, act))
+                elif not on_path[dst]:
+                    word.append(act)
+                    path.append(dst)
+                    on_path[dst] = True
+                    room -= 1
+                    hits += is_acc[dst]
+                    edges = kept.get(dst)
+                    if edges is None:
+                        edges = kept[dst] = pruned(dst)
+                    todo.append(iter(edges))
+                    break
+            else:                  # every edge tried: back up
+                todo.pop()
+                nid = path.pop()
+                on_path[nid] = False
+                if todo:
+                    word.pop()
+                    room += 1
+                    hits -= is_acc[nid]
+        return words
+
+    rotate = cache(_min_rotation)   # for this call only
+    return frozenset((stem, rotate(cyc)) for c0, stem in stems.items() for cyc in cycle_words(c0))
 
 
 def _check_observable(a: Pera, semantics: str) -> None:

@@ -144,6 +144,37 @@ def test_valuate_drops_unsatisfiable_edges():
     assert v.invariant("l0") == (Atom("x", "<=", 0),)
 
 
+def test_valuate_keeps_trivial_invariant_stand_in():
+    # x >= p-3 at p = 1 holds for every clock value, and stays as x >= 0
+    a = Pera(
+        actions=(("a", "x"),),
+        parameters=("p",),
+        locations=("l0",),
+        initial="l0",
+        edges=(),
+        invariants={"l0": (Atom("x", ">=", -3, "p"),)},
+    )
+    assert a.valuate({"p": 1}).to_text() == """{
+  "actions": [
+    {
+      "action": "a",
+      "clock": "x"
+    }
+  ],
+  "parameters": [],
+  "locations": [
+    {
+      "name": "l0",
+      "invariant": "x >= 0"
+    }
+  ],
+  "initial": "l0",
+  "accepting": [],
+  "edges": []
+}
+"""
+
+
 def test_valuate_requires_all_parameters():
     with pytest.raises(ModelError):
         tiny_automaton().valuate({})

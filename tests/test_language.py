@@ -1,7 +1,11 @@
 """Bounded untimed-language observation and comparison."""
 
-import pytest
+from itertools import product
 
+import pytest
+from hypothesis import given, seed, settings, strategies as st
+
+from peralab import language
 from peralab.core import Edge, ModelError, Pera
 from peralab.encoder import build
 from peralab.language import (
@@ -15,6 +19,7 @@ from peralab.language import (
 from peralab.minsky import inc3, loop, trivial
 from peralab.semantics import Analyzer, ExplorationConfig, ResourceExhausted, zone_graph
 
+from test_encoder import machines
 from wordsets import LanguageSample, compare as compare_sets, enumerate_language
 
 
@@ -118,9 +123,13 @@ def test_reach_marks_accepting_visits():
 
 
 def test_min_rotation():
-    assert _min_rotation(()) == ()
-    assert _min_rotation(("b", "a")) == ("a", "b")
-    assert _min_rotation(("b", "a", "c")) == ("a", "c", "b")
+    # against the least of all rotations, for every word of length 0-7 over
+    # three letters: periodic words such as a b a b and words that repeat
+    # their least letter included
+    for n in range(8):
+        for word in product("abc", repeat=n):
+            want = min((word[i:] + word[:i] for i in range(n)), default=())
+            assert _min_rotation(word) == want, word
 
 
 def test_lassos_on_hand_built_cycle():
@@ -151,6 +160,24 @@ def test_lassos_respect_accepting_set():
     )
     # the pure self-loop at u never visits v, so it is not a lasso here
     assert all("b" in c for _, c in lassos(a, cfg(3)))
+
+
+def test_lassos_forget_accepting_nodes_backed_out_of():
+    # from u, the search closes a b through accepting v, backs out of v,
+    # then closes b b through w, which visits no accepting location
+    a = Pera(
+        actions=(("a", "x"), ("b", "y")),
+        parameters=(),
+        locations=("s", "u", "v", "w"),
+        initial="s",
+        edges=(Edge("s", (), "b", "u"), Edge("u", (), "a", "v"), Edge("v", (), "b", "u"),
+               Edge("u", (), "b", "w"), Edge("w", (), "b", "u")),
+        accepting=frozenset({"v"}),
+    )
+    found = lassos(a, cfg(4))
+    assert (("b",), ("a", "b")) in found
+    assert not any(c == ("b", "b") for _, c in found)
+    assert found == reference_lassos(a, cfg(4))
 
 
 # -- lasso search against the unpruned reference ------------------------------------
@@ -189,6 +216,52 @@ def reference_lassos(a, config):
                     continue
                 stack.append((dst, word + (act,), visited | {dst}, hit or is_acc[dst]))
     return frozenset(out)
+
+
+def repeated_word_automaton():
+    # from u, the cycles through v and through w both spell a b, and u also
+    # loops on b; s leads in, so u's node is the least id on each cycle
+    return Pera(
+        actions=(("a", "x"), ("b", "y")),
+        parameters=(),
+        locations=("s", "u", "v", "w"),
+        initial="s",
+        edges=(Edge("s", (), "b", "u"), Edge("u", (), "a", "v"), Edge("v", (), "b", "u"),
+               Edge("u", (), "a", "w"), Edge("w", (), "b", "u"), Edge("u", (), "b", "u")),
+        accepting=frozenset({"u"}),
+    )
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 3, 4])
+def test_lassos_with_repeated_cycle_words(depth):
+    a = repeated_word_automaton()
+    want = {0: set(), 1: {(("b",), ("b",))}}.get(
+        depth, {(("b",), ("b",)), (("b",), ("a", "b"))})
+    assert lassos(a, cfg(depth)) == want == reference_lassos(a, cfg(depth))
+
+
+@pytest.mark.parametrize("a", [repeated_word_automaton(),
+                               build(loop(), "buchi").valuate({"p": 0})],
+                         ids=["repeated", "loop"])
+def test_lassos_rotate_each_cycle_word_once(a, monkeypatch):
+    calls = []
+
+    def counted(word):
+        calls.append(word)
+        return _min_rotation(word)
+
+    monkeypatch.setattr(language, "_min_rotation", counted)
+    found = lassos(a, cfg(10))
+    assert calls and len(calls) == len(set(calls))
+    assert {c for _, c in found} == {_min_rotation(w) for w in calls}
+
+
+@seed(1975)
+@given(machines(), st.integers(min_value=0, max_value=5), st.integers(min_value=0, max_value=6))
+@settings(deadline=None, max_examples=60)
+def test_lassos_match_reference_on_random_machines(m, p, depth):
+    a = build(m, "buchi").valuate({"p": p})
+    assert lassos(a, cfg(depth)) == reference_lassos(a, cfg(depth))
 
 
 @pytest.mark.parametrize("p", [0, 1, 2, 3, 31, 65, 100])
