@@ -15,14 +15,14 @@ run with exit 1 and no message.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
 from contextlib import contextmanager
-from fractions import Fraction
 from pathlib import Path
 
-from .core import ModelError, Pera, integerize, parse_valuation
+from .core import ModelError, Pera, parse_valuation
 from .encoder import VARIANTS, build
 from .language import FLAG_LABEL, SEMANTICS, Determinized, lassos, lassos_text
 from .language import compare as compare_samples
@@ -50,78 +50,76 @@ def _read_machine(path: str):
     return parse_machine(Path(path).read_text(), name=Path(path).stem)
 
 
-def _read_pera(path: str) -> Pera:
-    return Pera.from_text(Path(path).read_text())
+def _valuate(a: Pera, flags: list[str | None]):
+    """Parse each `-p` flag (None: no flag) and valuate `a` at all of them under one scale.
 
-
-def _parse_valuation_flag(flag: str) -> dict[str, Fraction]:
-    return parse_valuation([part.strip() for part in flag.split(",")])
-
-
-def _valuate_rescaled(a: Pera, *valuations: dict[str, Fraction]):
-    """Valuate under a common integer scale; returns (scale, list of Peras)."""
-    merged: dict[str, Fraction] = {}
-    for i, v in enumerate(valuations):
-        integerize(v)  # rejects a negative value under the user's parameter name
-        for name, x in v.items():
-            merged[f"{i}:{name}"] = x
-    ints, scale = integerize(merged)
+    Returns (scale, parsed valuations, valuated automata).  Every
+    valuation must name exactly `a`'s parameters, which is checked for
+    all of them before any value's sign.  The scale is the lcm of every
+    denominator: multiplying every constant by one positive factor
+    leaves the untimed language as it is (Alur & Dill, TCS 1994).
+    """
+    valuations = [
+        {} if flag is None else parse_valuation([part.strip() for part in flag.split(",")])
+        for flag in flags
+    ]
+    for vals in valuations:
+        missing = [p for p in a.parameters if p not in vals]
+        if missing:
+            raise ModelError(f"no value given for parameter(s): {', '.join(missing)}")
+        extra = [p for p in vals if p not in a.parameters]
+        if extra:
+            raise ModelError(f"valuation names unknown parameter(s): {', '.join(extra)}")
+    for vals in valuations:
+        for name, x in vals.items():
+            if x < 0:
+                raise ModelError(f"parameter {name!r} must be a nonnegative rational")
+    scale = math.lcm(*(x.denominator for vals in valuations for x in vals.values()))
     scaled = a.rescale(scale) if scale != 1 else a
-    out = []
-    for i, v in enumerate(valuations):
-        out.append(scaled.valuate({name: ints[f"{i}:{name}"] for name in v}))
-    return scale, out
-
-
-def _check_parameters(a: Pera, vals: dict[str, Fraction]) -> None:
-    missing = [p for p in a.parameters if p not in vals]
-    if missing:
-        raise ModelError(f"no value given for parameter(s): {', '.join(missing)}")
-    extra = [p for p in vals if p not in a.parameters]
-    if extra:
-        raise ModelError(f"valuation names unknown parameter(s): {', '.join(extra)}")
-
-
-def _fmt_valuation(vals: dict[str, Fraction]) -> str:
-    return ", ".join(f"{k}={v}" for k, v in sorted(vals.items()))
-
-
-def _sample_stats(semantics: str, counts: tuple[int, ...]) -> list[str]:
-    if semantics == "buchi":
-        return [f"lassos: {counts[0]}"]
-    return [f"prefix words: {counts[0]}", f"{FLAG_LABEL[semantics]} words: {counts[1]}"]
+    return scale, valuations, [
+        scaled.valuate({name: int(x * scale) for name, x in vals.items()}) for vals in valuations
+    ]
 
 
 def _observe(a: Pera, cfg: ExplorationConfig, semantics: str):
-    """What `lang` and `compare` observe of `a`, with its counts.
+    """What `lang` and `compare` observe of `a`: (observation, count lines, flagged count).
 
-    Büchi semantics gives the lasso set.  The others give the
-    determinized automaton, counted level by level, which expands every
-    state set a comparison or a word listing can visit, so running out
-    of nodes happens here and not halfway through a report.
+    Büchi semantics gives the lasso set, whose flagged count is its
+    size.  The others give the determinized automaton, counted level by
+    level, which expands every state set a comparison or a word listing
+    can visit, so running out of nodes happens here and not halfway
+    through a report.
     """
     if semantics == "buchi":
         found = lassos(a, cfg)
-        return found, (len(found),)
+        return found, [f"lassos: {len(found)}"], len(found)
     det = Determinized(a, cfg, semantics)
-    return det, det.counts()
+    prefix, flagged = det.counts()
+    return det, [f"prefix words: {prefix}", f"{FLAG_LABEL[semantics]} words: {flagged}"], flagged
 
 
-def _print_words(det: Determinized, flagged_count: int) -> None:
-    """The prefix and the flagged word sections, one line per word.
+def _explore(args, timings, flags: list[str | None], sides: tuple[tuple[str, str], ...]) -> list:
+    """`_observe`'s result per flag, for `lang` and `compare`, then the report header.
 
-    Both sections are written by one `writelines` call each over
-    `det.lines()`, the breadth-first walk that builds each line from
-    its parent's and comes in (length, word) order.  The flagged walk
-    only enters sets from which a flagged set is still reachable, so a
-    handful of flagged words costs a handful of paths, not a second
-    walk of every prefix word.  The prefix words always hold the empty
-    word; an empty flagged section prints as a blank line.
+    `args.pera` is valuated at every flag and each valuation observed
+    under its (header name, timing label) in `sides` before the first
+    line is printed, so a failure prints no partial report.
     """
-    print("-- prefix --")
-    sys.stdout.writelines(det.lines())
-    print(f"-- {FLAG_LABEL[det.semantics]} --")
-    sys.stdout.writelines(det.lines(flagged=True) if flagged_count else ("\n",))
+    with _timed(timings, "parse"):
+        a = Pera.from_text(Path(args.pera).read_text())
+        scale, valuations, valuated = _valuate(a, flags)
+    cfg = ExplorationConfig(depth=args.depth, node_limit=args.node_limit)
+    observed = []
+    for (_, label), va in zip(sides, valuated):
+        with _timed(timings, label):
+            observed.append(_observe(va, cfg, args.semantics))
+    print(f"automaton: {args.pera}")
+    for (name, _), vals in zip(sides, valuations):
+        print(f"{name}: " + (", ".join(f"{k}={v}" for k, v in sorted(vals.items())) or "(none)"))
+    if scale != 1:
+        print(f"rescaled by {scale} to clear denominators")
+    print(f"semantics: {args.semantics}  depth: {args.depth}")
+    return observed
 
 
 # -- subcommands ---------------------------------------------------------
@@ -138,26 +136,20 @@ def cmd_encode(args) -> int:
 
 def cmd_lang(args) -> int:
     timings: list[tuple[str, float]] = []
-    with _timed(timings, "parse"):
-        a = _read_pera(args.pera)
-        vals = _parse_valuation_flag(args.valuation) if args.valuation else {}
-        _check_parameters(a, vals)
-        scale, (va,) = _valuate_rescaled(a, vals)
-    cfg = ExplorationConfig(depth=args.depth, node_limit=args.node_limit)
-    with _timed(timings, "enumerate"):
-        obs, counts = _observe(va, cfg, args.semantics)
-    print(f"automaton: {args.pera}")
-    print(f"valuation: {_fmt_valuation(vals) or '(none)'}")
-    if scale != 1:
-        print(f"rescaled by {scale} to clear denominators")
-    print(f"semantics: {args.semantics}  depth: {args.depth}")
-    for line in _sample_stats(args.semantics, counts):
-        print(line)
+    # an empty -p gives no value, as no -p does
+    ((obs, stats, flagged),) = _explore(
+        args, timings, [args.valuation or None], (("valuation", "enumerate"),)
+    )
+    print(*stats, sep="\n")
     if args.semantics == "buchi":
         print("-- lassos --")
         print(lassos_text(obs), end="")
     else:
-        _print_words(obs, counts[1])
+        print("-- prefix --")
+        sys.stdout.writelines(obs.lines())
+        print(f"-- {FLAG_LABEL[args.semantics]} --")
+        # the prefix words hold the empty word; no flagged word prints one blank line
+        sys.stdout.writelines(obs.lines(flagged=True) if flagged else ("\n",))
     print(_footer(timings))
     return 0
 
@@ -166,27 +158,13 @@ def cmd_compare(args) -> int:
     timings: list[tuple[str, float]] = []
     if len(args.valuation) != 2:
         raise ModelError("compare needs exactly two -p flags (valuation A and valuation B)")
-    with _timed(timings, "parse"):
-        a = _read_pera(args.pera)
-        va_flag, vb_flag = (_parse_valuation_flag(f) for f in args.valuation)
-        _check_parameters(a, va_flag)
-        _check_parameters(a, vb_flag)
-        scale, (va, vb) = _valuate_rescaled(a, va_flag, vb_flag)
-    cfg = ExplorationConfig(depth=args.depth, node_limit=args.node_limit)
-    with _timed(timings, "explore A"):
-        sa, counts_a = _observe(va, cfg, args.semantics)
-    with _timed(timings, "explore B"):
-        sb, counts_b = _observe(vb, cfg, args.semantics)
+    observed = _explore(
+        args, timings, args.valuation, (("valuation A", "explore A"), ("valuation B", "explore B"))
+    )
     with _timed(timings, "compare"):
-        res = compare_samples(sa, sb)
-    print(f"automaton: {args.pera}")
-    print(f"valuation A: {_fmt_valuation(va_flag)}")
-    print(f"valuation B: {_fmt_valuation(vb_flag)}")
-    if scale != 1:
-        print(f"rescaled by {scale} to clear denominators")
-    print(f"semantics: {args.semantics}  depth: {args.depth}")
-    for side, counts in (("A", counts_a), ("B", counts_b)):
-        print(f"{side}: " + ", ".join(_sample_stats(args.semantics, counts)))
+        res = compare_samples(observed[0][0], observed[1][0])
+    for side, (_, stats, _) in zip("AB", observed):
+        print(f"{side}: " + ", ".join(stats))
     print("verdict: " + res.text("A", "B"))
     print(_footer(timings))
     return 0
@@ -217,51 +195,45 @@ def cmd_theorem_check(args) -> int:
     if repeated is not None:
         raise ModelError(f"--values gives p={repeated} more than once")
     # every valuation is built and its constants checked before the report starts
-    valuated = [_valuate_rescaled(a, {"p": v}) for v in values]
-    for _, (va,) in valuated:
+    valuated = [_valuate(a, [f"p={v}"]) for v in values]
+    for _, _, (va,) in valuated:
         check_zone_bounds(va)
     cfg = ExplorationConfig(depth=args.depth, node_limit=args.node_limit)
-    # Multiplying every constant by one positive factor leaves the
-    # untimed language as it is (Alur & Dill, TCS 1994), so the p = 0
-    # reference at scale 1 stands for p = 0 at every scale.  It is
-    # explored before the report starts, so running out of nodes on it
-    # prints no partial report.
+    # the p = 0 reference at scale 1 stands for p = 0 at every scale (see
+    # `_valuate`); it is explored before the report starts, so running
+    # out of nodes on it prints no partial report
     with _timed(timings, "explore p=0"):
-        ref, _ = _observe(a.valuate({"p": 0}), cfg, args.semantics)
+        ref, _, _ = _observe(a.valuate({"p": 0}), cfg, args.semantics)
 
     print(f"machine: {m.name}  states: {len(m.states)}  initial: {m.initial}  halt: {m.halt}")
     print(f"interpreter: {halt_note}")
     print(f"encoding: {variant}  locations: {len(a.locations)}  edges: {len(a.edges)}")
     print("reference valuation: p=0")
     print(f"semantics: {args.semantics}  depth: {args.depth}")
-    any_equal = False
-    all_differ = True
-    for v, (scale, (va,)) in zip(values, valuated):
+    outcomes = []   # per value: "equal", "differs" or "exhausted"
+    for v, (scale, _, (va,)) in zip(values, valuated):
         label = f"p={v}"
         print(f"-- valuation {label} --")
         try:
             with _timed(timings, f"explore {label}"):
-                s, counts = _observe(va, cfg, args.semantics)
+                s, stats, _ = _observe(va, cfg, args.semantics)
         except ResourceExhausted as exc:
             print(f"resource exhaustion: {exc}")
-            all_differ = False
+            outcomes.append("exhausted")
             continue
         if scale != 1:
             print(f"rescaled by {scale} to clear denominators")
-        for line in _sample_stats(args.semantics, counts):
-            print(line)
+        print(*stats, sep="\n")
         with _timed(timings, f"compare {label}"):
             res = compare_samples(ref, s)
         print("verdict: " + res.text("reference", label))
-        if res.equal:
-            any_equal = True
-            all_differ = False
-    if any_equal:
+        outcomes.append("equal" if res.equal else "differs")
+    if "equal" in outcomes:
         print("verdict: consistent with halting")
-    elif all_differ:
-        print("verdict: consistent with non-halting")
-    else:
+    elif "exhausted" in outcomes:
         print("verdict: inconclusive (some valuations exhausted resources)")
+    else:
+        print("verdict: consistent with non-halting")
     print(_footer(timings))
     return 0
 
@@ -282,6 +254,13 @@ def cmd_simulate_2cm(args) -> int:
 # -- wiring ---------------------------------------------------------------
 
 
+def _exploration_flags(parser: argparse.ArgumentParser, semantics: tuple[str, ...]) -> None:
+    """-k/--depth, --semantics (offering `semantics`) and --node-limit, in that order."""
+    parser.add_argument("-k", "--depth", type=int, default=8)
+    parser.add_argument("--semantics", choices=semantics, default="maximal")
+    parser.add_argument("--node-limit", type=int, default=200_000)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="peralab",
@@ -298,26 +277,20 @@ def _build_parser() -> argparse.ArgumentParser:
     lang = sub.add_parser("lang", help="enumerate one valuation's language")
     lang.add_argument("pera", help="serialized automaton file")
     lang.add_argument("-p", "--valuation", help="parameter values, e.g. p=2 or p=1/2")
-    lang.add_argument("-k", "--depth", type=int, default=8)
-    lang.add_argument("--semantics", choices=SEMANTICS, default="maximal")
-    lang.add_argument("--node-limit", type=int, default=200_000)
+    _exploration_flags(lang, SEMANTICS)
     lang.set_defaults(fn=cmd_lang)
 
     cmp_ = sub.add_parser("compare", help="compare two valuations of one automaton")
     cmp_.add_argument("pera", help="serialized automaton file")
     cmp_.add_argument("-p", "--valuation", action="append", default=[],
                       help="give twice: valuation A, then valuation B")
-    cmp_.add_argument("-k", "--depth", type=int, default=8)
-    cmp_.add_argument("--semantics", choices=SEMANTICS, default="maximal")
-    cmp_.add_argument("--node-limit", type=int, default=200_000)
+    _exploration_flags(cmp_, SEMANTICS)
     cmp_.set_defaults(fn=cmd_compare)
 
     thm = sub.add_parser("theorem-check", help="halting-dichotomy experiment on a machine")
     thm.add_argument("machine", help="machine description file")
     thm.add_argument("--values", required=True, help="comma list of p values, e.g. 1,2,3,4")
-    thm.add_argument("-k", "--depth", type=int, default=8)
-    thm.add_argument("--semantics", choices=tuple(_THEOREM_ENCODING), default="maximal")
-    thm.add_argument("--node-limit", type=int, default=200_000)
+    _exploration_flags(thm, tuple(_THEOREM_ENCODING))
     thm.set_defaults(fn=cmd_theorem_check)
 
     sim = sub.add_parser("simulate-2cm", help="step the counter-machine interpreter")

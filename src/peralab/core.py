@@ -11,7 +11,6 @@ consume.
 from __future__ import annotations
 
 import json
-import math
 import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -367,19 +366,3 @@ def parse_valuation(pairs: Sequence[str]) -> dict[str, Fraction]:
             raise ModelError(f"bad value in {item!r}: {exc}") from exc
     return out
 
-
-def integerize(values: Mapping[str, Fraction]) -> tuple[dict[str, int], int]:
-    """Clear denominators across a rational valuation.
-
-    Returns integer values together with the common scale factor that
-    every constant in the automaton must be multiplied by.
-    """
-    denoms = [v.denominator for v in values.values()]
-    scale = math.lcm(*denoms) if denoms else 1
-    out = {}
-    for k, v in values.items():
-        sv = v * scale
-        if sv.denominator != 1 or sv < 0:
-            raise ModelError(f"parameter {k!r} must be a nonnegative rational")
-        out[k] = int(sv)
-    return out, scale

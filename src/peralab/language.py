@@ -329,10 +329,14 @@ def _lasso_key(l: Lasso):
     return (len(l[0]) + len(l[1]), l[0], l[1])
 
 
+def _lasso_text(l: Lasso) -> str:
+    """`stem | cycle`, as reports spell a lasso."""
+    return " ".join(l[0]) + " | " + " ".join(l[1])
+
+
 def lassos_text(found: frozenset[Lasso]) -> str:
     """One `stem | cycle` line per lasso, in `_lasso_key` order."""
-    lines = [" ".join(s) + " | " + " ".join(c) for s, c in sorted(found, key=_lasso_key)]
-    return "\n".join(lines) + "\n"
+    return "\n".join(map(_lasso_text, sorted(found, key=_lasso_key))) + "\n"
 
 
 @dataclass(frozen=True)
@@ -347,8 +351,7 @@ class CompareResult:
         if self.equal:
             return "equal up to bound"
         if self.field == "lassos":
-            stem, cyc = self.witness
-            shown = " ".join(stem) + " | " + " ".join(cyc)
+            shown = _lasso_text(self.witness)
         else:
             shown = " ".join(self.witness) if self.witness else "(empty word)"
         owner = left if self.owner == "left" else right

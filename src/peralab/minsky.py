@@ -184,48 +184,3 @@ def parse_machine(text: str, name: str = "machine") -> Machine:
     declare(halt)
     return Machine(name, tuple(order), initial, halt, tuple(program))
 
-
-# -- benchmark machines -------------------------------------------------
-
-
-def inc3() -> Machine:
-    """Three increments of counter one, then halt.  Final counters (3, 0)."""
-    return Machine(
-        name="inc3",
-        states=("s0", "s1", "s2", "sh"),
-        initial="s0",
-        halt="sh",
-        program=(
-            ("s0", Inc(1, "s1")),
-            ("s1", Inc(1, "s2")),
-            ("s2", Inc(1, "sh")),
-        ),
-    )
-
-
-def loop() -> Machine:
-    """Never halts: pumps counter one and keeps re-testing counter two."""
-    return Machine(
-        name="loop",
-        states=("s0", "s1", "sh"),
-        initial="s0",
-        halt="sh",
-        program=(
-            ("s0", Inc(1, "s1")),
-            ("s1", TestDec(2, "s0", "s0")),
-        ),
-    )
-
-
-def trivial() -> Machine:
-    """Starts halted: the initial state is the halt state."""
-    return Machine(
-        name="trivial",
-        states=("sh",),
-        initial="sh",
-        halt="sh",
-        program=(),
-    )
-
-
-BENCHMARKS = {"inc3": inc3, "loop": loop, "trivial": trivial}

@@ -12,10 +12,11 @@ import pytest
 
 from peralab.encoder import build, derive_schedule, encode_core
 from wordsets import compare, enumerate_language
-from peralab.minsky import inc3, loop, run, trace, trivial
+from peralab.minsky import run, trace
 from peralab.semantics import ExplorationConfig, concrete_simulate
 
 from gridoracle import GRID_UNITS
+from machines import inc3, loop, trivial
 from replay import settled_zero_instants
 from test_zones_oracle import compare_random_instances
 

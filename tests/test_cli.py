@@ -18,41 +18,20 @@ from peralab.cli import TIMING_HEADER, main
 from peralab.core import Pera
 from peralab.language import Determinized
 from peralab.encoder import build
-from peralab.minsky import loop, parse_machine
 from peralab.semantics import ExplorationConfig
 
+from machines import MACHINE_DIR, load, loop
 from wordsets import enumerate_language
 
-MACHINES = Path(__file__).resolve().parent.parent / "scripts" / "machines"
 
-LOOP_SRC = """\
-init: s0
-halt: sh
-s0: inc c1 goto s1
-s1: ifz c2 goto s0 else dec goto s0
-"""
-
-INC3_SRC = """\
-init: s0
-halt: sh
-s0: inc c1 goto s1
-s1: inc c1 goto s2
-s2: inc c1 goto sh
-"""
+@pytest.fixture
+def loop_file():
+    return MACHINE_DIR / "loop.2cm"
 
 
 @pytest.fixture
-def loop_file(tmp_path):
-    f = tmp_path / "loop.2cm"
-    f.write_text(LOOP_SRC)
-    return f
-
-
-@pytest.fixture
-def inc3_file(tmp_path):
-    f = tmp_path / "inc3.2cm"
-    f.write_text(INC3_SRC)
-    return f
+def inc3_file():
+    return MACHINE_DIR / "inc3.2cm"
 
 
 @pytest.fixture
@@ -108,7 +87,7 @@ def test_encode_missing_file(capsys):
 def test_shipped_machine_files_encode(tmp_path, capsys):
     for name in ("inc3", "loop", "halt"):
         out = tmp_path / f"{name}.pera"
-        assert main(["encode", str(MACHINES / f"{name}.2cm"), "-o", str(out)]) == 0
+        assert main(["encode", str(MACHINE_DIR / f"{name}.2cm"), "-o", str(out)]) == 0
 
 
 # -- lang ----------------------------------------------------------------------
@@ -230,8 +209,7 @@ def test_lang_prints_the_reference_word_sets(tmp_path, capsys, monkeypatch, sema
     v = Fraction(p)
     cfg = ExplorationConfig(depth=k)
     for name in ("loop", "inc3", "halt"):
-        m = parse_machine((MACHINES / f"{name}.2cm").read_text(), name=name)
-        a = build(m, LANG_ENCODING[semantics])
+        a = build(load(name), LANG_ENCODING[semantics])
         f = tmp_path / f"{name}.pera"
         f.write_text(a.to_text())
         assert main(["lang", str(f), "-p", f"p={p}", "-k", str(k), "--semantics", semantics]) == 0
@@ -340,6 +318,53 @@ def test_compare_equal(wrapped_loop_file, capsys):
     assert "verdict: equal up to bound" in capsys.readouterr().out
 
 
+def test_compare_negative_value_after_a_missing_parameter(wrapped_loop_file, capsys):
+    # every valuation's parameter names are checked before any value's sign
+    assert main(["compare", str(wrapped_loop_file), "-p", "p=-1", "-p", "q=1"]) == 1
+    assert capsys.readouterr().err == "error: no value given for parameter(s): p\n"
+
+
+def test_compare_clears_both_valuations_with_one_scale(tmp_path, wrapped_loop_file, capsys):
+    argv = ["compare", str(wrapped_loop_file), "-p", "p=1/2", "-p", "p=2/3", "-k", "5"]
+    assert main(argv) == 0
+    frac = strip_timings(capsys.readouterr().out).splitlines()
+    assert "rescaled by 6 to clear denominators" in frac
+
+    scaled = tmp_path / "scaled.pera"
+    scaled.write_text(build(loop(), "wrapped").rescale(6).to_text())
+    assert main(["compare", str(scaled), "-p", "p=3", "-p", "p=4", "-k", "5"]) == 0
+    ints = strip_timings(capsys.readouterr().out).splitlines()
+    # the semantics line, both sides' counts and the verdict
+    assert frac[-4:] == ints[-4:]
+    assert frac[-1] == "verdict: equal up to bound"
+
+
+# two parameters: invariant x <= p, `a` guarded x >= q (so it fires only if q <= p), `b` x >= p-1
+TWO_PARAMETERS = json.dumps({
+    "actions": [{"action": "a", "clock": "x"}, {"action": "b", "clock": "y"}],
+    "parameters": ["p", "q"],
+    "locations": [{"name": "l", "invariant": "x <= p"}],
+    "initial": "l",
+    "edges": [{"from": "l", "guard": "x >= q", "action": "a", "to": "l"},
+              {"from": "l", "guard": "x >= p-1", "action": "b", "to": "l"}],
+})
+
+
+def test_lang_clears_every_parameter_with_one_scale(tmp_path, capsys):
+    f = tmp_path / "two.pera"
+    f.write_text(TWO_PARAMETERS)
+    assert main(["lang", str(f), "-p", "p=2/3,q=1/2", "-k", "3"]) == 0
+    frac = strip_timings(capsys.readouterr().out).splitlines()
+    assert frac[1:5] == ["valuation: p=2/3, q=1/2", "rescaled by 6 to clear denominators",
+                         "semantics: maximal  depth: 3", "prefix words: 15"]
+
+    scaled = tmp_path / "scaled.pera"
+    scaled.write_text(Pera.from_text(TWO_PARAMETERS).rescale(6).to_text())
+    assert main(["lang", str(scaled), "-p", "p=4,q=3", "-k", "3"]) == 0
+    ints = strip_timings(capsys.readouterr().out).splitlines()
+    assert frac[4:] == ints[3:]
+
+
 # -- theorem-check ------------------------------------------------------------------
 
 
@@ -405,6 +430,23 @@ def test_theorem_check_witnesses_match_compare_at_each_scale(loop_file, wrapped_
                     .replace("on the B side", f"on the p={v} side"))
     assert len(got) == 3
     assert got == want
+
+
+@pytest.mark.parametrize("values,verdicts", [
+    ("1,2", ["verdict: differs; prefix witness [a_1 a_1 a_1 a_3] only on the p=1 side",
+             "verdict: inconclusive (some valuations exhausted resources)"]),
+    ("2,5", ["verdict: equal up to bound", "verdict: consistent with halting"]),
+])
+def test_theorem_check_verdict_with_an_exhausted_value(inc3_file, capsys, values, verdicts):
+    # at k = 8 the p = 0 reference builds 129 determinized sets and p = 2
+    # builds 141, so a limit of 135 runs out on p = 2 alone
+    argv = ["theorem-check", str(inc3_file), "--values", values, "--semantics", "reach",
+            "--node-limit", "135"]
+    assert main(argv) == 0
+    body = strip_timings(capsys.readouterr().out).splitlines()
+    exhausted = body.index("-- valuation p=2 --") + 1
+    assert body[exhausted] == "resource exhaustion: language walk exceeded 135 determinized states"
+    assert [line for line in body if line.startswith("verdict: ")] == verdicts
 
 
 @pytest.mark.parametrize("semantics,encoding", [("reach", "buchi"), ("safety", "safety")])

@@ -12,7 +12,6 @@ from peralab.core import (
     Pera,
     UnsatisfiableAtom,
     guard_text,
-    integerize,
     parse_atom,
     parse_guard,
     parse_valuation,
@@ -228,25 +227,3 @@ def test_parse_valuation():
 def test_parse_valuation_rejects_a_repeated_name():
     with pytest.raises(ModelError, match="'p' is given more than once"):
         parse_valuation(["p=1", " p =2"])
-
-
-def test_integerize():
-    ints, scale = integerize({"p": Fraction(1, 2)})
-    assert (ints, scale) == ({"p": 1}, 2)
-    ints, scale = integerize({"p": Fraction(2, 3), "q": Fraction(1, 2)})
-    assert scale == 6 and ints == {"p": 4, "q": 3}
-    ints, scale = integerize({"p": Fraction(5)})
-    assert scale == 1 and ints == {"p": 5}
-
-
-@given(
-    num=st.integers(min_value=0, max_value=40),
-    den=st.integers(min_value=1, max_value=12),
-)
-@settings(deadline=None)
-def test_integerize_rescale_consistency(num, den):
-    """Scaled integer value over the scaled automaton equals the rational."""
-    value = Fraction(num, den)
-    ints, scale = integerize({"p": value})
-    assert ints["p"] == value * scale
-    assert Fraction(ints["p"], scale) == value

@@ -2,7 +2,6 @@
 
 import hashlib
 import random
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,9 +18,10 @@ from peralab.encoder import (
     safety_variant,
     wrap_preservation,
 )
-from peralab.minsky import BENCHMARKS, Inc, Machine, TestDec, inc3, loop, parse_machine, trivial, trace
+from peralab.minsky import Inc, Machine, TestDec, trace
 from peralab.semantics import concrete_simulate
 
+from machines import BENCHMARKS, MACHINE_DIR, inc3, load, loop, trivial
 from replay import settled_zero_instants
 
 
@@ -228,15 +228,13 @@ def test_schedule_replay_property(m, period):
 # schedules.  They pin the exact output, so a change to how derived
 # automata or schedules are built must leave every byte unchanged.
 
-MACHINE_FILES = Path(__file__).resolve().parent.parent / "scripts" / "machines"
 ENCODINGS_SHA256 = "b52d80d3d6cc3e3425f6aeaacc51c5f6b206e6f96df9595bc6e15e4676dda5ad"
 SCHEDULES_SHA256 = "da3c8032f20d1513c73338708762e9956b4d34884447e8f279eedd10502947c8"
 
 
 def bundled_machines():
     yield from (BENCHMARKS[name]() for name in sorted(BENCHMARKS))
-    for path in sorted(MACHINE_FILES.glob("*.2cm")):
-        yield parse_machine(path.read_text(), name=path.stem)
+    yield from (load(path.stem) for path in sorted(MACHINE_DIR.glob("*.2cm")))
 
 
 def test_encodings_pinned():

@@ -16,9 +16,9 @@ from peralab.language import (
     lassos,
     lassos_text,
 )
-from peralab.minsky import inc3, loop, trivial
 from peralab.semantics import Analyzer, ExplorationConfig, ResourceExhausted, zone_graph
 
+from machines import inc3, loop, trivial
 from test_encoder import machines
 from wordsets import LanguageSample, compare as compare_sets, enumerate_language
 

@@ -1,27 +1,12 @@
 """Counter-machine model, interpreter, and text format."""
 
-from pathlib import Path
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from peralab.minsky import (
-    BENCHMARKS,
-    Inc,
-    Machine,
-    TestDec,
-    inc3,
-    loop,
-    parse_machine,
-    run,
-    start_config,
-    step,
-    trace,
-    trivial,
-)
+from peralab.minsky import Inc, Machine, TestDec, parse_machine, run, start_config, step, trace
 from peralab.core import ModelError
 
-MACHINES = Path(__file__).resolve().parent.parent / "scripts" / "machines"
+from machines import BENCHMARKS, inc3, loop, trivial
 
 
 # -- benchmarks ----------------------------------------------------------------
@@ -104,10 +89,16 @@ def test_machine_validation():
 
 
 def test_parse_shipped_machines_match_benchmarks():
-    for mk in (inc3, loop):
-        m = mk()
-        path = MACHINES / f"{m.name}.2cm"
-        assert parse_machine(path.read_text(), name=m.name) == m
+    # states in reading order, the halt state last unless mentioned before
+    assert inc3() == Machine(
+        "inc3", ("s0", "s1", "s2", "sh"), "s0", "sh",
+        (("s0", Inc(1, "s1")), ("s1", Inc(1, "s2")), ("s2", Inc(1, "sh"))),
+    )
+    assert loop() == Machine(
+        "loop", ("s0", "s1", "sh"), "s0", "sh",
+        (("s0", Inc(1, "s1")), ("s1", TestDec(2, "s0", "s0"))),
+    )
+    assert trivial() == Machine("trivial", ("s0",), "s0", "s0", ())
 
 
 def test_parse_requires_init_first():

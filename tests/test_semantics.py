@@ -1,13 +1,11 @@
 """Zone exploration, blocking detection, and concrete replay."""
 
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
 from peralab.core import Atom, Edge, ModelError, Pera
 from peralab.encoder import VARIANTS, build, derive_schedule, encode_core
-from peralab.minsky import inc3, loop, parse_machine
 from peralab.semantics import (
     Analyzer,
     ExplorationConfig,
@@ -20,6 +18,7 @@ from peralab.semantics import (
 )
 from peralab import zones as Z
 
+from machines import inc3, load, loop
 from wordsets import enumerate_language
 
 
@@ -143,15 +142,11 @@ def test_successor_matches_stepwise_reference_on_encodings(machine, variant):
         assert fired > 0
 
 
-MACHINE_FILES = Path(__file__).resolve().parent.parent / "scripts" / "machines"
-
-
 @pytest.mark.parametrize("name", ["loop", "inc3", "halt"])
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_fire_zones_are_boxes(name, variant):
     """`successor` meets with `meet_box`, which needs every fire zone to be a box."""
-    path = MACHINE_FILES / f"{name}.2cm"
-    a = build(parse_machine(path.read_text(), name=name), variant)
+    a = build(load(name), variant)
     for scale, p in ((1, 0), (1, 2), (2, 1)):                  # p = 0, 2, 1/2
         ana = Analyzer(a.rescale(scale).valuate({"p": p}))
         n = len(ana.clocks) + 1
