@@ -136,10 +136,11 @@ def cmd_encode(args) -> int:
 
 def cmd_lang(args) -> int:
     timings: list[tuple[str, float]] = []
-    # an empty -p gives no value, as no -p does
-    ((obs, stats, flagged),) = _explore(
-        args, timings, [args.valuation or None], (("valuation", "enumerate"),)
-    )
+    if len(args.valuation) > 1:
+        raise ModelError(f"lang takes at most one -p flag, got {len(args.valuation)}")
+    # the one flag, if any; an empty -p gives no value, as no -p does
+    flag = "".join(args.valuation) or None
+    ((obs, stats, flagged),) = _explore(args, timings, [flag], (("valuation", "enumerate"),))
     print(*stats, sep="\n")
     if args.semantics == "buchi":
         print("-- lassos --")
@@ -276,7 +277,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     lang = sub.add_parser("lang", help="enumerate one valuation's language")
     lang.add_argument("pera", help="serialized automaton file")
-    lang.add_argument("-p", "--valuation", help="parameter values, e.g. p=2 or p=1/2")
+    lang.add_argument("-p", "--valuation", action="append", default=[],
+                      help="parameter values, e.g. p=2 or p=1/2; at most once")
     _exploration_flags(lang, SEMANTICS)
     lang.set_defaults(fn=cmd_lang)
 

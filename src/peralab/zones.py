@@ -15,16 +15,20 @@ constructors and operators return None for an empty zone rather than an
 inconsistent matrix.  A non-convex set is a plain tuple of disjoint
 zones, as `subtract` returns it; the empty tuple is the empty set.
 
-Closing is an O(n³) Floyd-Warshall (`_close`).  `from_constraints`,
-`intersect`, `down`, `subtract` (once per piece), `time_pred` and a
-widening `extrapolate` run it.  `origin`, `up` and `reset` keep a
-canonical matrix canonical by construction, and `meet_box`, the meet
-with a zone of single-clock bounds that every successor step uses,
-closes its result in O(n²).
+Closing is an O(n³) Floyd-Warshall (`_close`).  `intersect`, `down`,
+`subtract` (once per piece), `time_pred`, an `extrapolate` that widens
+some bound, and a `from_constraints` given a diagonal constraint run
+it.  Everything else stays within O(n²): `origin`, `up` and `reset`
+keep a canonical matrix canonical by construction, `from_constraints`
+closes a box (single-clock bounds only, the shape of every guard and
+invariant) in closed form, `post`, the successor step, closes its one
+matrix through the reference node, and `extrapolate` returns its
+argument after one C-level scan when nothing widens.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Sequence
 
 INF = 1 << 40
@@ -215,16 +219,35 @@ def from_constraints(clocks: Sequence[str], cons: Iterable[tuple[int, int, int]]
     """Build from (i, j, encoded_bound) triples; None when empty.
 
     With no triples: every clock nonnegative, otherwise unconstrained.
+    When every triple bounds one clock against the reference node 0,
+    every arc touches 0, so a shortest path passes 0 at most once and
+    i -> 0 -> j, an upper bound plus a lower bound, closes entry (i, j)
+    in one step; the zone is empty iff some cycle i -> 0 -> i is
+    negative.  Any other triple takes the Floyd-Warshall closure.
     """
     n = len(clocks) + 1
     m = [INF] * (n * n)
     m[:n] = [LE_ZERO] * n            # 0 - x <= 0: clocks are nonnegative
     m[::n + 1] = [LE_ZERO] * n       # the diagonal
+    box = True
     for i, j, b in cons:
         if b < m[i * n + j]:
             m[i * n + j] = b
-    if not _close(m, n):
-        return None
+        if (i == 0) == (j == 0):
+            box = False
+    if not box:
+        return Dbm(clocks, m) if _close(m, n) else None
+    low = m[1:n]
+    for i in range(1, n):
+        u = m[i * n]
+        if u >= INF:
+            continue
+        base = i * n
+        # the diagonal entry is the cycle i -> 0 -> i before it is reset
+        m[base + 1:base + n] = [u + b - ((u | b) & 1) for b in low]
+        if m[base + i] < LE_ZERO:
+            return None
+        m[base + i] = LE_ZERO
     return Dbm(clocks, m)
 
 
@@ -235,60 +258,6 @@ def intersect(a: Dbm, b: Dbm) -> Dbm | None:
     if not _close(m, a.size):
         return None
     return Dbm(a.clocks, m)
-
-
-def meet_box(d: Dbm, box: Dbm) -> Dbm | None:
-    """`intersect(d, box)` for a box, in O(n²) with no Floyd-Warshall.
-
-    `box` must be canonical with every constraint on one clock, so its
-    arcs all touch the reference node 0 and a shortest path of the meet
-    passes 0 at most once: i -> a (d), a -> 0 (upper bound), 0 -> k
-    (lower bound), k -> j (d).  Only box bounds tighter than d's own can
-    shorten a path.  `col[j]` is the shortest 0 -> j path and `row[i]`
-    the shortest i -> 0 path; every entry then closes in one step, and
-    the meet is empty iff a cycle through 0 is negative.  Returns `d`
-    itself when the box tightens nothing.
-    """
-    if d.clocks != box.clocks:
-        raise ValueError("clock sets differ")
-    n = d.size
-    dm, bm = d.m, box.m
-    lows = [k for k in range(1, n) if bm[k] < dm[k]]
-    ups = [a for a in range(1, n) if bm[a * n] < dm[a * n]]
-    if not lows and not ups:
-        return d
-    col = list(dm[:n])
-    for k in lows:
-        lk = bm[k]
-        for j, b in enumerate(dm[k * n:(k + 1) * n]):
-            if b < INF:
-                c = lk + b - ((lk | b) & 1)
-                if c < col[j]:
-                    col[j] = c
-    if col[0] < LE_ZERO:
-        return None
-    row = list(dm[::n])
-    for a in ups:
-        ua = bm[a * n]
-        ca = col[a]
-        if ca < INF and ca + ua - ((ca | ua) & 1) < LE_ZERO:
-            return None
-        for i, b in enumerate(dm[a::n]):
-            if b < INF:
-                c = b + ua - ((b | ua) & 1)
-                if c < row[i]:
-                    row[i] = c
-    finite = [(j, c) for j, c in enumerate(col) if c < INF]
-    m = list(dm)
-    for i, r in enumerate(row):
-        if r >= INF:
-            continue
-        base = i * n
-        for j, c in finite:
-            c = r + c - ((r | c) & 1)
-            if c < m[base + j]:
-                m[base + j] = c
-    return Dbm(d.clocks, m)
 
 
 def up(d: Dbm) -> Dbm:
@@ -320,19 +289,75 @@ def down(d: Dbm) -> Dbm:
     return Dbm(d.clocks, m)
 
 
+def _reset(m: list[int], n: int, k: int) -> None:
+    """Set clock index k to zero in place on a flat n-by-n canonical list.
+
+    Column k becomes a copy of column 0 and row k of row 0, which
+    keeps a canonical matrix canonical, no re-closing needed; the
+    copied diagonal puts `LE_ZERO` at (k, k), (0, k) and (k, 0).
+    """
+    m[k::n] = m[::n]
+    m[k * n:(k + 1) * n] = m[:n]
+
+
 def reset(d: Dbm, clock: str) -> Dbm:
     """Set one clock to zero, projecting the rest."""
-    n = d.size
-    k = d.index(clock)
     m = list(d.m)
-    for i in range(n):
-        m[i * n + k] = m[i * n]
-        m[k * n + i] = m[i]
-    m[k * n + k] = LE_ZERO
-    m[k * n] = LE_ZERO
-    m[k] = LE_ZERO
-    # copying the reference row/column of a canonical matrix keeps it
-    # canonical, no re-closing needed
+    _reset(m, d.size, d.index(clock))
+    return Dbm(d.clocks, m)
+
+
+def post(d: Dbm, box: Dbm, clock: str) -> Dbm | None:
+    """`reset(intersect(up(d), box), clock)` in O(n²): one list, one `Dbm`.
+
+    `box` must be canonical with every constraint on one clock, so its
+    arcs all touch the reference node 0 and a shortest path of the meet
+    passes 0 at most once: i -> a (delayed d), a -> 0 (upper bound),
+    0 -> k (lower bound), k -> j (delayed d).  Only box lower bounds
+    tighter than d's own can shorten a path; delay has dropped d's upper
+    bounds, so every finite box upper bound can.  `col[j]` is the
+    shortest 0 -> j path and `row[i]` the shortest i -> 0 path, so
+    they are the meet's row 0 and column 0, every other entry closes
+    in one step, and the meet is empty iff a cycle a -> 0 -> a through
+    an upper bound is negative.  Row 0 of a zone is always finite
+    (clocks are nonnegative), so `col` is too.  None when the meet is
+    empty.
+    """
+    if d.clocks != box.clocks:
+        raise ValueError("clock sets differ")
+    n = d.size
+    dm, bm = d.m, box.m
+    col = list(dm[:n])
+    for k in range(1, n):
+        lk = bm[k]
+        if lk < dm[k]:
+            col[1:] = [
+                c if b >= INF or c <= (v := lk + b - ((lk | b) & 1)) else v
+                for c, b in zip(col[1:], dm[k * n + 1:(k + 1) * n])
+            ]
+    row = [LE_ZERO] + [INF] * (n - 1)      # up: no upper bounds
+    ups = [a for a in range(1, n) if bm[a * n] < INF]
+    for a in ups:
+        ua = bm[a * n]
+        ca = col[a]
+        if ca + ua - ((ca | ua) & 1) < LE_ZERO:
+            return None
+        row = [
+            r if b >= INF or r <= (v := b + ua - ((b | ua) & 1)) else v
+            for r, b in zip(row, dm[a::n])
+        ]
+    m = list(dm)
+    if ups:                                # else no row below 0 is finite
+        for i in range(1, n):
+            r = row[i]
+            if r < INF:
+                m[i * n:(i + 1) * n] = [
+                    x if x <= (v := r + c - ((r | c) & 1)) else v
+                    for x, c in zip(dm[i * n:(i + 1) * n], col)
+                ]
+    m[:n] = col
+    m[::n] = row
+    _reset(m, n, d.index(clock))
     return Dbm(d.clocks, m)
 
 
@@ -390,29 +415,17 @@ def extrapolate(d: Dbm, max_const: int) -> Dbm:
     Bounds above the constant ceiling are widened away; the result is a
     superset of `d` and the abstraction reaches a fixpoint, which keeps
     reachability searches finite.  Returns `d` itself when nothing
-    widens.
+    widens, which the sorted distinct entries tell without a loop in
+    Python.  The diagonal's `LE_ZERO` lies between floor and ceiling,
+    so neither test touches it.
     """
-    n = d.size
     ceil = le(max_const)
     floor = lt(-max_const)
-    m = list(d.m)
-    changed = False
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            b = m[i * n + j]
-            if b >= INF:
-                continue
-            if b > ceil:
-                m[i * n + j] = INF
-                changed = True
-            elif b < floor:
-                m[i * n + j] = floor
-                changed = True
-    if changed:
-        if not _close(m, n):
-            raise AssertionError("extrapolation emptied a zone")
-        return Dbm(d.clocks, m)
-    return d
+    vals = sorted(set(d.m))
+    if vals[0] >= floor and vals[bisect_left(vals, INF) - 1] <= ceil:
+        return d
+    m = [INF if ceil < b < INF else floor if b < floor else b for b in d.m]
+    if not _close(m, d.size):
+        raise AssertionError("extrapolation emptied a zone")
+    return Dbm(d.clocks, m)
 

@@ -124,6 +124,14 @@ def test_repeated_parameter_exits_one(wrapped_loop_file, capsys, flags):
     assert "parameter 'p' is given more than once" in captured.err
 
 
+def test_lang_rejects_a_second_valuation_flag(wrapped_loop_file, capsys):
+    # a second -p must not silently replace the first
+    assert main(["lang", str(wrapped_loop_file), "-p", "p=1", "-p", "p=2", "-k", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: lang takes at most one -p flag, got 2\n"
+
+
 def test_lang_fractional_valuation_matches_rescaled_automaton(tmp_path, wrapped_loop_file, capsys):
     code = main(["lang", str(wrapped_loop_file), "-p", "p=1/2", "-k", "4"])
     assert code == 0

@@ -145,7 +145,7 @@ def test_successor_matches_stepwise_reference_on_encodings(machine, variant):
 @pytest.mark.parametrize("name", ["loop", "inc3", "halt"])
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_fire_zones_are_boxes(name, variant):
-    """`successor` meets with `meet_box`, which needs every fire zone to be a box."""
+    """`successor` steps with `zones.post`, which needs every fire zone to be a box."""
     a = build(load(name), variant)
     for scale, p in ((1, 0), (1, 2), (2, 1)):                  # p = 0, 2, 1/2
         ana = Analyzer(a.rescale(scale).valuate({"p": p}))

@@ -58,30 +58,92 @@ def test_intersect_basic():
     assert Z.intersect(a, zone(("x",), (0, 1, Z.lt(-2)))) is None
 
 
-def test_meet_box_without_a_tighter_bound_returns_the_zone():
-    d = zone(("x",), (1, 0, Z.le(2)), (0, 1, Z.le(-1)))       # 1 <= x <= 2
-    assert Z.meet_box(d, zone(("x",), (1, 0, Z.le(5)))) is d
+def stepwise_post(d, box, clock):
+    """`post`'s definition, one operation at a time."""
+    meet = Z.intersect(Z.up(d), box)
+    return None if meet is None else Z.reset(meet, clock)
 
 
-def test_meet_box_empty_through_a_lower_bound_alone():
-    d = zone(("x",), (1, 0, Z.le(2)))                          # x <= 2
-    assert Z.meet_box(d, zone(("x",), (0, 1, Z.le(-3)))) is None   # x >= 3
+def test_post_without_a_tighter_bound_is_the_delayed_reset():
+    d = zone(CLOCKS, (0, 1, Z.le(-1)), (2, 0, Z.le(2)))        # x >= 1, y <= 2
+    box = zone(CLOCKS, (0, 1, Z.le(-1)))                       # x >= 1: nothing new after delay
+    got = Z.post(d, box, "y")
+    assert got == Z.reset(Z.up(d), "y") == stepwise_post(d, box, "y")
 
 
-def test_meet_box_empty_through_a_lower_upper_cycle():
+def test_post_empty_through_a_lower_bound_alone():
+    d = zone(("x",), (0, 1, Z.le(-3)))                         # x >= 3, kept by delay
+    assert Z.post(d, zone(("x",), (1, 0, Z.le(2))), "x") is None   # x <= 2
+
+
+def test_post_empty_through_a_lower_upper_cycle():
     # x - y <= 1 bounds neither clock alone; with x >= 3 it forces y >= 2
     d = zone(CLOCKS, (1, 2, Z.le(1)))
     box = zone(CLOCKS, (0, 1, Z.le(-3)), (2, 0, Z.le(1)))      # x >= 3, y <= 1
-    assert Z.meet_box(d, box) is None
-    assert Z.intersect(d, box) is None
+    assert Z.post(d, box, "x") is None
+    assert stepwise_post(d, box, "x") is None
 
 
-def test_meet_box_strictness_at_a_shared_endpoint():
-    d = zone(("x",), (0, 1, Z.le(-3)))                         # x >= 3
-    assert Z.meet_box(d, zone(("x",), (1, 0, Z.lt(3)))) is None
-    point = Z.meet_box(d, zone(("x",), (1, 0, Z.le(3))))
-    assert point.satisfies_point((Fraction(3),))
-    assert point == Z.intersect(d, zone(("x",), (1, 0, Z.le(3))))
+def test_post_strictness_at_a_shared_endpoint():
+    d = zone(CLOCKS, (0, 1, Z.le(-3)))                         # x >= 3
+    assert Z.post(d, zone(CLOCKS, (1, 0, Z.lt(3))), "y") is None
+    box = zone(CLOCKS, (1, 0, Z.le(3)))
+    point = Z.post(d, box, "y")
+    assert point.satisfies_point((Fraction(3), Fraction(0)))
+    assert not point.satisfies_point((Fraction(3), Fraction(1, 2)))
+    assert point == stepwise_post(d, box, "y")
+
+
+def closed_by_floyd_warshall(clocks, cons):
+    """`from_constraints`'s matrix closed by `_close`, as a tuple; None when empty."""
+    n = len(clocks) + 1
+    m = [Z.INF] * (n * n)
+    m[:n] = [Z.LE_ZERO] * n
+    m[::n + 1] = [Z.LE_ZERO] * n
+    for i, j, b in cons:
+        m[i * n + j] = min(m[i * n + j], b)
+    return tuple(m) if Z._close(m, n) else None
+
+
+def test_box_closure_agrees_with_floyd_warshall():
+    rng = random.Random(20261019)
+    top = (Z.INF >> 1) - 1           # the largest constant a bound may carry
+    empty = strict_tie = near_inf = 0
+    for _ in range(3000):
+        n = rng.randint(1, 4)
+        clocks = ("x", "y", "w", "v")[:n]
+        cons = []
+        for _ in range(rng.randint(0, 2 * n + 2)):
+            k = rng.randint(1, n)
+            c = rng.choice((rng.randint(0, 5), rng.randint(0, 5), top, top - 1))
+            strict = rng.random() < 0.5
+            if rng.random() < 0.5:
+                cons.append((k, 0, Z.lt(c) if strict else Z.le(c)))       # x_k <(=) c
+            else:
+                cons.append((0, k, Z.lt(-c) if strict else Z.le(-c)))     # x_k >(=) c
+        got = Z.from_constraints(clocks, cons)
+        want = closed_by_floyd_warshall(clocks, cons)
+        assert (got and got.m) == want, cons
+        empty += got is None
+        near_inf += any(abs(b) >> 1 >= top - 1 for _, _, b in cons)
+        uppers = {(i, b >> 1) for i, j, b in cons if j == 0}
+        strict_tie += got is None and any(
+            (k, -(b >> 1)) in uppers for i, k, b in cons if i == 0 and not b & 1
+        )
+    assert empty > 600 and strict_tie > 100 and near_inf > 1000, (empty, strict_tie, near_inf)
+
+
+def test_box_closure_skips_floyd_warshall_and_diagonals_keep_it(monkeypatch):
+    calls = []
+    close = Z._close
+    monkeypatch.setattr(Z, "_close", lambda m, n: calls.append(n) or close(m, n))
+    assert zone(CLOCKS, (1, 0, Z.le(3)), (0, 1, Z.le(-3))) is not None     # x = 3
+    assert zone(CLOCKS, (1, 0, Z.lt(3)), (0, 1, Z.le(-3))) is None         # x < 3 & x >= 3
+    assert zone(CLOCKS, (1, 0, Z.le(3)), (0, 1, Z.lt(-3))) is None         # x <= 3 & x > 3
+    assert calls == []
+    a = zone(CLOCKS, (1, 0, Z.le(3)), (2, 1, Z.le(-1)))                    # y - x <= -1
+    assert calls == [3]
+    assert a.m == closed_by_floyd_warshall(CLOCKS, [(1, 0, Z.le(3)), (2, 1, Z.le(-1))])
 
 
 def test_up_drops_upper_bounds():
@@ -276,3 +338,22 @@ def test_extrapolate_only_widens(a):
     if a is None:
         return
     assert Z.extrapolate(a, 4).contains(a)
+
+
+@given(zones_strategy(), st.sampled_from((0, 1, 4)))
+@settings(deadline=None, max_examples=200)
+def test_extrapolate_returns_its_argument_exactly_when_nothing_widens(a, max_const):
+    if a is None:
+        return
+    ceil, floor = Z.le(max_const), Z.lt(-max_const)
+    widened = [
+        b if i % (a.size + 1) == 0 or b >= Z.INF else Z.INF if b > ceil else max(b, floor)
+        for i, b in enumerate(a.m)
+    ]
+    got = Z.extrapolate(a, max_const)
+    if tuple(widened) == a.m:
+        assert got is a
+    else:
+        assert got is not a
+        assert Z._close(widened, a.size)
+        assert got.m == tuple(widened)

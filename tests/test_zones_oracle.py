@@ -181,7 +181,17 @@ def _random_box(rng: random.Random, n: int) -> list[G.Constraint]:
     return cons
 
 
-def test_meet_box_agrees_with_intersect_and_grid():
+def _matrix_constraints(d: Z.Dbm) -> list[G.Constraint]:
+    """The finite off-diagonal entries of a matrix, as grid constraints."""
+    n = d.size
+    return [
+        (i, j, not b & 1, b >> 1)
+        for i in range(n) for j in range(n)
+        if i != j and (b := d.m[i * n + j]) < Z.INF
+    ]
+
+
+def test_post_agrees_with_stepwise_and_grid():
     rng = random.Random(20261018)
     done = empty = 0
     while done < 1000:
@@ -193,17 +203,19 @@ def test_meet_box_agrees_with_intersect_and_grid():
         box = Z.from_constraints(clocks, _encode(cons_box))
         if da is None or box is None:
             continue
-        mask_box = _raw_mask(cons_box, n)
-        for zone, want_mask in ((da, _raw_mask(cons_a, n)), (Z.up(da), G.up_mask(cons_a, n))):
-            got = Z.meet_box(zone, box)
-            want = Z.intersect(zone, box)
-            # the same canonical tuple, or both empty
-            assert (got and got.m) == (want and want.m), (zone, box)
-            expect = G.half_view(want_mask & mask_box)
-            if got is None:
-                empty += 1
-                assert not expect.any(), (zone, box)
-            else:
-                assert np.array_equal(G.half_view(G.dbm_mask(got, n)), expect), (zone, box)
+        k = rng.randint(1, n)
+        got = Z.post(da, box, clocks[k - 1])
+        meet = Z.intersect(Z.up(da), box)
+        want = None if meet is None else Z.reset(meet, clocks[k - 1])
+        # the same canonical tuple, or both empty
+        assert (got and got.m) == (want and want.m), (da, box, k)
+        expect = G.half_view(G.up_mask(cons_a, n) & _raw_mask(cons_box, n))
+        if got is None:
+            empty += 1
+            assert not expect.any(), (da, box)
+        else:
+            assert np.array_equal(G.half_view(G.dbm_mask(meet, n)), expect), (da, box)
+            want_reset = G.half_view(G.reset_mask(_matrix_constraints(meet), n, k))
+            assert np.array_equal(G.half_view(G.dbm_mask(got, n)), want_reset), (da, box, k)
         done += 1
     assert empty > 50, f"only {empty} empty meets: the empty paths went untested"
