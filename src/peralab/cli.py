@@ -187,9 +187,12 @@ def cmd_theorem_check(args) -> int:
         if probe.halted
         else "no halt within 1000 steps"
     )
-    values = [parse_valuation([f"p={v}"])["p"] for v in args.values.split(",") if v.strip()]
-    if not values:
+    items = [v.strip() for v in args.values.split(",")]
+    if items == [""]:
         raise ModelError("--values must list at least one rational")
+    if "" in items:
+        raise ModelError(f"--values has an empty item in {args.values!r}")
+    values = [parse_valuation([f"p={v}"])["p"] for v in items]
     if min(values) <= 0:
         raise ModelError(f"--values must be positive, got {min(values)}; p=0 is the reference")
     repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)

@@ -1,13 +1,13 @@
 """Depth-bounded untimed languages, decided on a determinized automaton.
 
 The one finite-word core is `Determinized`: an on-the-fly subset
-construction over one `ZoneGraph` (widened unless cfg.extrapolate is
-off).  Its states are frozensets of that graph's node ids, its
-transitions are memoized per set, and each set carries one flag:
+construction over one widened `ZoneGraph`.  Its states are frozensets
+of that graph's node ids, its transitions are memoized per set, and a
+set is flagged when one of its nodes is, by the semantics' node test:
 
-- maximal: some run spelling the word can end blocked;
-- reach: some run spelling the word ends in an accepting location;
-- safety: always set, so the accepted words are the prefix words.
+- maximal: the node blocks (`ZoneGraph.blocks`);
+- reach: the node's location is accepting;
+- safety: every node, so the accepted words are the prefix words.
 
 Everything else is a view on that core.  `Determinized.counts` gives
 the number of prefix and flagged words by a level-by-level count,
@@ -77,7 +77,13 @@ class Determinized:
         self.semantics = semantics
         self.depth = cfg.depth
         self.node_limit = cfg.node_limit
-        self.graph = ZoneGraph(a, widen=cfg.extrapolate)
+        self.graph = ZoneGraph(a)
+        if semantics == "maximal":
+            self._node_flagged = self.graph.blocks
+        elif semantics == "reach":
+            self._node_flagged = lambda nid: self.graph.nodes[nid][0] in a.accepting
+        else:
+            self._node_flagged = lambda nid: True
         self.start: States = frozenset({self.graph.initial})
         self._trans: dict[States, dict[str, States]] = {}
         self._sets: dict[States, States] = {self.start: self.start}
@@ -105,15 +111,7 @@ class Determinized:
     def flagged(self, states: States) -> bool:
         flag = self._flags.get(states)
         if flag is None:
-            nodes = self.graph.nodes
-            if self.semantics == "maximal":
-                flag = any(self.graph.ana.is_blocking(nodes[n]) for n in states)
-            elif self.semantics == "reach":
-                accepting = self.graph.ana.automaton.accepting
-                flag = any(nodes[n][0] in accepting for n in states)
-            else:
-                flag = True
-            self._flags[states] = flag
+            flag = self._flags[states] = any(map(self._node_flagged, states))
         return flag
 
     def counts(self) -> tuple[int, int]:
@@ -193,8 +191,7 @@ class Determinized:
 def lassos(a: Pera, cfg: ExplorationConfig) -> frozenset[Lasso]:
     """Stem/cycle pairs through accepting locations, on the widened graph.
 
-    This is what Büchi semantics observes; it always works on the
-    widened zone graph, whatever cfg.extrapolate says.
+    This is what Büchi semantics observes.
 
     Cycles are elementary (no repeated node except the endpoints),
     found once each by only walking nodes with ids at or above the

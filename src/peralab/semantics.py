@@ -10,9 +10,8 @@ fireable edge) are what is left of a zone after subtracting every wait
 zone, a tuple of disjoint pieces.  `ZoneGraph`, finite by
 maximum-constant widening, numbers each symbolic state once and builds
 its successors on first use; `zone_graph` expands it breadth first,
-and `language.Determinized` on demand, as sets of node ids.  Nodes
-carry no blocking flag, callers that need one ask
-`Analyzer.is_blocking`.  The concrete layer replays explicit
+and `language.Determinized` on demand, as sets of node ids; whether a
+node blocks is memoized per node.  The concrete layer replays explicit
 delay/action scripts with exact rational arithmetic.
 """
 
@@ -43,7 +42,6 @@ class SimulationError(ValueError):
 class ExplorationConfig:
     depth: int = 8
     node_limit: int = 200_000
-    extrapolate: bool = True
 
 
 Sym = tuple[str, Z.Dbm]
@@ -123,7 +121,6 @@ class Analyzer:
         # edge -> fire zone and edge -> wait zone, filled on first use
         self._fire: dict[Edge, Z.Dbm | None] = {}
         self._wait: dict[Edge, Z.Dbm | None] = {}
-        self._blocking_cache: dict[Sym, bool] = {}
 
     # -- symbolic steps ------------------------------------------------
 
@@ -210,9 +207,7 @@ class Analyzer:
         return pieces
 
     def is_blocking(self, s: Sym) -> bool:
-        if s not in self._blocking_cache:
-            self._blocking_cache[s] = bool(self.blocking_subset(s))
-        return self._blocking_cache[s]
+        return bool(self.blocking_subset(s))
 
 
 # -- zone graph --------------------------------------------------------------
@@ -221,26 +216,25 @@ class Analyzer:
 class ZoneGraph:
     """Symbolic states numbered once each, with successors built on first use.
 
-    A state is widened before it is numbered unless `widen` is off
-    (only tests turn it off).  `succ(nid)` gives the node's successor
-    ids per action, in sorted action order, from one `Analyzer.successor`
-    call per edge on first use.  Targets are numbered in `edges_from`
-    order, so expanding nodes in id order numbers them breadth first.
-    `edges` holds the sorted (source, action, target) triples of the
-    nodes expanded so far.
+    A state is widened before it is numbered, exact for diagonal-free
+    automata such as ERAs (Bouyer, FMSD 2004).  `succ(nid)` gives the
+    node's successor ids per action, in sorted action order, from one
+    `Analyzer.successor` call per edge on first use; targets are numbered
+    in `edges_from` order, so expanding nodes in id order numbers them
+    breadth first.  `edges` lists the expanded nodes' sorted (source,
+    action, target) triples, and `blocks(nid)` whether a node blocks.
     """
 
-    def __init__(self, a: Pera, widen: bool = True):
+    def __init__(self, a: Pera):
         self.ana = Analyzer(a)
-        self.widen = widen
         self.nodes: list[Sym] = []
         self.node_index: dict[Sym, int] = {}
         self._succ: dict[int, dict[str, tuple[int, ...]]] = {}
+        self._blocks: dict[int, bool] = {}
         self.initial = self._intern(self.ana.initial())
 
     def _intern(self, s: Sym) -> int:
-        if self.widen:
-            s = self.ana.widen(s)
+        s = self.ana.widen(s)
         nid = self.node_index.get(s)
         if nid is None:
             nid = self.node_index[s] = len(self.nodes)
@@ -260,6 +254,11 @@ class ZoneGraph:
             table = self._succ[nid] = {act: tuple(out[act]) for act in sorted(out)}
         return table
 
+    def blocks(self, nid: int) -> bool:
+        if nid not in self._blocks:
+            self._blocks[nid] = self.ana.is_blocking(self.nodes[nid])
+        return self._blocks[nid]
+
     @property
     def edges(self) -> list[tuple[int, str, int]]:
         return sorted((n, act, d) for n, t in self._succ.items() for act, ds in t.items() for d in ds)
@@ -273,7 +272,7 @@ def zone_graph(a: Pera, cfg: ExplorationConfig | None = None, levels: int | None
     cut at `levels` is therefore a prefix of the fixpoint graph: its
     first nodes, with every edge out of the nodes fewer than `levels`
     steps from the start.  Whether a node blocks is left to
-    `Analyzer.is_blocking`.
+    `ZoneGraph.blocks`.
     """
     cfg = cfg or ExplorationConfig()
     g = ZoneGraph(a)

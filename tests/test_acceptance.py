@@ -10,7 +10,7 @@ from itertools import product
 
 import pytest
 
-from peralab.encoder import build, derive_schedule, encode_core
+from peralab.encoder import build, encode_core
 from wordsets import compare, enumerate_language
 from peralab.minsky import run, trace
 from peralab.semantics import ExplorationConfig, concrete_simulate
@@ -18,6 +18,7 @@ from peralab.semantics import ExplorationConfig, concrete_simulate
 from gridoracle import GRID_UNITS
 from machines import inc3, loop, trivial
 from replay import settled_zero_instants
+from schedule import derive_schedule
 from test_zones_oracle import compare_random_instances
 
 

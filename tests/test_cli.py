@@ -485,6 +485,14 @@ def test_theorem_check_empty_values(inc3_file, capsys):
     assert "at least one rational" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("values", ["1,,2", "1,"])
+def test_theorem_check_rejects_an_empty_value(inc3_file, capsys, values):
+    assert main(["theorem-check", str(inc3_file), "--values", values]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --values has an empty item in {values!r}\n"
+
+
 @pytest.mark.parametrize("values", ["0", "1,0"])
 def test_theorem_check_rejects_a_zero_value(loop_file, capsys, values):
     # p = 0 against the p = 0 reference is always equal, which would

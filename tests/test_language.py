@@ -111,6 +111,13 @@ def test_safety_accepts_every_prefix():
     assert sample.maximal_finite_words == frozenset()
 
 
+def test_safety_flags_every_set_it_builds():
+    det = Determinized(build(loop(), "safety").valuate({"p": 2}), cfg(6), "safety")
+    det.counts()
+    assert len(det._sets) > 1
+    assert all(det.flagged(s) for s in det._sets)
+
+
 def test_reach_marks_accepting_visits():
     a = build(loop(), "buchi").valuate({"p": 0})
     sample = enumerate_language(a, cfg(2), "reach")
@@ -403,6 +410,29 @@ def test_successor_runs_once_per_node_and_edge(monkeypatch):
     det.counts()
     g = det.graph
     assert calls == sum(len(g.ana.edges_from[g.nodes[n][0]]) for n in g._succ)
+
+
+def test_blocking_runs_once_per_node(monkeypatch):
+    """Every maximal view of one automaton reads one blocking flag per node."""
+    calls = []
+    raw = Analyzer.blocking_subset
+
+    def counting(self, s):
+        calls.append((self, s))
+        return raw(self, s)
+
+    monkeypatch.setattr(Analyzer, "blocking_subset", counting)
+    a = build(loop(), "wrapped")
+    det = Determinized(a.valuate({"p": 2}), cfg(8), "maximal")
+    ref = Determinized(a.valuate({"p": 0}), cfg(8), "maximal")
+    det.counts()
+    list(det.lines())
+    list(det.lines(flagged=True))
+    compare(det, ref)
+    graphs = {id(d.graph.ana): d.graph for d in (det, ref)}
+    computed = [(id(ana), graphs[id(ana)].node_index[s]) for ana, s in calls]
+    assert any(ana is det.graph.ana for ana, _ in calls)
+    assert len(computed) == len(set(computed))
 
 
 # -- textual renderings -----------------------------------------------------------

@@ -1,11 +1,12 @@
 """Zone exploration, blocking detection, and concrete replay."""
 
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 
 from peralab.core import Atom, Edge, ModelError, Pera
-from peralab.encoder import VARIANTS, build, derive_schedule, encode_core
+from peralab.encoder import VARIANTS, build, encode_core
 from peralab.semantics import (
     Analyzer,
     ExplorationConfig,
@@ -19,6 +20,7 @@ from peralab.semantics import (
 from peralab import zones as Z
 
 from machines import inc3, load, loop
+from schedule import derive_schedule
 from wordsets import enumerate_language
 
 
@@ -369,24 +371,33 @@ def test_symbolic_prefixes_match_concrete_search(loop2):
     assert symbolic == concrete
 
 
-def test_schedule_word_is_enumerated():
+def unwidened(monkeypatch):
+    """Turn widening off, so zone graphs hold the exact reachable zones."""
+    monkeypatch.setattr(Analyzer, "widen", lambda self, s: s)
+
+
+def test_schedule_word_is_enumerated(monkeypatch):
     m = loop()
     period = 2
     sch = derive_schedule(m, period)
     a = encode_core(m).valuate({"p": period})
     run = concrete_simulate(a, sch.script)
-    sample = enumerate_language(
-        a, ExplorationConfig(depth=len(sch.script), extrapolate=False), "maximal"
-    )
+    unwidened(monkeypatch)
+    sample = enumerate_language(a, ExplorationConfig(depth=len(sch.script)), "maximal")
     assert run.untimed_word in sample.prefix_words
 
 
-def test_extrapolation_preserves_words(loop2):
+def test_extrapolation_preserves_words(loop2, monkeypatch):
     """Widening must not change the language up to the probe depth."""
-    raw = enumerate_language(loop2, ExplorationConfig(depth=8, extrapolate=False), "maximal")
     wide = enumerate_language(loop2, ExplorationConfig(depth=8), "maximal")
+    unwidened(monkeypatch)
+    raw = enumerate_language(loop2, ExplorationConfig(depth=8), "maximal")
     assert raw.prefix_words == wide.prefix_words
     assert raw.maximal_finite_words == wide.maximal_finite_words
+
+
+def test_exploration_config_fields():
+    assert [f.name for f in fields(ExplorationConfig)] == ["depth", "node_limit"]
 
 
 def test_widen_is_extrapolation(loop2):
