@@ -27,7 +27,7 @@ from .encoder import VARIANTS, build
 from .language import FLAG_LABEL, SEMANTICS, Determinized, lassos, lassos_text
 from .language import compare as compare_samples
 from .minsky import parse_machine, run
-from .semantics import ExplorationConfig, ResourceExhausted, check_zone_bounds
+from .semantics import ExplorationConfig, ResourceExhausted
 
 TIMING_HEADER = "--- timings ---"
 
@@ -173,6 +173,8 @@ def cmd_compare(args) -> int:
 
 # the encoding theorem-check builds for each semantics
 _THEOREM_ENCODING = {"maximal": "wrapped", "reach": "buchi", "safety": "safety"}
+# how many steps theorem-check runs the interpreter for its header
+_PROBE_STEPS = 1000
 
 
 def cmd_theorem_check(args) -> int:
@@ -181,11 +183,11 @@ def cmd_theorem_check(args) -> int:
     with _timed(timings, "encode"):
         m = _read_machine(args.machine)
         a = build(m, variant)
-    probe = run(m, 1000)
+    probe = run(m, _PROBE_STEPS)
     halt_note = (
         f"halts after {probe.steps_taken} steps"
         if probe.halted
-        else "no halt within 1000 steps"
+        else f"no halt within {_PROBE_STEPS} steps"
     )
     items = [v.strip() for v in args.values.split(",")]
     if items == [""]:
@@ -198,40 +200,40 @@ def cmd_theorem_check(args) -> int:
     repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
     if repeated is not None:
         raise ModelError(f"--values gives p={repeated} more than once")
-    # every valuation is built and its constants checked before the report starts
-    valuated = [_valuate(a, [f"p={v}"]) for v in values]
-    for _, _, (va,) in valuated:
-        check_zone_bounds(va)
     cfg = ExplorationConfig(depth=args.depth, node_limit=args.node_limit)
     # the p = 0 reference at scale 1 stands for p = 0 at every scale (see
-    # `_valuate`); it is explored before the report starts, so running
-    # out of nodes on it prints no partial report
+    # `_valuate`); every value is explored and compared before the first
+    # line is printed, so an error other than a value's exhaustion, which
+    # its section reports, prints no partial report
     with _timed(timings, "explore p=0"):
         ref, _, _ = _observe(a.valuate({"p": 0}), cfg, args.semantics)
+    sections: list[str] = []
+    outcomes = []   # per value: "equal", "differs" or "exhausted"
+    for v in values:
+        label = f"p={v}"
+        scale, _, (va,) = _valuate(a, [label])
+        sections.append(f"-- valuation {label} --")
+        try:
+            with _timed(timings, f"explore {label}"):
+                s, stats, _ = _observe(va, cfg, args.semantics)
+        except ResourceExhausted as exc:
+            sections.append(f"resource exhaustion: {exc}")
+            outcomes.append("exhausted")
+            continue
+        if scale != 1:
+            sections.append(f"rescaled by {scale} to clear denominators")
+        sections += stats
+        with _timed(timings, f"compare {label}"):
+            res = compare_samples(ref, s)
+        sections.append("verdict: " + res.text("reference", label))
+        outcomes.append("equal" if res.equal else "differs")
 
     print(f"machine: {m.name}  states: {len(m.states)}  initial: {m.initial}  halt: {m.halt}")
     print(f"interpreter: {halt_note}")
     print(f"encoding: {variant}  locations: {len(a.locations)}  edges: {len(a.edges)}")
     print("reference valuation: p=0")
     print(f"semantics: {args.semantics}  depth: {args.depth}")
-    outcomes = []   # per value: "equal", "differs" or "exhausted"
-    for v, (scale, _, (va,)) in zip(values, valuated):
-        label = f"p={v}"
-        print(f"-- valuation {label} --")
-        try:
-            with _timed(timings, f"explore {label}"):
-                s, stats, _ = _observe(va, cfg, args.semantics)
-        except ResourceExhausted as exc:
-            print(f"resource exhaustion: {exc}")
-            outcomes.append("exhausted")
-            continue
-        if scale != 1:
-            print(f"rescaled by {scale} to clear denominators")
-        print(*stats, sep="\n")
-        with _timed(timings, f"compare {label}"):
-            res = compare_samples(ref, s)
-        print("verdict: " + res.text("reference", label))
-        outcomes.append("equal" if res.equal else "differs")
+    print(*sections, sep="\n")
     if "equal" in outcomes:
         print("verdict: consistent with halting")
     elif "exhausted" in outcomes:
@@ -260,9 +262,9 @@ def cmd_simulate_2cm(args) -> int:
 
 def _exploration_flags(parser: argparse.ArgumentParser, semantics: tuple[str, ...]) -> None:
     """-k/--depth, --semantics (offering `semantics`) and --node-limit, in that order."""
-    parser.add_argument("-k", "--depth", type=int, default=8)
+    parser.add_argument("-k", "--depth", type=int, default=ExplorationConfig.depth)
     parser.add_argument("--semantics", choices=semantics, default="maximal")
-    parser.add_argument("--node-limit", type=int, default=200_000)
+    parser.add_argument("--node-limit", type=int, default=ExplorationConfig.node_limit)
 
 
 def _build_parser() -> argparse.ArgumentParser:

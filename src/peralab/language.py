@@ -315,8 +315,6 @@ def lassos(a: Pera, cfg: ExplorationConfig) -> frozenset[Lasso]:
 def _check_observable(a: Pera, semantics: str) -> None:
     if semantics not in SEMANTICS:
         raise ModelError(f"unknown semantics {semantics!r}; pick one of {SEMANTICS}")
-    if a.parameters:
-        raise ModelError("automaton still has parameters; valuate it first")
     if semantics in ("buchi", "reach") and not a.accepting:
         raise ModelError(f"{semantics} semantics needs a declared accepting set")
 

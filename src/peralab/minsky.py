@@ -125,8 +125,8 @@ def run(m: Machine, max_steps: int) -> RunResult:
 # -- text format -------------------------------------------------------
 #
 #   # comment
-#   init: STATE          (required, first non-comment line)
-#   halt: STATE          (required)
+#   init: STATE          (required once, first non-comment line)
+#   halt: STATE          (required once)
 #   STATE: inc cK goto STATE
 #   STATE: ifz cK goto STATE else dec goto STATE
 #
@@ -155,6 +155,8 @@ def parse_machine(text: str, name: str = "machine") -> Machine:
             if not (m and m.group(1) == "init"):
                 raise ModelError(f"line {lineno}: first line must be 'init: STATE'")
         if m:
+            if {"init": initial, "halt": halt}[m.group(1)] is not None:
+                raise ModelError(f"line {lineno}: a second '{m.group(1)}:' header")
             if m.group(1) == "init":
                 initial = m.group(2)
                 declare(initial)

@@ -67,13 +67,6 @@ def _atom_constraints(atom: Atom, clocks: Sequence[str]) -> list[tuple[int, int,
     return out
 
 
-def check_zone_bounds(a: Pera) -> None:
-    """Raise `_atom_constraints`'s error if a constant of `a` is too large for a zone bound."""
-    for guard in (*a.invariants.values(), *(e.guard for e in a.edges)):
-        for atom in guard:
-            _atom_constraints(atom, a.clocks)
-
-
 def guard_zone(guard: Guard, clocks: Sequence[str]) -> Z.Dbm | None:
     cons: list[tuple[int, int, int]] = []
     for a in guard:
@@ -100,7 +93,8 @@ def guard_holds(guard: Guard, val: Mapping[str, Fraction]) -> bool:
 class Analyzer:
     """Per-automaton caches for symbolic stepping.
 
-    Requires a fully valuated automaton.  Locations whose invariant is
+    Requires a fully valuated automaton, every constant of which, fired
+    or not, fits a zone bound.  Locations whose invariant is
     unsatisfiable are legal (they are simply uninhabitable); an edge
     whose guard is unsatisfiable never fires.
     """
@@ -111,6 +105,10 @@ class Analyzer:
         self.automaton = a
         self.clocks = a.clocks
         self.max_const = a.max_constant()
+        if Z.le(self.max_const) >= Z.INF:   # name the first constant past the ceiling
+            for guard in (*a.invariants.values(), *(e.guard for e in a.edges)):
+                for atom in guard:
+                    _atom_constraints(atom, self.clocks)
         self.inv_zone: dict[str, Z.Dbm | None] = {
             loc: guard_zone(a.invariant(loc), self.clocks) for loc in a.locations
         }

@@ -34,7 +34,6 @@ from typing import Iterable, Sequence
 INF = 1 << 40
 
 LE_ZERO = 1  # encoded (<=, 0)
-LT_ZERO = 0  # encoded (<, 0)
 
 
 def le(m: int) -> int:

@@ -645,6 +645,42 @@ def test_constant_too_large_after_rescaling_exits_one(tmp_path, capsys):
     assert "too large for a zone bound" in capsys.readouterr().err
 
 
+# `l` (invariant x <= 1) fires its `a` self-loop at x = 1; `dead`, never
+# entered, has an `a` self-loop guarded x <= p
+DEAD_EDGE = Pera.from_text(json.dumps({
+    "actions": [{"action": "a", "clock": "x"}],
+    "parameters": ["p"],
+    "locations": [{"name": "l", "invariant": "x <= 1"}, {"name": "dead"}],
+    "initial": "l",
+    "edges": [{"from": "l", "guard": "x = 1", "action": "a", "to": "l"},
+              {"from": "dead", "guard": "x <= p", "action": "a", "to": "dead"}],
+})).to_text()
+
+
+@pytest.mark.parametrize("argv", [
+    ["lang", "-p", "p=549755813888"],
+    ["compare", "-p", "p=549755813888", "-p", "p=1"],
+    ["compare", "-p", "p=1", "-p", "p=549755813888"],
+], ids=["lang", "compare-A", "compare-B"])
+def test_constant_on_a_never_fired_edge_exits_one(tmp_path, capsys, argv):
+    f = tmp_path / "dead.pera"
+    f.write_text(DEAD_EDGE)
+    # every constant is checked where the zones are built, not only the reached ones
+    assert main([argv[0], str(f), *argv[1:], "-k", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: constant 549755813888 in x <= 549755813888")
+    assert captured.out == ""
+
+
+def test_never_fired_edge_in_range_lists_words(tmp_path, capsys):
+    f = tmp_path / "dead.pera"
+    f.write_text(DEAD_EDGE)
+    assert main(["lang", str(f), "-p", "p=5", "-k", "2"]) == 0
+    body = capsys.readouterr().out.split(TIMING_HEADER)[0]
+    assert "prefix words: 3\n" in body
+    assert body.endswith("-- prefix --\n\na\na a\n-- maximal finite --\n\n")
+
+
 def test_theorem_check_checks_every_constant_before_the_report(loop_file, capsys):
     # 10^12 is past the zone-bound ceiling; the p = 2 section used to be
     # printed before the error
@@ -668,6 +704,15 @@ def test_simulate_halting(inc3_file, capsys):
         "step 3: sh c1=3 c2=0",
         "halted after 3 steps",
     ]
+
+
+def test_simulate_rejects_a_repeated_header(tmp_path, capsys):
+    f = tmp_path / "twice.2cm"
+    f.write_text("init: s0\ninit: s1\nhalt: sh\ns0: inc c1 goto sh\ns1: inc c2 goto sh\n")
+    assert main(["simulate-2cm", str(f)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: line 2: a second 'init:' header\n"
+    assert captured.out == ""
 
 
 def test_simulate_budget_exhausted(loop_file, capsys):

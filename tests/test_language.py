@@ -93,8 +93,11 @@ def test_unknown_semantics(loop2):
 
 
 def test_parametric_automaton_rejected():
-    with pytest.raises(ModelError):
+    # the zone layer rejects it, for words and for lassos alike
+    with pytest.raises(ModelError, match="automaton still has parameters"):
         Determinized(build(loop(), "wrapped"), cfg(3), "maximal")
+    with pytest.raises(ModelError, match="automaton still has parameters"):
+        lassos(build(loop(), "buchi"), cfg(3))
 
 
 def test_accepting_set_required(loop2):

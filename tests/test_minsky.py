@@ -119,6 +119,17 @@ def test_parse_rejects_duplicate_instruction():
         parse_machine(text)
 
 
+@pytest.mark.parametrize("text,lineno,kind", [
+    ("init: s0\ninit: s1\nhalt: sh\ns0: inc c1 goto sh\ns1: inc c2 goto sh\n", 2, "init"),
+    ("init: s0\nhalt: s1\nhalt: sh\ns0: inc c1 goto sh\n", 3, "halt"),
+    ("# a comment\ninit: a\nhalt: h\na: inc c1 goto h\n\nhalt: h\n", 6, "halt"),
+], ids=["init", "halt", "late-halt"])
+def test_parse_rejects_a_repeated_header(text, lineno, kind):
+    # the second header used to replace the first silently
+    with pytest.raises(ModelError, match=f"^line {lineno}: a second '{kind}:' header$"):
+        parse_machine(text)
+
+
 def test_parse_rejects_bad_lines():
     with pytest.raises(ModelError):
         parse_machine("init: a\nhalt: h\na: jump h\n")
