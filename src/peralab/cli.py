@@ -26,7 +26,7 @@ from .core import ModelError, Pera, parse_valuation
 from .encoder import VARIANTS, build
 from .language import FLAG_LABEL, SEMANTICS, Determinized, lassos, lassos_text
 from .language import compare as compare_samples
-from .minsky import parse_machine, run
+from .minsky import parse_machine, run, trace
 from .semantics import ExplorationConfig, ResourceExhausted
 
 TIMING_HEADER = "--- timings ---"
@@ -246,12 +246,11 @@ def cmd_theorem_check(args) -> int:
 
 def cmd_simulate_2cm(args) -> int:
     m = _read_machine(args.machine)
-    result = run(m, args.steps)
     print(f"machine: {m.name}  states: {len(m.states)}  initial: {m.initial}  halt: {m.halt}")
-    for i, (state, c1, c2) in enumerate(result.configs):
+    for i, (state, c1, c2) in enumerate(trace(m, args.steps)):
         print(f"step {i}: {state} c1={c1} c2={c2}")
-    if result.halted:
-        print(f"halted after {result.steps_taken} steps")
+    if m.instruction(state) is None:
+        print(f"halted after {i} steps")
     else:
         print(f"not halted within {args.steps} steps")
     return 0

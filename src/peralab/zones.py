@@ -15,15 +15,16 @@ constructors and operators return None for an empty zone rather than an
 inconsistent matrix.  A non-convex set is a plain tuple of disjoint
 zones, as `subtract` returns it; the empty tuple is the empty set.
 
-Closing is an O(n³) Floyd-Warshall (`_close`).  `intersect`, `down`,
-`subtract` (once per piece), `time_pred`, an `extrapolate` that widens
-some bound, and a `from_constraints` given a diagonal constraint run
-it.  Everything else stays within O(n²): `origin`, `up` and `reset`
-keep a canonical matrix canonical by construction, `from_constraints`
-closes a box (single-clock bounds only, the shape of every guard and
-invariant) in closed form, `post`, the successor step, closes its one
-matrix through the reference node, and `extrapolate` returns its
-argument after one C-level scan when nothing widens.
+Closing from scratch is an O(n³) Floyd-Warshall (`_close`): `down`,
+an `extrapolate` that widens some bound, and a `from_constraints` given
+a diagonal constraint run it.  Everything else stays within O(n²) per
+constraint.  `origin`, `up` and `reset` keep a canonical matrix
+canonical by construction, `from_constraints` closes a box (single-clock
+bounds only, the shape of every guard and invariant) in closed form,
+`post`, the successor step, closes its one matrix through the reference
+node, and `extrapolate` returns its argument after one C-level scan when
+nothing widens.  `intersect`, `subtract` and `time_pred` add one
+constraint at a time to a canonical matrix with `_tighten`.
 """
 
 from __future__ import annotations
@@ -125,58 +126,6 @@ class Dbm:
                 return False
         return True
 
-    def satisfies_point(self, point: Sequence) -> bool:
-        """Membership test for a concrete valuation (any numeric type)."""
-        vals = (0,) + tuple(point)
-        n = self.size
-        for i in range(n):
-            for j in range(n):
-                b = self.m[i * n + j]
-                if b >= INF:
-                    continue
-                diff = vals[i] - vals[j]
-                if b & 1:
-                    if not diff <= (b >> 1):
-                        return False
-                else:
-                    if not diff < (b >> 1):
-                        return False
-        return True
-
-    def sample_point(self) -> tuple:
-        """Some point inside the zone, as Fractions.
-
-        Scales every bound by a factor large enough that strict bounds
-        can be replaced by weak ones minus a unit without losing
-        feasibility (any violating cycle in the scaled graph would need
-        more strict arcs than a simple cycle has).  The weak integer
-        system then has the classic all-lower-bounds solution.  Absent
-        arcs are None, not `INF`: a scaled finite bound can pass `INF`.
-        """
-        from fractions import Fraction
-
-        n = self.size
-        scale = 2 * n
-        g = [None if b >= INF else scale * (b >> 1) - (0 if b & 1 else 1) for b in self.m]
-        # integer Floyd-Warshall, no strictness bits
-        for k in range(n):
-            for i in range(n):
-                gik = g[i * n + k]
-                if gik is None:
-                    continue
-                for j in range(n):
-                    gkj = g[k * n + j]
-                    if gkj is None:
-                        continue
-                    c = gik + gkj
-                    gij = g[i * n + j]
-                    if gij is None or c < gij:
-                        g[i * n + j] = c
-        for i in range(n):
-            if g[i * n + i] < 0:
-                raise AssertionError("scaled sample system infeasible")
-        return tuple(Fraction(-g[j], scale) for j in range(1, n))
-
 
 def _close(m: list[int], n: int) -> bool:
     """Floyd-Warshall in place on a flat n-by-n list.
@@ -205,6 +154,35 @@ def _close(m: list[int], n: int) -> bool:
         for idx in range(0, n * n, n + 1):
             if m[idx] < LE_ZERO:
                 return False
+    return True
+
+
+def _tighten(m: list[int], n: int, i: int, j: int, b: int) -> bool:
+    """Meet a canonical flat n-by-n list with `x_i - x_j ≺ b` in place.
+
+    The matrix stays canonical in O(n²): a shortest path uses the new
+    arc i -> j at most once, so entry (p, q) becomes the shorter of its
+    old value and p -> i -> j -> q, read off the old column i and row j.
+    Nothing changes when `b` is not tighter than entry (i, j).  False,
+    with the list untouched, when the cycle i -> j -> i is negative,
+    i.e. the meet is empty.
+    """
+    if b >= m[i * n + j]:
+        return True
+    back = m[j * n + i]
+    if back < INF and b + back - ((b | back) & 1) < LE_ZERO:
+        return False
+    col = m[i::n]
+    row = m[j * n:(j + 1) * n]
+    for p, c in enumerate(col):
+        if c >= INF:
+            continue
+        s = c + b - ((c | b) & 1)          # p -> i -> j
+        base = p * n
+        m[base:base + n] = [
+            x if y >= INF or x <= (v := s + y - ((s | y) & 1)) else v
+            for x, y in zip(m[base:base + n], row)
+        ]
     return True
 
 
@@ -251,11 +229,20 @@ def from_constraints(clocks: Sequence[str], cons: Iterable[tuple[int, int, int]]
 
 
 def intersect(a: Dbm, b: Dbm) -> Dbm | None:
+    """The meet of two zones; None when it is empty.
+
+    Tightens a copy of `a` with each entry of `b` that is tighter, in
+    row-major order.  For a box `b` (every guard and invariant), row 0
+    and each (i, 0) come first and imply every other entry, so the rest
+    cost one comparison each.
+    """
     if a.clocks != b.clocks:
         raise ValueError("clock sets differ")
-    m = [x if x < y else y for x, y in zip(a.m, b.m)]
-    if not _close(m, a.size):
-        return None
+    n = a.size
+    m = list(a.m)
+    for idx, bb in enumerate(b.m):
+        if bb < m[idx] and not _tighten(m, n, idx // n, idx % n, bb):
+            return None
     return Dbm(a.clocks, m)
 
 
@@ -365,15 +352,16 @@ def subtract(a: Dbm, b: Dbm) -> tuple[Dbm, ...]:
 
     Walks the constraints of `b`, at each step splitting off the part
     of `a` that violates one constraint while satisfying the previous
-    ones.  The pieces are pairwise disjoint by construction.
+    ones.  The pieces are pairwise disjoint by construction.  A running
+    meet of `a` with the constraints walked so far is kept canonical by
+    `_tighten`, so each piece is one copy and one tightening; when the
+    meet empties, `a` and `b` are disjoint and `(a,)` is the answer.
     """
     if a.clocks != b.clocks:
         raise ValueError("clock sets differ")
-    if intersect(a, b) is None:
-        return (a,)
     n = a.size
+    meet = list(a.m)
     pieces: list[Dbm] = []
-    kept: list[tuple[int, int]] = []   # (flat index, bound) of b's constraints so far
     for i in range(n):
         for j in range(n):
             if i == j:
@@ -383,16 +371,11 @@ def subtract(a: Dbm, b: Dbm) -> tuple[Dbm, ...]:
                 # already implied by `a`: its complement misses `a`
                 # entirely and it holds on every piece for free
                 continue
-            m = list(a.m)
-            for idx, pb in kept:
-                if pb < m[idx]:
-                    m[idx] = pb
-            neg = bound_neg(bb)  # x_j - x_i <rel'> -m
-            if neg < m[j * n + i]:
-                m[j * n + i] = neg
-            if _close(m, n):
+            m = list(meet)
+            if _tighten(m, n, j, i, bound_neg(bb)):   # x_j - x_i <rel'> -m
                 pieces.append(Dbm(a.clocks, m))
-            kept.append((i * n + j, bb))
+            if not _tighten(meet, n, i, j, bb):
+                return (a,)
     return tuple(pieces)
 
 

@@ -16,6 +16,8 @@ quarters; constants are scaled by four.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
 QN = 4            # quarters per unit
@@ -152,3 +154,59 @@ def federation_mask(parts, n: int) -> np.ndarray:
     for p in parts:
         out |= dbm_mask(p, n)
     return out
+
+
+def satisfies_point(d, point) -> bool:
+    """Membership of a concrete valuation (any numeric type) in a matrix zone."""
+    from peralab.zones import INF
+
+    vals = (0,) + tuple(point)
+    n = d.size
+    for i in range(n):
+        for j in range(n):
+            b = d.m[i * n + j]
+            if b >= INF:
+                continue
+            diff = vals[i] - vals[j]
+            if b & 1:
+                if not diff <= (b >> 1):
+                    return False
+            else:
+                if not diff < (b >> 1):
+                    return False
+    return True
+
+
+def sample_point(d) -> tuple:
+    """Some point inside a matrix zone, as Fractions.
+
+    Scales every bound by a factor large enough that strict bounds
+    can be replaced by weak ones minus a unit without losing
+    feasibility (any violating cycle in the scaled graph would need
+    more strict arcs than a simple cycle has).  The weak integer
+    system then has the classic all-lower-bounds solution.  Absent
+    arcs are None, not `INF`: a scaled finite bound can pass `INF`.
+    """
+    from peralab.zones import INF
+
+    n = d.size
+    scale = 2 * n
+    g = [None if b >= INF else scale * (b >> 1) - (0 if b & 1 else 1) for b in d.m]
+    # integer Floyd-Warshall, no strictness bits
+    for k in range(n):
+        for i in range(n):
+            gik = g[i * n + k]
+            if gik is None:
+                continue
+            for j in range(n):
+                gkj = g[k * n + j]
+                if gkj is None:
+                    continue
+                c = gik + gkj
+                gij = g[i * n + j]
+                if gij is None or c < gij:
+                    g[i * n + j] = c
+    for i in range(n):
+        if g[i * n + i] < 0:
+            raise AssertionError("scaled sample system infeasible")
+    return tuple(Fraction(-g[j], scale) for j in range(1, n))

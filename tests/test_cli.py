@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, run in process."""
 
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import peralab
-from peralab import cli
+from peralab import cli, minsky
 from peralab.cli import TIMING_HEADER, main
 from peralab.core import Pera
 from peralab.language import Determinized
@@ -727,3 +728,31 @@ def test_simulate_zero_budget(loop_file, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[1] == "step 0: s0 c1=0 c2=0"
     assert lines[-1] == "not halted within 0 steps"
+
+
+class PipeGoneAfter(io.StringIO):
+    """A stdout whose reader goes away after `lines` lines."""
+
+    def __init__(self, lines: int, fd: int):
+        super().__init__()
+        self.left = lines
+        self.fd = fd
+
+    def write(self, text):
+        if self.left <= 0:
+            raise BrokenPipeError
+        self.left -= text.count("\n")
+        return super().write(text)
+
+    def fileno(self):
+        return self.fd
+
+
+def test_simulate_streams_and_stops_at_a_closed_pipe(loop_file, tmp_path, monkeypatch):
+    steps = []
+    step = minsky.step
+    monkeypatch.setattr(minsky, "step", lambda m, cfg: steps.append(cfg) or step(m, cfg))
+    with open(tmp_path / "stdout", "w") as sink:
+        monkeypatch.setattr(sys, "stdout", PipeGoneAfter(3, sink.fileno()))
+        assert main(["simulate-2cm", str(loop_file), "--steps", "3000000"]) == 1
+    assert len(steps) <= 5

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gridoracle as G
 from peralab import zones as Z
 
 
@@ -29,8 +30,8 @@ def test_universe_and_origin():
     o = Z.origin(("x",))
     assert u.contains(o)
     assert not o.contains(u)
-    assert o.satisfies_point((Fraction(0),))
-    assert not o.satisfies_point((Fraction(1),))
+    assert G.satisfies_point(o, (Fraction(0),))
+    assert not G.satisfies_point(o, (Fraction(1),))
 
 
 def test_from_constraints_detects_empty():
@@ -53,8 +54,8 @@ def test_intersect_basic():
     a = zone(("x",), (1, 0, Z.le(2)))
     b = zone(("x",), (0, 1, Z.le(-1)))
     both = Z.intersect(a, b)
-    assert both.satisfies_point((Fraction(3, 2),))
-    assert not both.satisfies_point((Fraction(1, 2),))
+    assert G.satisfies_point(both, (Fraction(3, 2),))
+    assert not G.satisfies_point(both, (Fraction(1, 2),))
     assert Z.intersect(a, zone(("x",), (0, 1, Z.lt(-2)))) is None
 
 
@@ -89,8 +90,8 @@ def test_post_strictness_at_a_shared_endpoint():
     assert Z.post(d, zone(CLOCKS, (1, 0, Z.lt(3))), "y") is None
     box = zone(CLOCKS, (1, 0, Z.le(3)))
     point = Z.post(d, box, "y")
-    assert point.satisfies_point((Fraction(3), Fraction(0)))
-    assert not point.satisfies_point((Fraction(3), Fraction(1, 2)))
+    assert G.satisfies_point(point, (Fraction(3), Fraction(0)))
+    assert not G.satisfies_point(point, (Fraction(3), Fraction(1, 2)))
     assert point == stepwise_post(d, box, "y")
 
 
@@ -146,34 +147,138 @@ def test_box_closure_skips_floyd_warshall_and_diagonals_keep_it(monkeypatch):
     assert a.m == closed_by_floyd_warshall(CLOCKS, [(1, 0, Z.le(3)), (2, 1, Z.le(-1))])
 
 
+def intersect_by_floyd_warshall(a, b):
+    """The meet as the entrywise minimum closed by `_close`; None when empty."""
+    m = [x if x < y else y for x, y in zip(a.m, b.m)]
+    return Z.Dbm(a.clocks, m) if Z._close(m, a.size) else None
+
+
+def subtract_by_floyd_warshall(a, b):
+    """`subtract` with a Floyd-Warshall closure per piece and an emptiness pre-check."""
+    if intersect_by_floyd_warshall(a, b) is None:
+        return (a,)
+    n = a.size
+    pieces = []
+    kept = []   # (flat index, bound) of b's constraints so far
+    for i in range(n):
+        for j in range(n):
+            bb = b.m[i * n + j]
+            if i == j or bb >= Z.INF or bb >= a.m[i * n + j]:
+                continue
+            m = list(a.m)
+            for idx, pb in kept:
+                m[idx] = min(m[idx], pb)
+            m[j * n + i] = min(m[j * n + i], Z.bound_neg(bb))
+            if Z._close(m, n):
+                pieces.append(Z.Dbm(a.clocks, m))
+            kept.append((i * n + j, bb))
+    return tuple(pieces)
+
+
+def time_pred_by_floyd_warshall(target, within):
+    hit = intersect_by_floyd_warshall(target, within)
+    return None if hit is None else intersect_by_floyd_warshall(Z.down(hit), within)
+
+
+def random_canonical_zone(rng, clocks, box):
+    """A zone over up to five clocks; small constants, so strict ties are common.
+
+    Single-clock bounds also take constants within 8n of the largest
+    one a bound may carry.  Diagonal constants stay within
+    [-4, 4], so a simple path, which passes the reference node at most
+    once, never sums past `INF`: at sums past it both closures drop
+    the bound and no longer agree on a canonical form.
+    """
+    n = len(clocks)
+    near = (Z.INF >> 1) - 1 - 8 * n
+    while True:
+        cons = []
+        for _ in range(rng.randint(0, 2 * n + 2)):
+            if box or n == 1 or rng.random() < 0.5:
+                k = rng.randint(1, n)
+                i, j = (k, 0) if rng.random() < 0.5 else (0, k)
+                c = rng.choice((rng.randint(0, 4), rng.randint(0, 4), near + rng.randint(0, 4)))
+            else:
+                i, j = rng.sample(range(1, n + 1), 2)
+                c = rng.randint(-4, 4)
+            c = -c if i == 0 else c
+            cons.append((i, j, Z.lt(c) if rng.random() < 0.5 else Z.le(c)))
+        d = Z.from_constraints(clocks, cons)
+        if d is not None:
+            return d
+
+
+def test_meets_agree_with_floyd_warshall():
+    rng = random.Random(20261019)
+    empty = inside = split = near_inf = strict_tie = 0
+    for _ in range(4000):
+        clocks = ("x", "y", "w", "v", "u")[: rng.randint(1, 5)]
+        a = random_canonical_zone(rng, clocks, box=rng.random() < 0.2)
+        b = random_canonical_zone(rng, clocks, box=rng.random() < 0.5)
+        if rng.random() < 0.1:
+            b = Z.from_constraints(clocks, ())             # a is inside b
+        meet = Z.intersect(a, b)
+        want = intersect_by_floyd_warshall(a, b)
+        assert (meet and meet.m) == (want and want.m), (a, b)
+        pieces = Z.subtract(a, b)
+        assert [p.m for p in pieces] == [p.m for p in subtract_by_floyd_warshall(a, b)], (a, b)
+        got, want = Z.time_pred(a, b), time_pred_by_floyd_warshall(a, b)
+        assert (got and got.m) == (want and want.m), (a, b)
+        if meet is None:
+            empty += 1
+            weak = Z.Dbm(clocks, [x | 1 if x < Z.INF else x for x in a.m])
+            strict_tie += intersect_by_floyd_warshall(weak, b) is not None
+        inside += b.contains(a)
+        split += len(pieces) > 1
+        near_inf += any((Z.INF >> 2) < abs(x) < Z.INF for x in a.m + b.m)
+    counts = (empty, inside, split, near_inf, strict_tie)
+    assert empty > 400 and inside > 400 and split > 400 and near_inf > 400 and strict_tie > 40, counts
+
+
+def test_meets_with_a_box_and_subtract_skip_floyd_warshall(monkeypatch):
+    rng = random.Random(20261020)
+    calls = []
+    close = Z._close
+    monkeypatch.setattr(Z, "_close", lambda m, n: calls.append(n) or close(m, n))
+    for _ in range(300):
+        clocks = ("x", "y", "w", "v")[: rng.randint(1, 4)]
+        a = random_canonical_zone(rng, clocks, box=False)
+        b = random_canonical_zone(rng, clocks, box=rng.random() < 0.5)
+        box = random_canonical_zone(rng, clocks, box=True)
+        calls.clear()
+        Z.intersect(a, box)
+        Z.subtract(a, b)
+        assert calls == [], (a, b, box)
+
+
 def test_up_drops_upper_bounds():
     a = Z.origin(("x", "y"))
     up = Z.up(a)
-    assert up.satisfies_point((Fraction(5), Fraction(5)))
-    assert not up.satisfies_point((Fraction(1), Fraction(2)))  # diagonal kept
+    assert G.satisfies_point(up, (Fraction(5), Fraction(5)))
+    assert not G.satisfies_point(up, (Fraction(1), Fraction(2)))  # diagonal kept
 
 
 def test_down_fills_past_cone():
     a = zone(("x",), (1, 0, Z.le(3)), (0, 1, Z.le(-2)))  # 2 <= x <= 3
     d = Z.down(a)
-    assert d.satisfies_point((Fraction(0),))
-    assert d.satisfies_point((Fraction(3),))
-    assert not d.satisfies_point((Fraction(7, 2),))
+    assert G.satisfies_point(d, (Fraction(0),))
+    assert G.satisfies_point(d, (Fraction(3),))
+    assert not G.satisfies_point(d, (Fraction(7, 2),))
 
 
 def test_reset_pins_one_clock():
     a = zone(CLOCKS, (1, 0, Z.le(3)), (0, 1, Z.le(-3)), (2, 0, Z.le(1)))  # x=3, y<=1
     r = Z.reset(a, "x")
-    assert r.satisfies_point((Fraction(0), Fraction(1)))
-    assert not r.satisfies_point((Fraction(1), Fraction(1)))
+    assert G.satisfies_point(r, (Fraction(0), Fraction(1)))
+    assert not G.satisfies_point(r, (Fraction(1), Fraction(1)))
 
 
 def test_subtract_universe_minus_origin():
     u = Z.from_constraints(("x",), ())
     pieces = Z.subtract(u, Z.origin(("x",)))
     assert len(pieces) == 1
-    assert pieces[0].satisfies_point((Fraction(1, 2),))
-    assert not pieces[0].satisfies_point((Fraction(0),))
+    assert G.satisfies_point(pieces[0], (Fraction(1, 2),))
+    assert not G.satisfies_point(pieces[0], (Fraction(0),))
 
 
 def test_subtract_self_is_empty():
@@ -186,9 +291,9 @@ def test_subtract_pieces_disjoint_and_cover():
     b = zone(("x",), (1, 0, Z.le(2)), (0, 1, Z.le(-1)))  # 1 <= x <= 2
     pieces = Z.subtract(a, b)
     for q in (0, Fraction(1, 2), 1, Fraction(3, 2), 2, 3, 4):
-        in_a = a.satisfies_point((q,))
-        in_b = b.satisfies_point((q,))
-        hits = [p for p in pieces if p.satisfies_point((q,))]
+        in_a = G.satisfies_point(a, (q,))
+        in_b = G.satisfies_point(b, (q,))
+        hits = [p for p in pieces if G.satisfies_point(p, (q,))]
         assert len(hits) == (1 if in_a and not in_b else 0)
 
 
@@ -196,9 +301,9 @@ def test_time_pred_reaches_target_within_bound():
     target = zone(("x",), (1, 0, Z.le(2)), (0, 1, Z.le(-2)))  # x = 2
     within = zone(("x",), (1, 0, Z.le(3)))                    # x <= 3
     pred = Z.time_pred(target, within)
-    assert pred.satisfies_point((Fraction(0),))
-    assert pred.satisfies_point((Fraction(2),))
-    assert not pred.satisfies_point((Fraction(5, 2),))
+    assert G.satisfies_point(pred, (Fraction(0),))
+    assert G.satisfies_point(pred, (Fraction(2),))
+    assert not G.satisfies_point(pred, (Fraction(5, 2),))
 
 
 def test_time_pred_blocked_by_invariant():
@@ -210,27 +315,27 @@ def test_time_pred_blocked_by_invariant():
 def test_extrapolate_widens_and_is_idempotent():
     a = zone(("x",), (1, 0, Z.le(9)), (0, 1, Z.le(-9)))  # x = 9
     w = Z.extrapolate(a, 2)
-    assert w.satisfies_point((Fraction(10),))
-    assert not w.satisfies_point((Fraction(2),))
+    assert G.satisfies_point(w, (Fraction(10),))
+    assert not G.satisfies_point(w, (Fraction(2),))
     assert Z.extrapolate(w, 2) == w
 
 
 def test_sample_point_lands_inside():
     a = zone(CLOCKS, (1, 0, Z.lt(1)), (2, 0, Z.le(2)), (0, 2, Z.lt(0)))
-    pt = a.sample_point()
-    assert a.satisfies_point(pt)
+    pt = G.sample_point(a)
+    assert G.satisfies_point(a, pt)
     assert all(isinstance(v, Fraction) for v in pt)
 
 
 def test_sample_point_of_the_origin():
-    assert Z.origin(("x",)).sample_point() == (Fraction(0),)
+    assert G.sample_point(Z.origin(("x",))) == (Fraction(0),)
 
 
 def test_sample_point_with_large_constants_lands_inside():
     # scaled by 2n = 8, the bounds pass INF = 2^40; read as absent, they
     # would give a point on the strict bound z - y < 187545927887
     a = zone(("x", "y", "z"), (3, 2, Z.lt(187_545_927_887)), (0, 3, Z.lt(-457_803_143_320)))
-    assert a.satisfies_point(a.sample_point())
+    assert G.satisfies_point(a, G.sample_point(a))
 
 
 def test_sample_point_lands_inside_for_large_constants():
@@ -245,7 +350,7 @@ def test_sample_point_lands_inside_for_large_constants():
             cons.append((i, j, (Z.lt if rng.random() < 0.5 else Z.le)(c)))
         a = Z.from_constraints(clocks, cons)
         if a is not None:
-            assert a.satisfies_point(a.sample_point()), a
+            assert G.satisfies_point(a, G.sample_point(a)), a
 
 
 def test_pretty_mentions_constraints():
@@ -257,8 +362,8 @@ def test_pretty_mentions_constraints():
 def test_subtract_chain_carves_and_empties():
     u = Z.from_constraints(("x",), ())
     carved = Z.subtract(u, zone(("x",), (1, 0, Z.le(3))))
-    assert any(p.satisfies_point((Fraction(4),)) for p in carved)
-    assert not any(p.satisfies_point((Fraction(1),)) for p in carved)
+    assert any(G.satisfies_point(p, (Fraction(4),)) for p in carved)
+    assert not any(G.satisfies_point(p, (Fraction(1),)) for p in carved)
     assert [q for p in carved for q in Z.subtract(p, u)] == []
 
 

@@ -133,8 +133,8 @@ def compare_random_instances(n_instances: int = 1000, seed: int = 20260817):
             check(not (mask_b & ~mask_a).any(), "contains said yes, grid found escapee")
 
         # the sampled point really lies in the zone it came from
-        pt = da.sample_point()
-        check(da.satisfies_point(pt), "sample_point left its matrix")
+        pt = G.sample_point(da)
+        check(G.satisfies_point(da, pt), "sample_point left its matrix")
         ok = all(
             ((0,) + pt)[i] - ((0,) + pt)[j] < m if strict else ((0,) + pt)[i] - ((0,) + pt)[j] <= m
             for i, j, strict, m in cons_a
@@ -164,8 +164,8 @@ def test_known_half_grid_blind_spot_documented():
         [(1, 0, Z.lt(1)), (0, 1, Z.lt(0)), (0, 2, Z.lt(0)), (2, 1, Z.lt(0))],
     )
     assert d is not None
-    pt = d.sample_point()
-    assert d.satisfies_point(pt)
+    pt = G.sample_point(d)
+    assert G.satisfies_point(d, pt)
     assert pt[0] < 1 and pt[1] > 0 and pt[1] < pt[0]
 
 
