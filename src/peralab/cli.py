@@ -195,6 +195,11 @@ def cmd_theorem_check(args) -> int:
     if "" in items:
         raise ModelError(f"--values has an empty item in {args.values!r}")
     values = [parse_valuation([f"p={v}"])["p"] for v in items]
+    for item, v in zip(items, values):
+        try:
+            str(v)
+        except ValueError:   # more digits than Python turns into a string
+            raise ModelError(f"--values item {item!r} has too many digits for a zone bound") from None
     if min(values) <= 0:
         raise ModelError(f"--values must be positive, got {min(values)}; p=0 is the reference")
     repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)

@@ -23,6 +23,14 @@ class ModelError(ValueError):
     """Raised for structurally invalid automata or malformed text."""
 
 
+def number_text(c: int) -> str:
+    """`c` in decimal, or its size when it has more digits than Python prints."""
+    try:
+        return str(c)
+    except ValueError:
+        return f"<{c.bit_length()}-bit number>"
+
+
 @dataclass(frozen=True)
 class Atom:
     """One comparison `clock rel (param + offset)` or `clock rel offset`.
@@ -45,13 +53,13 @@ class Atom:
 
     def text(self) -> str:
         if self.param is None:
-            rhs = str(self.offset)
+            rhs = number_text(self.offset)
         elif self.offset == 0:
             rhs = self.param
         elif self.offset > 0:
-            rhs = f"{self.param}+{self.offset}"
+            rhs = f"{self.param}+{number_text(self.offset)}"
         else:
-            rhs = f"{self.param}-{-self.offset}"
+            rhs = f"{self.param}-{number_text(-self.offset)}"
         return f"{self.clock} {self.rel} {rhs}"
 
     def valuate(self, values: Mapping[str, int]) -> "Atom":

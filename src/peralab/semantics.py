@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .core import Atom, Edge, Guard, ModelError, Pera
+from .core import Atom, Edge, Guard, ModelError, Pera, number_text
 from . import zones as Z
 
 
@@ -53,11 +53,10 @@ def _atom_constraints(atom: Atom, clocks: Sequence[str]) -> list[tuple[int, int,
         raise ModelError(f"atom {atom.text()} still parametric; valuate first")
     i = clocks.index(atom.clock) + 1
     c = atom.offset
-    if Z.le(c) >= Z.INF:
-        # a packed bound at INF or above would read as no bound at all
+    if c > Z.MAX_BOUND:
         raise ModelError(
-            f"constant {c} in {atom.text()} is too large for a zone bound "
-            f"(at most {(Z.INF >> 1) - 1}, after rescaling)"
+            f"constant {number_text(c)} in {atom.text()} is too large for a zone bound "
+            f"(at most {Z.MAX_BOUND}, after rescaling)"
         )
     out = []
     if atom.rel in ("<", "<=", "="):
@@ -105,7 +104,7 @@ class Analyzer:
         self.automaton = a
         self.clocks = a.clocks
         self.max_const = a.max_constant()
-        if Z.le(self.max_const) >= Z.INF:   # name the first constant past the ceiling
+        if self.max_const > Z.MAX_BOUND:   # name the first constant past the ceiling
             for guard in (*a.invariants.values(), *(e.guard for e in a.edges)):
                 for atom in guard:
                     _atom_constraints(atom, self.clocks)

@@ -2,29 +2,26 @@
 
 Bounds are packed into single integers: a constraint `x - y < m` is
 stored as `2*m`, and `x - y <= m` as `2*m + 1`, so the usual min/plus
-algebra works on plain ints.  `INF` is a large sentinel that survives
-one addition without overflow concerns.
+algebra works on plain ints.  A constant is at most `MAX_BOUND` < 2^39,
+so `INF` = 2^59, the absent bound, lies past every path sum over fewer
+than 2^19 clocks.
 
 Rows and columns are indexed by clock position plus one; index 0 is the
 reference point (the constant zero).  A matrix is stored flat, row
 major: entry (i, j) of an n-by-n matrix sits at `m[i * n + j]`.  Only
 the module functions build `Dbm` instances; each one fills a fresh flat
-list, closes it where needed, and hands it over, so every matrix handed
-out is canonical (shortest-path closed).  Emptiness is always explicit:
-constructors and operators return None for an empty zone rather than an
-inconsistent matrix.  A non-convex set is a plain tuple of disjoint
-zones, as `subtract` returns it; the empty tuple is the empty set.
+list and hands it over, and every matrix handed out is canonical
+(shortest-path closed).  Emptiness is always explicit: constructors and
+operators return None for an empty zone rather than an inconsistent
+matrix.  A non-convex set is a plain tuple of disjoint zones, as
+`subtract` returns it; the empty tuple is the empty set.
 
-Closing from scratch is an O(n³) Floyd-Warshall (`_close`): `down`,
-an `extrapolate` that widens some bound, and a `from_constraints` given
-a diagonal constraint run it.  Everything else stays within O(n²) per
-constraint.  `origin`, `up` and `reset` keep a canonical matrix
-canonical by construction, `from_constraints` closes a box (single-clock
-bounds only, the shape of every guard and invariant) in closed form,
-`post`, the successor step, closes its one matrix through the reference
-node, and `extrapolate` returns its argument after one C-level scan when
-nothing widens.  `intersect`, `subtract` and `time_pred` add one
-constraint at a time to a canonical matrix with `_tighten`.
+Every matrix is canonical by construction, in O(n²) per constraint:
+`up`, `down` and `reset` rewrite a row or column of a canonical matrix,
+`from_constraints` closes a box (the shape of every guard and
+invariant) in closed form, `post` closes its one matrix through the
+reference node, and every other constraint is added to a canonical
+matrix with `_tighten`.
 """
 
 from __future__ import annotations
@@ -32,7 +29,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Iterable, Sequence
 
-INF = 1 << 40
+MAX_BOUND = (1 << 39) - 1   # the largest constant a bound may carry
+INF = 1 << 59
 
 LE_ZERO = 1  # encoded (<=, 0)
 
@@ -127,36 +125,6 @@ class Dbm:
         return True
 
 
-def _close(m: list[int], n: int) -> bool:
-    """Floyd-Warshall in place on a flat n-by-n list.
-
-    False when a diagonal entry turns negative, i.e. the zone is empty.
-    """
-    for k in range(n):
-        # a copy is safe: row k changes in pass k only through a
-        # negative diagonal entry, and then the zone is empty anyway
-        row_k = m[k * n:(k + 1) * n]
-        for i in range(n):
-            base = i * n
-            aik = m[base + k]
-            if aik >= INF:
-                continue
-            for idx, b in enumerate(row_k, base):
-                if b >= INF:
-                    continue
-                # The low bit flags a weak bound.  A sum of raw encodings
-                # carries both flags; the result is weak only when both
-                # parts are, so one surplus flag has to go whenever at
-                # least one part is set.
-                c = aik + b - ((aik | b) & 1)
-                if c < m[idx]:
-                    m[idx] = c
-        for idx in range(0, n * n, n + 1):
-            if m[idx] < LE_ZERO:
-                return False
-    return True
-
-
 def _tighten(m: list[int], n: int, i: int, j: int, b: int) -> bool:
     """Meet a canonical flat n-by-n list with `x_i - x_j ≺ b` in place.
 
@@ -196,24 +164,22 @@ def from_constraints(clocks: Sequence[str], cons: Iterable[tuple[int, int, int]]
     """Build from (i, j, encoded_bound) triples; None when empty.
 
     With no triples: every clock nonnegative, otherwise unconstrained.
-    When every triple bounds one clock against the reference node 0,
-    every arc touches 0, so a shortest path passes 0 at most once and
-    i -> 0 -> j, an upper bound plus a lower bound, closes entry (i, j)
-    in one step; the zone is empty iff some cycle i -> 0 -> i is
-    negative.  Any other triple takes the Floyd-Warshall closure.
+    The box, the triples that bound one clock against the reference
+    node 0, closes in one step: a shortest path passes 0 at most once,
+    so entry (i, j) is i -> 0 -> j, an upper plus a lower bound, and the
+    box is empty iff some cycle i -> 0 -> i is negative.  Each triple
+    between two clocks is then added with `_tighten`.
     """
     n = len(clocks) + 1
     m = [INF] * (n * n)
     m[:n] = [LE_ZERO] * n            # 0 - x <= 0: clocks are nonnegative
     m[::n + 1] = [LE_ZERO] * n       # the diagonal
-    box = True
+    diagonal = []
     for i, j, b in cons:
-        if b < m[i * n + j]:
-            m[i * n + j] = b
         if (i == 0) == (j == 0):
-            box = False
-    if not box:
-        return Dbm(clocks, m) if _close(m, n) else None
+            diagonal.append((i, j, b))
+        elif b < m[i * n + j]:
+            m[i * n + j] = b
     low = m[1:n]
     for i in range(1, n):
         u = m[i * n]
@@ -225,6 +191,9 @@ def from_constraints(clocks: Sequence[str], cons: Iterable[tuple[int, int, int]]
         if m[base + i] < LE_ZERO:
             return None
         m[base + i] = LE_ZERO
+    for i, j, b in diagonal:
+        if not _tighten(m, n, i, j, b):
+            return None
     return Dbm(clocks, m)
 
 
@@ -260,18 +229,13 @@ def down(d: Dbm) -> Dbm:
     """Past: all points from which the zone is reached by waiting.
 
     Lower bounds are recomputed from scratch: sliding backward in time
-    erases them except where a diagonal constraint props one up.
+    erases them except where a diagonal constraint props one up.  The
+    new row 0 keeps a canonical matrix canonical (Bengtsson & Yi, 2004).
     """
     n = d.size
     m = list(d.m)
     for j in range(1, n):
-        best = LE_ZERO
-        for i in range(1, n):
-            if m[i * n + j] < best:
-                best = m[i * n + j]
-        m[j] = best
-    if not _close(m, n):
-        raise AssertionError("down() emptied a non-empty zone")
+        m[j] = min(LE_ZERO, *m[n + j::n])     # column j below row 0
     return Dbm(d.clocks, m)
 
 
@@ -392,22 +356,26 @@ def time_pred(target: Dbm, within: Dbm) -> Dbm | None:
 
 
 def extrapolate(d: Dbm, max_const: int) -> Dbm:
-    """Classic maximum-constant abstraction, then re-close.
+    """Classic maximum-constant abstraction, canonical by construction.
 
     Bounds above the constant ceiling are widened away; the result is a
     superset of `d` and the abstraction reaches a fixpoint, which keeps
     reachability searches finite.  Returns `d` itself when nothing
     widens, which the sorted distinct entries tell without a loop in
     Python.  The diagonal's `LE_ZERO` lies between floor and ceiling,
-    so neither test touches it.
+    so neither test touches it.  Otherwise each bound that stays, raised
+    to the floor, is added with `_tighten` to the zone `clocks >= 0`.
     """
     ceil = le(max_const)
     floor = lt(-max_const)
     vals = sorted(set(d.m))
     if vals[0] >= floor and vals[bisect_left(vals, INF) - 1] <= ceil:
         return d
-    m = [INF if ceil < b < INF else floor if b < floor else b for b in d.m]
-    if not _close(m, d.size):
-        raise AssertionError("extrapolation emptied a zone")
+    n = d.size
+    m = [INF] * (n * n)
+    m[:n] = [LE_ZERO] * n
+    m[::n + 1] = [LE_ZERO] * n
+    for idx, b in enumerate(d.m):
+        if b <= ceil and not _tighten(m, n, idx // n, idx % n, max(b, floor)):
+            raise AssertionError("extrapolation emptied a zone")
     return Dbm(d.clocks, m)
-

@@ -185,7 +185,7 @@ def sample_point(d) -> tuple:
     feasibility (any violating cycle in the scaled graph would need
     more strict arcs than a simple cycle has).  The weak integer
     system then has the classic all-lower-bounds solution.  Absent
-    arcs are None, not `INF`: a scaled finite bound can pass `INF`.
+    arcs are None, not `INF`, so no scaled bound is read against it.
     """
     from peralab.zones import INF
 

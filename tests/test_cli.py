@@ -270,6 +270,25 @@ def test_lang_buchi_output(tmp_path, loop_file, capsys):
     assert "lassos:" in text and "-- lassos --" in text
 
 
+def test_lang_buchi_finds_a_cycle_longer_than_the_recursion_limit(tmp_path, capsys):
+    # one `a` ring over 1,500 locations, l0 accepting: the one lasso is
+    # a cycle 1,500 steps deep, past Python's default recursion limit
+    n = 1500
+    ring = Pera.from_text(json.dumps({
+        "actions": [{"action": "a", "clock": "x"}],
+        "locations": [{"name": f"l{i}"} for i in range(n)],
+        "initial": "l0",
+        "accepting": ["l0"],
+        "edges": [{"from": f"l{i}", "action": "a", "to": f"l{(i + 1) % n}"} for i in range(n)],
+    }))
+    f = tmp_path / "ring.pera"
+    f.write_text(ring.to_text())
+    assert main(["lang", str(f), "--semantics", "buchi", "-k", str(n)]) == 0
+    body = strip_timings(capsys.readouterr().out).splitlines()
+    assert "lassos: 1" in body
+    assert body[body.index("-- lassos --") + 1] == " | " + " ".join(["a"] * n)
+
+
 def test_lang_into_a_closed_pipe_exits_one_quietly(wrapped_loop_file):
     # the reader takes one line and leaves, as `peralab lang ... | head -1`
     src = Path(peralab.__file__).resolve().parent.parent
@@ -628,8 +647,8 @@ def test_constant_too_large_for_a_zone_bound_exits_one(tmp_path, capsys):
     assert main(["lang", str(f), "-p", "p=5", "-k", "2"]) == 0
     body = capsys.readouterr().out.split(TIMING_HEADER)[0]
     assert "prefix words: 1\n" in body and "\na\n" not in body
-    # 2^39 packs to 2^40 + 1, past the infinity sentinel: the bound
-    # x <= p used to vanish, so `a` and `a a` were listed
+    # 2^39 is one past `zones.MAX_BOUND`, the largest constant a zone
+    # bound carries; the bound x <= p must not vanish, listing `a` and `a a`
     assert main(["lang", str(f), "-p", "p=549755813888", "-k", "2"]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: constant 549755813888 in x <= 549755813888")
@@ -690,6 +709,33 @@ def test_theorem_check_checks_every_constant_before_the_report(loop_file, capsys
     assert captured.out == ""
     assert captured.err.startswith("error: constant 1000000000000 in ")
     assert "too large for a zone bound (at most 549755813887, after rescaling)" in captured.err
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["lang", "PERA", "-p", "p=1e5000"], "TOO_LARGE"),
+    (["lang", "PERA", "-p", "p=1e-5000"], "TOO_LARGE"),
+    (["compare", "PERA", "-p", "p=0", "-p", "p=1e5000"], "TOO_LARGE"),
+    (["theorem-check", "MACHINE", "--values", "1e5000"],
+     "error: --values item '1e5000' has too many digits for a zone bound\n"),
+    (["theorem-check", "MACHINE", "--values", "1e-5000"],
+     "error: --values item '1e-5000' has too many digits for a zone bound\n"),
+], ids=["lang", "lang-rescaled", "compare", "theorem-check", "theorem-check-rescaled"])
+def test_a_value_too_long_to_print_names_the_bound(tmp_path, loop_file, capsys, argv, error):
+    # 10^5000 has more digits than Python turns into a string by default,
+    # so the message must come from the zone bound, not the conversion
+    pera = tmp_path / "loop.buchi.pera"
+    pera.write_text(build(loop(), "buchi").to_text())
+    argv = [{"PERA": str(pera), "MACHINE": str(loop_file)}.get(a, a) for a in argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if error == "TOO_LARGE":
+        assert captured.err.startswith("error: constant <16610-bit number> in ")
+        assert captured.err.endswith(
+            " is too large for a zone bound (at most 549755813887, after rescaling)\n"
+        )
+    else:
+        assert captured.err == error
 
 
 # -- simulate-2cm ----------------------------------------------------------------------

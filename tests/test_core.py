@@ -81,6 +81,15 @@ def test_atom_valuate_negative_bound():
     assert Atom("x", ">=", -2, "p").valuate({"p": 1}) == Atom("x", ">=", 0)
 
 
+def test_atom_text_names_a_constant_too_long_to_print_by_its_size():
+    # 10^5000 has more digits than Python turns into a string by default
+    big = 10 ** 5000
+    assert Atom("x", "<=", big).text() == "x <= <16610-bit number>"
+    assert Atom("x", "<", big, "p").text() == "x < p+<16610-bit number>"
+    with pytest.raises(UnsatisfiableAtom, match=r"^atom x = p-<16610-bit number> is unsatisfiable"):
+        Atom("x", "=", -big, "p").valuate({"p": 1})
+
+
 def test_atom_valuate_strict_zero_stays():
     # x < 0 is unsatisfiable for clocks but stays representable, which
     # keeps locations with such invariants legal (just uninhabitable)

@@ -22,6 +22,34 @@ def zone(clocks, *constraints):
 CLOCKS = ("x", "y")
 
 
+def floyd_warshall(m, n):
+    """Close a flat n-by-n list in place from scratch; False when the zone is empty.
+
+    The O(n³) reference closure the zone operations are checked against.
+    """
+    for k in range(n):
+        # a copy is safe: row k changes in pass k only through a
+        # negative diagonal entry, and then the zone is empty anyway
+        row_k = m[k * n:(k + 1) * n]
+        for i in range(n):
+            base = i * n
+            aik = m[base + k]
+            if aik >= Z.INF:
+                continue
+            for idx, b in enumerate(row_k, base):
+                if b >= Z.INF:
+                    continue
+                # a sum of raw encodings carries both weak flags; it is
+                # weak only when both parts are, so drop one when either is
+                c = aik + b - ((aik | b) & 1)
+                if c < m[idx]:
+                    m[idx] = c
+        for idx in range(0, n * n, n + 1):
+            if m[idx] < Z.LE_ZERO:
+                return False
+    return True
+
+
 # -- constructors ------------------------------------------------------------
 
 
@@ -43,7 +71,7 @@ def test_from_constraints_detects_empty():
 def test_close_is_idempotent_on_constructor_output():
     a = zone(CLOCKS, (1, 0, Z.le(3)), (2, 1, Z.le(-1)))
     again = list(a.m)
-    assert Z._close(again, a.size)
+    assert floyd_warshall(again, a.size)
     assert tuple(again) == a.m
 
 
@@ -96,19 +124,19 @@ def test_post_strictness_at_a_shared_endpoint():
 
 
 def closed_by_floyd_warshall(clocks, cons):
-    """`from_constraints`'s matrix closed by `_close`, as a tuple; None when empty."""
+    """`from_constraints`'s matrix closed from scratch, as a tuple; None when empty."""
     n = len(clocks) + 1
     m = [Z.INF] * (n * n)
     m[:n] = [Z.LE_ZERO] * n
     m[::n + 1] = [Z.LE_ZERO] * n
     for i, j, b in cons:
         m[i * n + j] = min(m[i * n + j], b)
-    return tuple(m) if Z._close(m, n) else None
+    return tuple(m) if floyd_warshall(m, n) else None
 
 
 def test_box_closure_agrees_with_floyd_warshall():
     rng = random.Random(20261019)
-    top = (Z.INF >> 1) - 1           # the largest constant a bound may carry
+    top = Z.MAX_BOUND
     empty = strict_tie = near_inf = 0
     for _ in range(3000):
         n = rng.randint(1, 4)
@@ -134,23 +162,10 @@ def test_box_closure_agrees_with_floyd_warshall():
     assert empty > 600 and strict_tie > 100 and near_inf > 1000, (empty, strict_tie, near_inf)
 
 
-def test_box_closure_skips_floyd_warshall_and_diagonals_keep_it(monkeypatch):
-    calls = []
-    close = Z._close
-    monkeypatch.setattr(Z, "_close", lambda m, n: calls.append(n) or close(m, n))
-    assert zone(CLOCKS, (1, 0, Z.le(3)), (0, 1, Z.le(-3))) is not None     # x = 3
-    assert zone(CLOCKS, (1, 0, Z.lt(3)), (0, 1, Z.le(-3))) is None         # x < 3 & x >= 3
-    assert zone(CLOCKS, (1, 0, Z.le(3)), (0, 1, Z.lt(-3))) is None         # x <= 3 & x > 3
-    assert calls == []
-    a = zone(CLOCKS, (1, 0, Z.le(3)), (2, 1, Z.le(-1)))                    # y - x <= -1
-    assert calls == [3]
-    assert a.m == closed_by_floyd_warshall(CLOCKS, [(1, 0, Z.le(3)), (2, 1, Z.le(-1))])
-
-
 def intersect_by_floyd_warshall(a, b):
-    """The meet as the entrywise minimum closed by `_close`; None when empty."""
+    """The meet as the entrywise minimum closed from scratch; None when empty."""
     m = [x if x < y else y for x, y in zip(a.m, b.m)]
-    return Z.Dbm(a.clocks, m) if Z._close(m, a.size) else None
+    return Z.Dbm(a.clocks, m) if floyd_warshall(m, a.size) else None
 
 
 def subtract_by_floyd_warshall(a, b):
@@ -169,7 +184,7 @@ def subtract_by_floyd_warshall(a, b):
             for idx, pb in kept:
                 m[idx] = min(m[idx], pb)
             m[j * n + i] = min(m[j * n + i], Z.bound_neg(bb))
-            if Z._close(m, n):
+            if floyd_warshall(m, n):
                 pieces.append(Z.Dbm(a.clocks, m))
             kept.append((i * n + j, bb))
     return tuple(pieces)
@@ -180,37 +195,45 @@ def time_pred_by_floyd_warshall(target, within):
     return None if hit is None else intersect_by_floyd_warshall(Z.down(hit), within)
 
 
-def random_canonical_zone(rng, clocks, box):
-    """A zone over up to five clocks; small constants, so strict ties are common.
+def random_constraints(rng, n, box):
+    """Triples over n clocks; small constants, so strict ties are common.
 
-    Single-clock bounds also take constants within 8n of the largest
-    one a bound may carry.  Diagonal constants stay within
-    [-4, 4], so a simple path, which passes the reference node at most
-    once, never sums past `INF`: at sums past it both closures drop
-    the bound and no longer agree on a canonical form.
+    A third of the constants lie within 4 of `MAX_BOUND`, the largest
+    one a bound may carry, up to it itself (a diagonal one of either
+    sign), so path sums run well past the ceiling.  With `box`, every
+    triple bounds a single clock.
     """
-    n = len(clocks)
-    near = (Z.INF >> 1) - 1 - 8 * n
-    while True:
-        cons = []
-        for _ in range(rng.randint(0, 2 * n + 2)):
-            if box or n == 1 or rng.random() < 0.5:
-                k = rng.randint(1, n)
-                i, j = (k, 0) if rng.random() < 0.5 else (0, k)
-                c = rng.choice((rng.randint(0, 4), rng.randint(0, 4), near + rng.randint(0, 4)))
-            else:
-                i, j = rng.sample(range(1, n + 1), 2)
-                c = rng.randint(-4, 4)
+    cons = []
+    for _ in range(rng.randint(0, 2 * n + 2)):
+        if box or n == 1 or rng.random() < 0.5:
+            k = rng.randint(1, n)
+            i, j = (k, 0) if rng.random() < 0.5 else (0, k)
+            c = rng.choice((rng.randint(0, 4), rng.randint(0, 4), Z.MAX_BOUND - rng.randint(0, 4)))
             c = -c if i == 0 else c
-            cons.append((i, j, Z.lt(c) if rng.random() < 0.5 else Z.le(c)))
-        d = Z.from_constraints(clocks, cons)
+        else:
+            i, j = rng.sample(range(1, n + 1), 2)
+            c = rng.choice((rng.randint(-4, 4), rng.randint(-4, 4), Z.MAX_BOUND - rng.randint(0, 4)))
+            c = -c if rng.random() < 0.3 else c
+        cons.append((i, j, Z.lt(c) if rng.random() < 0.5 else Z.le(c)))
+    return cons
+
+
+def random_canonical_zone(rng, clocks, box):
+    """A non-empty zone from `random_constraints` over up to five clocks."""
+    while True:
+        d = Z.from_constraints(clocks, random_constraints(rng, len(clocks), box))
         if d is not None:
             return d
 
 
+def near_the_ceiling(d):
+    """Whether some finite bound of `d` carries a constant within 8 of `MAX_BOUND`."""
+    return any(b < Z.INF and abs(b >> 1) >= Z.MAX_BOUND - 8 for b in d.m)
+
+
 def test_meets_agree_with_floyd_warshall():
     rng = random.Random(20261019)
-    empty = inside = split = near_inf = strict_tie = 0
+    empty = inside = split = near_top = strict_tie = 0
     for _ in range(4000):
         clocks = ("x", "y", "w", "v", "u")[: rng.randint(1, 5)]
         a = random_canonical_zone(rng, clocks, box=rng.random() < 0.2)
@@ -230,25 +253,68 @@ def test_meets_agree_with_floyd_warshall():
             strict_tie += intersect_by_floyd_warshall(weak, b) is not None
         inside += b.contains(a)
         split += len(pieces) > 1
-        near_inf += any((Z.INF >> 2) < abs(x) < Z.INF for x in a.m + b.m)
-    counts = (empty, inside, split, near_inf, strict_tie)
-    assert empty > 400 and inside > 400 and split > 400 and near_inf > 400 and strict_tie > 40, counts
+        near_top += near_the_ceiling(a) or near_the_ceiling(b)
+    counts = (empty, inside, split, near_top, strict_tie)
+    assert empty > 400 and inside > 400 and split > 400 and near_top > 400 and strict_tie > 40, counts
 
 
-def test_meets_with_a_box_and_subtract_skip_floyd_warshall(monkeypatch):
-    rng = random.Random(20261020)
-    calls = []
-    close = Z._close
-    monkeypatch.setattr(Z, "_close", lambda m, n: calls.append(n) or close(m, n))
-    for _ in range(300):
-        clocks = ("x", "y", "w", "v")[: rng.randint(1, 4)]
-        a = random_canonical_zone(rng, clocks, box=False)
-        b = random_canonical_zone(rng, clocks, box=rng.random() < 0.5)
-        box = random_canonical_zone(rng, clocks, box=True)
-        calls.clear()
-        Z.intersect(a, box)
-        Z.subtract(a, b)
-        assert calls == [], (a, b, box)
+def test_bounds_at_the_ceiling_keep_their_path_sums():
+    top = Z.MAX_BOUND
+    a = zone(("v", "x", "y"), (1, 0, Z.le(top)), (3, 1, Z.le(2)))    # v <= top, y - v <= 2
+    assert a.m[3 * 4] == Z.le(top + 2)                                 # so y <= top + 2
+    b = zone(("v", "x", "y"), (0, 2, Z.le(-3)))                        # x >= 3
+    meet = Z.intersect(a, b)
+    assert meet.m[3 * 4 + 2] == Z.le(top - 1)                          # so y - x <= top - 1
+    assert meet == intersect_by_floyd_warshall(a, b)
+
+
+def down_by_floyd_warshall(d):
+    """Row 0 recomputed as in `down`, then the matrix closed from scratch."""
+    n = d.size
+    m = list(d.m)
+    for j in range(1, n):
+        m[j] = min([Z.LE_ZERO] + [m[i * n + j] for i in range(1, n)])
+    assert floyd_warshall(m, n)
+    return tuple(m)
+
+
+def extrapolate_by_floyd_warshall(d, max_const):
+    """The widened matrix closed from scratch; None when the closure empties it."""
+    ceil, floor = Z.le(max_const), Z.lt(-max_const)
+    m = [Z.INF if ceil < b < Z.INF else max(b, floor) for b in d.m]
+    return tuple(m) if floyd_warshall(m, d.size) else None
+
+
+def test_down_extrapolate_and_from_constraints_agree_with_floyd_warshall():
+    # fixed cases: a point, the two strict ties of a box, one diagonal
+    x_is_3 = [(1, 0, Z.le(3)), (0, 1, Z.le(-3))]
+    assert zone(CLOCKS, *x_is_3).m == closed_by_floyd_warshall(CLOCKS, x_is_3)
+    assert zone(CLOCKS, (1, 0, Z.lt(3)), (0, 1, Z.le(-3))) is None         # x < 3 & x >= 3
+    assert zone(CLOCKS, (1, 0, Z.le(3)), (0, 1, Z.lt(-3))) is None         # x <= 3 & x > 3
+    diagonal = [(1, 0, Z.le(3)), (2, 1, Z.le(-1))]                          # x <= 3, y - x <= -1
+    assert zone(CLOCKS, *diagonal).m == closed_by_floyd_warshall(CLOCKS, diagonal)
+    rng = random.Random(20261021)
+    widened = empty = diagonals = near_top = 0
+    for _ in range(3000):
+        clocks = ("x", "y", "w", "v", "u")[: rng.randint(1, 5)]
+        n = len(clocks)
+        d = random_canonical_zone(rng, clocks, box=rng.random() < 0.2)
+        assert Z.down(d).m == down_by_floyd_warshall(d), d
+        max_const = rng.choice((0, 1, 2, 4, Z.MAX_BOUND - rng.randint(0, 4)))
+        got = Z.extrapolate(d, max_const)
+        assert got.m == extrapolate_by_floyd_warshall(d, max_const), (d, max_const)
+        widened += got is not d
+        cons = random_constraints(rng, n, box=False)
+        if rng.random() < 0.1:                  # an entry of the matrix diagonal itself
+            k = rng.randint(0, n)
+            cons.append((k, k, rng.choice((Z.lt(0), Z.le(0), Z.le(1)))))
+        got = Z.from_constraints(clocks, cons)
+        assert (got and got.m) == closed_by_floyd_warshall(clocks, cons), cons
+        empty += got is None
+        diagonals += any((i == 0) == (j == 0) for i, j, _ in cons)
+        near_top += near_the_ceiling(d)
+    counts = (widened, empty, diagonals, near_top)
+    assert widened > 1000 and empty > 500 and diagonals > 1500 and near_top > 1000, counts
 
 
 def test_up_drops_upper_bounds():
@@ -332,7 +398,7 @@ def test_sample_point_of_the_origin():
 
 
 def test_sample_point_with_large_constants_lands_inside():
-    # scaled by 2n = 8, the bounds pass INF = 2^40; read as absent, they
+    # scaled by 2n = 8, the bounds pass 2^40; any of them read as absent
     # would give a point on the strict bound z - y < 187545927887
     a = zone(("x", "y", "z"), (3, 2, Z.lt(187_545_927_887)), (0, 3, Z.lt(-457_803_143_320)))
     assert G.satisfies_point(a, G.sample_point(a))
@@ -460,5 +526,5 @@ def test_extrapolate_returns_its_argument_exactly_when_nothing_widens(a, max_con
         assert got is a
     else:
         assert got is not a
-        assert Z._close(widened, a.size)
+        assert floyd_warshall(widened, a.size)
         assert got.m == tuple(widened)
