@@ -14,7 +14,7 @@ import json
 import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 RELATIONS = ("<", "<=", "=", ">=", ">")
 
@@ -197,13 +197,13 @@ class Pera:
         for loc, guard in self.invariants.items():
             if loc not in locs:
                 raise ModelError(f"invariant for undeclared location {loc!r}")
-            _check_atoms(guard, clkset, pset, f"invariant of {loc}")
+            _check_atoms(guard, clkset, pset, lambda: f"invariant of {loc}")
         for e in self.edges:
             if e.source not in locs or e.target not in locs:
                 raise ModelError(f"edge endpoints undeclared: {e.text()}")
             if e.action not in acts:
                 raise ModelError(f"edge action undeclared: {e.text()}")
-            _check_atoms(e.guard, clkset, pset, f"guard of {e.text()}")
+            _check_atoms(e.guard, clkset, pset, lambda: f"guard of {e.text()}")
 
     # -- parameter substitution ---------------------------------------
 
@@ -348,12 +348,17 @@ def _names(value, what: str) -> tuple[str, ...]:
     return tuple(_name(v, what) for v in value)
 
 
-def _check_atoms(guard, clocks, params, where):
+def _check_atoms(guard, clocks, params, where: Callable[[], str]) -> None:
+    """Reject an atom on an unknown clock or parameter.
+
+    `where()` names the guard in the message; it is only called to
+    raise, so a valid automaton formats none of its edges.
+    """
     for a in guard:
         if a.clock not in clocks:
-            raise ModelError(f"unknown clock {a.clock!r} in {where}")
+            raise ModelError(f"unknown clock {a.clock!r} in {where()}")
         if a.param is not None and a.param not in params:
-            raise ModelError(f"unknown parameter {a.param!r} in {where}")
+            raise ModelError(f"unknown parameter {a.param!r} in {where()}")
 
 
 def parse_valuation(pairs: Sequence[str]) -> dict[str, Fraction]:

@@ -3,16 +3,19 @@
 The symbolic layer answers "where does edge e fire" with one zone per
 edge (guard, source invariant, and target invariant pulled back
 through the reset), and "from where can e be waited for" with its
-wait zone.  `Analyzer` builds both on first use and memoizes them per
-edge.  Delay-closed discrete successors come from the fire zone;
-blocking states (concrete states from which no delay reaches any
-fireable edge) are what is left of a zone after subtracting every wait
-zone, a tuple of disjoint pieces.  `ZoneGraph`, finite by
-maximum-constant widening, numbers each symbolic state once and builds
-its successors on first use; `zone_graph` expands it breadth first,
-and `language.Determinized` on demand, as sets of node ids; whether a
-node blocks is memoized per node.  The concrete layer replays explicit
-delay/action scripts with exact rational arithmetic.
+wait zone.  `Analyzer` builds both per location on first use: the
+fire zones of a location's edges compiled into its moves (action,
+target, and the bounds `zones.post` reads), and the wait zones as far
+as blocking needs them.  A discrete successor is delay-closed and
+widened, and the widening is skipped when it could not change the
+step's result.  Blocking states (concrete states from which no delay
+reaches any fireable edge) are what is left of a zone after
+subtracting every wait zone, a tuple of disjoint pieces.  `ZoneGraph`,
+finite by maximum-constant widening, numbers each symbolic state once
+and builds its successors on first use; `zone_graph` expands it
+breadth first, and `language.Determinized` on demand, as sets of node
+ids; whether a node blocks is memoized per node.  The concrete layer
+replays explicit delay/action scripts with exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ class ExplorationConfig:
 
 
 Sym = tuple[str, Z.Dbm]
+Move = tuple[str, str, Z.Box]   # (action, target location, compiled fire box)
 
 
 def _atom_constraints(atom: Atom, clocks: Sequence[str]) -> list[tuple[int, int, int]]:
@@ -90,7 +94,7 @@ def guard_holds(guard: Guard, val: Mapping[str, Fraction]) -> bool:
 
 
 class Analyzer:
-    """Per-automaton caches for symbolic stepping.
+    """Per-automaton tables for symbolic stepping.
 
     Requires a fully valuated automaton, every constant of which, fired
     or not, fits a zone bound.  Locations whose invariant is
@@ -115,9 +119,13 @@ class Analyzer:
         for e in a.edges:
             self.edges_from[e.source].append(e)
         self.reset_clock: dict[str, str] = dict(a.actions)
-        # edge -> fire zone and edge -> wait zone, filled on first use
-        self._fire: dict[Edge, Z.Dbm | None] = {}
-        self._wait: dict[Edge, Z.Dbm | None] = {}
+        # per location, filled on first use: the moves, their fire zones,
+        # and the wait zones of those, None when empty
+        self._moves: dict[str, tuple[Move, ...]] = {}
+        self._fires: dict[str, tuple[Z.Dbm, ...]] = {}
+        self._waits: dict[str, list[Z.Dbm | None]] = {}
+        # zones the widening rebuilt, whose entries may lie past ±max_const
+        self._loose: set[Z.Dbm] = set()
 
     # -- symbolic steps ------------------------------------------------
 
@@ -129,7 +137,7 @@ class Analyzer:
         return (self.automaton.initial, start)
 
     def _fire_zone(self, e: Edge) -> Z.Dbm | None:
-        """Zone of points where `e` fires into its target's invariant; memoized.
+        """Zone of points where `e` fires into its target's invariant.
 
         Conjoins guard, source invariant, and the pull-back of the
         target invariant through the edge's reset: atoms on the reset
@@ -137,68 +145,88 @@ class Analyzer:
         clocks directly.  Exact because every atom bounds one clock.
 
         For the same reason the result is a box, the closure of
-        single-clock bounds, which is what lets `successor` delay, meet
-        and reset in one O(n²) step, `Z.post`, instead of a full closure.
+        single-clock bounds, which `moves` compiles once so that
+        `successor` delays, meets and resets in one O(n²) step,
+        `Z.post`, instead of a full closure.
         """
-        try:
-            return self._fire[e]
-        except KeyError:
-            pass
         reset_clock = self.reset_clock[e.action]
         cons: list[tuple[int, int, int]] = []
         for atom in (*e.guard, *self.automaton.invariant(e.source)):
             cons.extend(_atom_constraints(atom, self.clocks))
-        fire = None
         for atom in self.automaton.invariant(e.target):
             if atom.clock != reset_clock:
                 cons.extend(_atom_constraints(atom, self.clocks))
             elif not atom_holds(atom, {reset_clock: Fraction(0)}):
-                break
-        else:
-            fire = Z.from_constraints(self.clocks, cons)
-        self._fire[e] = fire
-        return fire
+                return None
+        return Z.from_constraints(self.clocks, cons)
 
-    def _wait_zone(self, e: Edge) -> Z.Dbm | None:
-        """Source-invariant points that can wait until the fire zone of `e`; memoized."""
-        try:
-            return self._wait[e]
-        except KeyError:
-            fire = self._fire_zone(e)
-            wait = self._wait[e] = None if fire is None else Z.time_pred(fire, self.inv_zone[e.source])
-            return wait
+    def moves(self, loc: str) -> tuple[Move, ...]:
+        """The moves out of `loc`, in edge order; compiled on first use.
 
-    def successor(self, s: Sym, e: Edge) -> Sym | None:
-        """Delay-closed discrete successor, None when unfireable."""
-        loc, zone = s
-        if e.source != loc:
-            raise ModelError("edge does not start at the state's location")
-        fire = self._fire_zone(e)
-        if fire is None:
+        A move is (action, target, `Z.compile_box` of the fire zone); an
+        edge whose fire zone is empty never fires and has no move.
+        """
+        moves = self._moves.get(loc)
+        if moves is None:
+            fires = [(e, f) for e in self.edges_from[loc] if (f := self._fire_zone(e)) is not None]
+            self._fires[loc] = tuple(f for _, f in fires)
+            moves = self._moves[loc] = tuple(
+                (e.action, e.target, Z.compile_box(f, self.reset_clock[e.action])) for e, f in fires
+            )
+        return moves
+
+    def successor(self, zone: Z.Dbm, move: Move) -> Sym | None:
+        """Widened delay-closed successor of a widened zone along `move`; None when empty.
+
+        `zone` must be widened: a node zone, or any zone that
+        `Z.extrapolate` returns as it is.  The widening is skipped when
+        it would change nothing.  A box with no finite upper bound and
+        no lower bound tighter than the zone's gives a result whose
+        entries are all entries of the zone, `LE_ZERO` or `INF`; if the
+        zone's own finite entries lie within ±max_const, so do the
+        result's, and `Z.extrapolate` would return it as it is.  A zone
+        the widening rebuilt may not qualify (closing `x > M` and
+        `y - x > M` gives `y > 2M`), so those are kept in `_loose` and
+        their successors are always widened.
+        """
+        _, target, box = move
+        nxt = Z.post(zone, box)
+        if nxt is None:
             return None
-        zone = Z.post(zone, fire, self.reset_clock[e.action])
-        return None if zone is None else (e.target, zone)
+        lows, ups, _ = box
+        loose = self._loose
+        if ups or (lows and any(b < zone.m[k] for k, b in lows)) or (loose and zone in loose):
+            return self.widen((target, nxt))
+        return (target, nxt)
 
     def widen(self, s: Sym) -> Sym:
-        return (s[0], Z.extrapolate(s[1], self.max_const))
+        """Maximum-constant widening; a zone it rebuilds is kept in `_loose`."""
+        zone = Z.extrapolate(s[1], self.max_const)
+        if zone is not s[1]:
+            self._loose.add(zone)
+        return (s[0], zone)
 
     # -- blocking ----------------------------------------------------------
 
     def blocking_subset(self, s: Sym) -> tuple[Z.Dbm, ...]:
         """Concrete states in `s` with no delay-then-discrete extension.
 
-        Start from the whole zone and carve out, per edge, every point
-        that can wait (inside the invariant) until the edge's fire
+        Start from the whole zone and carve out, per move, every point
+        that can wait (inside the invariant) until the move's fire
         zone.  What remains blocks, as disjoint pieces; none when
-        nothing does.
+        nothing does.  The wait zones of a location are built in move
+        order as far as some call has needed them, None when empty.
         """
         loc, zone = s
+        self.moves(loc)                    # fills self._fires[loc]
+        waits = self._waits.setdefault(loc, [])
         pieces: tuple[Z.Dbm, ...] = (zone,)
-        for e in self.edges_from[loc]:
-            wait = self._wait_zone(e)
-            if wait is None:
+        for i, fire in enumerate(self._fires[loc]):
+            if i == len(waits):
+                waits.append(Z.time_pred(fire, self.inv_zone[loc]))
+            if waits[i] is None:
                 continue
-            pieces = tuple(q for p in pieces for q in Z.subtract(p, wait))
+            pieces = tuple(q for p in pieces for q in Z.subtract(p, waits[i]))
             if not pieces:
                 break
         return pieces
@@ -213,13 +241,14 @@ class Analyzer:
 class ZoneGraph:
     """Symbolic states numbered once each, with successors built on first use.
 
-    A state is widened before it is numbered, exact for diagonal-free
-    automata such as ERAs (Bouyer, FMSD 2004).  `succ(nid)` gives the
-    node's successor ids per action, in sorted action order, from one
-    `Analyzer.successor` call per edge on first use; targets are numbered
-    in `edges_from` order, so expanding nodes in id order numbers them
-    breadth first.  `edges` lists the expanded nodes' sorted (source,
-    action, target) triples, and `blocks(nid)` whether a node blocks.
+    States are widened, exact for diagonal-free automata such as ERAs
+    (Bouyer, FMSD 2004): the initial one by `Analyzer.widen`, the rest
+    by `Analyzer.successor`.  `succ(nid)` gives the node's successor
+    ids per action, in sorted action order, from one `successor` call
+    per move out of its location on first use; targets are numbered in
+    move order, so expanding nodes in id order numbers them breadth
+    first.  `edges` lists the expanded nodes' sorted (source, action,
+    target) triples, and `blocks(nid)` whether a node blocks.
     """
 
     def __init__(self, a: Pera):
@@ -228,10 +257,9 @@ class ZoneGraph:
         self.node_index: dict[Sym, int] = {}
         self._succ: dict[int, dict[str, tuple[int, ...]]] = {}
         self._blocks: dict[int, bool] = {}
-        self.initial = self._intern(self.ana.initial())
+        self.initial = self._intern(self.ana.widen(self.ana.initial()))
 
     def _intern(self, s: Sym) -> int:
-        s = self.ana.widen(s)
         nid = self.node_index.get(s)
         if nid is None:
             nid = self.node_index[s] = len(self.nodes)
@@ -242,12 +270,12 @@ class ZoneGraph:
         table = self._succ.get(nid)
         if table is None:
             ana = self.ana
-            s = self.nodes[nid]
+            loc, zone = self.nodes[nid]
             out: dict[str, set[int]] = {}
-            for e in ana.edges_from[s[0]]:
-                nxt = ana.successor(s, e)
+            for move in ana.moves(loc):
+                nxt = ana.successor(zone, move)
                 if nxt is not None:
-                    out.setdefault(e.action, set()).add(self._intern(nxt))
+                    out.setdefault(move[0], set()).add(self._intern(nxt))
             table = self._succ[nid] = {act: tuple(out[act]) for act in sorted(out)}
         return table
 

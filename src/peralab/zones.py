@@ -257,47 +257,65 @@ def reset(d: Dbm, clock: str) -> Dbm:
     return Dbm(d.clocks, m)
 
 
-def post(d: Dbm, box: Dbm, clock: str) -> Dbm | None:
-    """`reset(intersect(up(d), box), clock)` in O(n²): one list, one `Dbm`.
+Box = tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...], int]
 
-    `box` must be canonical with every constraint on one clock, so its
-    arcs all touch the reference node 0 and a shortest path of the meet
-    passes 0 at most once: i -> a (delayed d), a -> 0 (upper bound),
-    0 -> k (lower bound), k -> j (delayed d).  Only box lower bounds
-    tighter than d's own can shorten a path; delay has dropped d's upper
-    bounds, so every finite box upper bound can.  `col[j]` is the
-    shortest 0 -> j path and `row[i]` the shortest i -> 0 path, so
-    they are the meet's row 0 and column 0, every other entry closes
-    in one step, and the meet is empty iff a cycle a -> 0 -> a through
-    an upper bound is negative.  Row 0 of a zone is always finite
-    (clocks are nonnegative), so `col` is too.  None when the meet is
-    empty.
+
+def compile_box(box: Dbm, clock: str) -> Box:
+    """What `post` reads of a box and the clock it resets, read off once.
+
+    `box` must be canonical with every constraint on one clock (every
+    guard and invariant closes to one).  The result is `(lows, ups,
+    k)`: each clock's lower bound tighter than `x >= 0` as `(index,
+    entry (0, index))`, each finite upper bound as `(index, entry
+    (index, 0))`, and the index of `clock`.  A box is the closure of
+    these bounds, so they are all of it that `post` needs.
     """
-    if d.clocks != box.clocks:
-        raise ValueError("clock sets differ")
-    n = d.size
-    dm, bm = d.m, box.m
-    col = list(dm[:n])
-    for k in range(1, n):
-        lk = bm[k]
-        if lk < dm[k]:
-            col[1:] = [
-                c if b >= INF or c <= (v := lk + b - ((lk | b) & 1)) else v
-                for c, b in zip(col[1:], dm[k * n + 1:(k + 1) * n])
-            ]
-    row = [LE_ZERO] + [INF] * (n - 1)      # up: no upper bounds
-    ups = [a for a in range(1, n) if bm[a * n] < INF]
-    for a in ups:
-        ua = bm[a * n]
-        ca = col[a]
-        if ca + ua - ((ca | ua) & 1) < LE_ZERO:
-            return None
-        row = [
-            r if b >= INF or r <= (v := b + ua - ((b | ua) & 1)) else v
-            for r, b in zip(row, dm[a::n])
-        ]
+    n = box.size
+    m = box.m
+    lows = tuple((k, m[k]) for k in range(1, n) if m[k] < LE_ZERO)
+    ups = tuple((a, m[a * n]) for a in range(1, n) if m[a * n] < INF)
+    return lows, ups, box.index(clock)
+
+
+def post(d: Dbm, box: Box) -> Dbm | None:
+    """`reset(intersect(up(d), b), x)` in O(n²) for `box = compile_box(b, x)`.
+
+    One list, one `Dbm`.  The arcs of the box `b` all touch the
+    reference node 0, so a shortest path of the meet passes 0 at most
+    once: i -> a (delayed d), a -> 0 (upper bound), 0 -> k
+    (lower bound), k -> j (delayed d).  Only box lower bounds tighter
+    than d's own can shorten a path; delay has dropped d's upper bounds,
+    so every finite box upper bound can.  `col[j]`, row 0 once the lower
+    bounds are in, is the shortest 0 -> j path and `row[i]` the shortest i -> 0 path, so they are the
+    meet's row 0 and column 0, every other entry closes in one step,
+    and the meet is empty iff a cycle a -> 0 -> a through an upper bound
+    is negative.  Row 0 of a zone is always finite (clocks are
+    nonnegative), so `col` is too.  None when the meet is empty.
+
+    With no finite upper bound and no lower bound tighter than d's,
+    every entry of the result is an entry of d, `LE_ZERO` or `INF`.
+    """
+    lows, ups, reset_index = box
+    dm = d.m
+    n = len(d.clocks) + 1
     m = list(dm)
-    if ups:                                # else no row below 0 is finite
+    for k, lk in lows:
+        if lk < dm[k]:
+            m[1:n] = [
+                c if b >= INF or c <= (v := lk + b - ((lk | b) & 1)) else v
+                for c, b in zip(m[1:n], dm[k * n + 1:(k + 1) * n])
+            ]
+    if ups:
+        col = m[:n]
+        row = [LE_ZERO] + [INF] * (n - 1)
+        for a, ua in ups:
+            ca = col[a]
+            if ca + ua - ((ca | ua) & 1) < LE_ZERO:
+                return None
+            row = [
+                r if b >= INF or r <= (v := b + ua - ((b | ua) & 1)) else v
+                for r, b in zip(row, dm[a::n])
+            ]
         for i in range(1, n):
             r = row[i]
             if r < INF:
@@ -305,9 +323,10 @@ def post(d: Dbm, box: Dbm, clock: str) -> Dbm | None:
                     x if x <= (v := r + c - ((r | c) & 1)) else v
                     for x, c in zip(dm[i * n:(i + 1) * n], col)
                 ]
-    m[:n] = col
-    m[::n] = row
-    _reset(m, n, d.index(clock))
+        m[::n] = row
+    else:
+        m[n::n] = [INF] * (n - 1)          # up: no upper bounds
+    _reset(m, n, reset_index)
     return Dbm(d.clocks, m)
 
 

@@ -16,6 +16,9 @@ from peralab.core import (
     parse_guard,
     parse_valuation,
 )
+from peralab.encoder import build
+
+from machines import loop
 
 CLOCKS = ("t", "x1", "x2", "z")
 
@@ -137,6 +140,27 @@ def test_validate_rejects_bad_structure():
         tiny_automaton(invariants={"ghost": (Atom("x", "<=", 1),)})
     with pytest.raises(ModelError):
         tiny_automaton(edges=(Edge("l0", (Atom("w", "<=", 1),), "a", "l1"),))
+
+
+def test_validate_names_the_guard_of_an_unknown_name():
+    with pytest.raises(ModelError) as err:
+        tiny_automaton(edges=(Edge("l0", (Atom("w", "<=", 1),), "a", "l1"),))
+    assert str(err.value) == "unknown clock 'w' in guard of l0 --[w <= 1] a--> l1"
+    with pytest.raises(ModelError) as err:
+        tiny_automaton(edges=(Edge("l0", (Atom("x", "<=", 1, "q"),), "a", "l1"),))
+    assert str(err.value) == "unknown parameter 'q' in guard of l0 --[x <= q+1] a--> l1"
+    with pytest.raises(ModelError) as err:
+        tiny_automaton(invariants={"l1": (Atom("w", "<=", 1),)})
+    assert str(err.value) == "unknown clock 'w' in invariant of l1"
+
+
+def test_valid_construction_formats_no_edge(monkeypatch):
+    """Building, valuating and rescaling a valid automaton never calls `Edge.text`."""
+    text = build(loop(), "buchi").to_text()
+    calls = []
+    monkeypatch.setattr(Edge, "text", lambda self: calls.append(self))
+    Pera.from_text(text).valuate({"p": 61}).rescale(3)
+    assert calls == []
 
 
 def test_valuate_drops_unsatisfiable_edges():

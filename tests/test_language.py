@@ -399,20 +399,24 @@ def test_counts_without_words(loop0):
 
 
 def test_successor_runs_once_per_node_and_edge(monkeypatch):
-    """Sets that share a symbolic state expand it once, in the shared graph."""
+    """Sets that share a symbolic state expand it once, in the shared graph.
+
+    That is one `successor` call per expanded node and move out of its
+    location.
+    """
     calls = 0
     raw = Analyzer.successor
 
-    def counting(self, s, e):
+    def counting(self, zone, move):
         nonlocal calls
         calls += 1
-        return raw(self, s, e)
+        return raw(self, zone, move)
 
     monkeypatch.setattr(Analyzer, "successor", counting)
     det = Determinized(build(inc3(), "wrapped").valuate({"p": 5}), cfg(8), "maximal")
     det.counts()
     g = det.graph
-    assert calls == sum(len(g.ana.edges_from[g.nodes[n][0]]) for n in g._succ)
+    assert calls == sum(len(g.ana.moves(g.nodes[n][0])) for n in g._succ)
 
 
 def test_blocking_runs_once_per_node(monkeypatch):

@@ -2,8 +2,10 @@
 
 from dataclasses import fields
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from peralab.core import Atom, Edge, ModelError, Pera
 from peralab.encoder import VARIANTS, build, encode_core
@@ -22,6 +24,7 @@ from peralab import zones as Z
 import gridoracle as G
 from machines import inc3, load, loop
 from schedule import derive_schedule
+from test_encoder import machines
 from wordsets import enumerate_language
 
 
@@ -64,26 +67,24 @@ def test_guard_zone_of_unsatisfiable_guard():
 def test_successor_hand_case():
     a = one_loc((Edge("only", (Atom("x", ">=", 2),), "a", "only"),))
     ana = Analyzer(a)
-    loc, zone = ana.successor(ana.initial(), a.edges[0])
+    loc, zone = ana.initial()
+    (move,) = ana.moves(loc)
+    loc, zone = ana.successor(zone, move)
     assert loc == "only"
     # delay to x >= 2, then reset: exactly the origin again, delay-closed later
     assert zone == Z.origin(("x",))
-    nxt = [ana.successor((loc, zone), e) for e in ana.edges_from[loc]]
+    nxt = [ana.successor(zone, m) for m in ana.moves(loc)]
     assert len(nxt) == 1 and nxt[0] is not None
 
 
-def test_successor_requires_matching_source(loop2):
-    ana = Analyzer(loop2)
-    foreign = [e for e in loop2.edges if e.source != loop2.initial][0]
-    with pytest.raises(ModelError):
-        ana.successor(ana.initial(), foreign)
+cached_guard_zone = cache(guard_zone)
 
 
 def stepwise_successor(ana, s, e):
     """The successor in four steps: up and source invariant, guard, reset, target invariant."""
     loc, zone = s
     a = ana.automaton
-    zones = [guard_zone(g, ana.clocks) for g in (a.invariant(loc), e.guard, a.invariant(e.target))]
+    zones = [cached_guard_zone(g, ana.clocks) for g in (a.invariant(loc), e.guard, a.invariant(e.target))]
     if None in zones:
         return None
     inv, guard, tinv = zones
@@ -93,6 +94,40 @@ def stepwise_successor(ana, s, e):
         return None
     stepped = Z.intersect(Z.reset(stepped, a.clock_of(e.action)), tinv)
     return None if stepped is None else (e.target, stepped)
+
+
+def widened_stepwise_successor(ana, s, e):
+    """`stepwise_successor`, widened as every zone graph node is."""
+    nxt = stepwise_successor(ana, s, e)
+    return None if nxt is None else (nxt[0], Z.extrapolate(nxt[1], ana.max_const))
+
+
+def reference_graph(a):
+    """Nodes and sorted edges of the widened zone graph, built breadth first.
+
+    One widened reference step per edge, in edge order, so node ids
+    come out as `ZoneGraph` numbers them.
+    """
+    ana = Analyzer(a)
+    loc, zone = ana.initial()
+    nodes = [(loc, Z.extrapolate(zone, ana.max_const))]
+    index = {nodes[0]: 0}
+    edges = set()
+    for nid, s in enumerate(nodes):             # grows while it is walked
+        for e in ana.edges_from[s[0]]:
+            nxt = widened_stepwise_successor(ana, s, e)
+            if nxt is not None:
+                if nxt not in index:
+                    index[nxt] = len(nodes)
+                    nodes.append(nxt)
+                edges.add((nid, e.action, index[nxt]))
+    return nodes, sorted(edges)
+
+
+def move_for(ana, e):
+    """The move `Analyzer.moves` compiles for `e`; None when `e` never fires."""
+    fire = ana._fire_zone(e)
+    return None if fire is None else (e.action, e.target, Z.compile_box(fire, ana.reset_clock[e.action]))
 
 
 def two_loc(edge, invariants):
@@ -123,26 +158,74 @@ def two_loc(edge, invariants):
 )
 def test_successor_matches_stepwise_reference(edge, invariants, fires):
     ana = Analyzer(two_loc(edge, invariants))
+    move = move_for(ana, edge)
+    assert ana.moves(edge.source) == (() if move is None else (move,))
     for zone in (Z.origin(ana.clocks), Z.from_constraints(ana.clocks, ())):
         s = (edge.source, zone)
-        got = ana.successor(s, edge)
-        assert got == stepwise_successor(ana, s, edge)
+        got = None if move is None else ana.successor(zone, move)
+        assert got == widened_stepwise_successor(ana, s, edge)
         assert (got is not None) == fires
 
 
+def successor_and_skip(ana, zone, move):
+    """`ana.successor(zone, move)`, and whether it skipped the widening."""
+    widen = ana.widen
+    calls = []
+    ana.widen = lambda s: calls.append(s) or widen(s)
+    try:
+        return ana.successor(zone, move), not calls
+    finally:
+        del ana.widen
+
+
 @pytest.mark.parametrize("machine", [loop, inc3])
-@pytest.mark.parametrize("variant", ["wrapped", "buchi"])
+@pytest.mark.parametrize("variant", ["wrapped", "buchi", "safety"])
 def test_successor_matches_stepwise_reference_on_encodings(machine, variant):
-    for p in (0, 1, 2, 5):
-        a = build(machine(), variant).valuate({"p": p})
-        ana = Analyzer(a)
-        fired = 0
-        for s in zone_graph(a).nodes:
+    """Every move out of every node: the widened reference, and a skipped widening changes nothing."""
+    base = build(machine(), variant)
+    for scale, p in ((1, 0), (1, 1), (1, 2), (1, 5), (1, 61), (2, 1)):     # and p = 1/2
+        a = base.rescale(scale).valuate({"p": p})
+        g = zone_graph(a)
+        ana = g.ana
+        moves = {e: move_for(ana, e) for e in a.edges}
+        for loc, edges in ana.edges_from.items():
+            assert ana.moves(loc) == tuple(moves[e] for e in edges if moves[e] is not None)
+        fired = skipped = 0
+        for s in g.nodes:
             for e in ana.edges_from[s[0]]:
-                got = ana.successor(s, e)
-                assert got == stepwise_successor(ana, s, e)
+                move = moves[e]
+                got, skip = (None, False) if move is None else successor_and_skip(ana, s[1], move)
+                assert got == widened_stepwise_successor(ana, s, e)
                 fired += got is not None
-        assert fired > 0
+                if got is not None and skip:
+                    skipped += 1
+                    assert Z.extrapolate(got[1], ana.max_const) is got[1]
+        assert fired > skipped > 0
+
+
+def test_widening_rebuilt_zone_is_widened_again_after_a_plain_move():
+    """Closing `xa > 2` with `xb - xa > 2` keeps `xb > 4` past the constant 2.
+
+    Resetting `xa` by a move with no bounds leaves `xb > 4`, which the
+    widening would turn into `xb > 2`, so that step may not skip it.
+    """
+    a = Pera(
+        actions=(("a", "xa"), ("b", "xb"), ("c", "xc")),
+        parameters=(),
+        locations=("l0", "l1", "l2", "l3", "l4"),
+        initial="l0",
+        edges=(
+            Edge("l0", (), "b", "l1"),
+            Edge("l1", (Atom("xb", ">", 2),), "a", "l2"),
+            Edge("l2", (Atom("xa", ">", 2),), "c", "l3"),
+            Edge("l3", (), "a", "l4"),
+        ),
+    )
+    g = zone_graph(a)
+    (l4,) = [z for loc, z in g.nodes if loc == "l4"]
+    assert l4 == Z.extrapolate(l4, 2)
+    assert l4.pretty() == "xb > 2 & xa <= 0 & xa-xb < -2 & xa-xc <= 0 & xc-xb < -2"
+    assert g.nodes == reference_graph(a)[0]
 
 
 @pytest.mark.parametrize("name", ["loop", "inc3", "halt"])
@@ -154,9 +237,7 @@ def test_fire_zones_are_boxes(name, variant):
         ana = Analyzer(a.rescale(scale).valuate({"p": p}))
         n = len(ana.clocks) + 1
         for e in ana.automaton.edges:
-            ana._fire_zone(e)
-        assert ana._fire.keys() == set(ana.automaton.edges)
-        for e, fire in ana._fire.items():
+            fire = ana._fire_zone(e)
             if fire is None:
                 continue
             m = fire.m
@@ -242,6 +323,15 @@ def test_bounded_zone_graph_is_prefix_of_fixpoint(levels):
     assert g.nodes == full.nodes[:n]
     assert g.node_index == {s: full.node_index[s] for s in g.nodes}
     assert g.edges == [e for e in full.edges if depth[e[0]] < levels]
+
+
+@seed(2110)
+@given(machines(), st.sampled_from(["wrapped", "buchi", "safety"]), st.integers(min_value=0, max_value=5))
+@settings(deadline=None, max_examples=25)
+def test_zone_graph_matches_reference_on_random_machines(m, variant, p):
+    a = build(m, variant).valuate({"p": p})
+    g = zone_graph(a)
+    assert (g.nodes, g.edges) == reference_graph(a)
 
 
 def test_zone_graph_node_limit(loop2):

@@ -87,37 +87,48 @@ def test_intersect_basic():
     assert Z.intersect(a, zone(("x",), (0, 1, Z.lt(-2)))) is None
 
 
+def post(d, box, clock):
+    """`Z.post` on `box` compiled for a reset of `clock`."""
+    return Z.post(d, Z.compile_box(box, clock))
+
+
 def stepwise_post(d, box, clock):
     """`post`'s definition, one operation at a time."""
     meet = Z.intersect(Z.up(d), box)
     return None if meet is None else Z.reset(meet, clock)
 
 
+def test_compile_box_keeps_real_bounds_and_the_reset_index():
+    box = zone(CLOCKS, (0, 1, Z.lt(-1)), (2, 0, Z.le(2)))        # x > 1, y <= 2
+    assert Z.compile_box(box, "y") == (((1, Z.lt(-1)),), ((2, Z.le(2)),), 2)
+    assert Z.compile_box(zone(CLOCKS), "x") == ((), (), 1)      # x >= 0 is no bound
+
+
 def test_post_without_a_tighter_bound_is_the_delayed_reset():
     d = zone(CLOCKS, (0, 1, Z.le(-1)), (2, 0, Z.le(2)))        # x >= 1, y <= 2
     box = zone(CLOCKS, (0, 1, Z.le(-1)))                       # x >= 1: nothing new after delay
-    got = Z.post(d, box, "y")
+    got = post(d, box, "y")
     assert got == Z.reset(Z.up(d), "y") == stepwise_post(d, box, "y")
 
 
 def test_post_empty_through_a_lower_bound_alone():
     d = zone(("x",), (0, 1, Z.le(-3)))                         # x >= 3, kept by delay
-    assert Z.post(d, zone(("x",), (1, 0, Z.le(2))), "x") is None   # x <= 2
+    assert post(d, zone(("x",), (1, 0, Z.le(2))), "x") is None   # x <= 2
 
 
 def test_post_empty_through_a_lower_upper_cycle():
     # x - y <= 1 bounds neither clock alone; with x >= 3 it forces y >= 2
     d = zone(CLOCKS, (1, 2, Z.le(1)))
     box = zone(CLOCKS, (0, 1, Z.le(-3)), (2, 0, Z.le(1)))      # x >= 3, y <= 1
-    assert Z.post(d, box, "x") is None
+    assert post(d, box, "x") is None
     assert stepwise_post(d, box, "x") is None
 
 
 def test_post_strictness_at_a_shared_endpoint():
     d = zone(CLOCKS, (0, 1, Z.le(-3)))                         # x >= 3
-    assert Z.post(d, zone(CLOCKS, (1, 0, Z.lt(3))), "y") is None
+    assert post(d, zone(CLOCKS, (1, 0, Z.lt(3))), "y") is None
     box = zone(CLOCKS, (1, 0, Z.le(3)))
-    point = Z.post(d, box, "y")
+    point = post(d, box, "y")
     assert G.satisfies_point(point, (Fraction(3), Fraction(0)))
     assert not G.satisfies_point(point, (Fraction(3), Fraction(1, 2)))
     assert point == stepwise_post(d, box, "y")

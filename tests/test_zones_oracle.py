@@ -204,7 +204,7 @@ def test_post_agrees_with_stepwise_and_grid():
         if da is None or box is None:
             continue
         k = rng.randint(1, n)
-        got = Z.post(da, box, clocks[k - 1])
+        got = Z.post(da, Z.compile_box(box, clocks[k - 1]))
         meet = Z.intersect(Z.up(da), box)
         want = None if meet is None else Z.reset(meet, clocks[k - 1])
         # the same canonical tuple, or both empty
