@@ -13,12 +13,13 @@ Everything else is a view on that core.  `Determinized.counts` gives
 the number of prefix and flagged words by a level-by-level count,
 without materializing a word.  `Determinized.lines` is the one word
 walk, for `lang` to print: breadth first, in (length, word) order, it
-builds each word's report line from its parent's text with one string
-concatenation, keeps one level in memory and streams the last.  Its
-flagged filter enters a set only if a flagged set is reachable from it
-within the steps left, read backwards off the tables `counts` built, so
-listing a few flagged words among many prefix words skips the rest of
-the tree.  `compare` on two determinized automata walks pairs of sets
+yields whole report lines, one block per parent word (plus the empty
+word's line), built by one join of the parent's text with its set's
+memoized child tails, keeps one level in memory and streams the last.
+Its flagged filter enters a set only if a flagged set is reachable from
+it within the steps left, read backwards off the tables `counts` built,
+so listing a few flagged words among many prefix words skips the rest
+of the tree.  `compare` on two determinized automata walks pairs of sets
 breadth first and returns the shortest, lexicographically least
 distinguishing word.
 
@@ -148,10 +149,14 @@ class Determinized:
 
         A line is the word's actions joined by spaces, then a newline.
         Actions are taken in sorted order, so the lines come sorted by
-        (length, word).  Each word of the current level keeps its text
-        followed by a space, so a child's line is that text plus the
-        action and a newline, one concatenation.  One level is kept;
-        the last level is yielded but not stored.
+        (length, word).  The lines are yielded whole, in blocks: the
+        empty word's line alone, then one block per parent word holding
+        the lines of all its shown children, and no empty block.  Each
+        word of the current level keeps its text followed by a space,
+        and its set's shown children are memoized as tails (the action
+        and a newline), so a block is one join: the text, then the tails
+        with the text between them.  One level is kept; the last level
+        is yielded but not stored.
 
         With `flagged`, only the flagged words are listed, and a set is
         entered with r steps left only if it reaches a flagged set
@@ -181,8 +186,8 @@ class Determinized:
                         [act + "\n" for act, t in table if show(t)],
                         [(act + " ", t) for act, t in table if left and keep(t, left)],
                     )
-                for tail in move[0]:
-                    yield text + tail
+                if move[0]:   # else the join would print the bare parent text
+                    yield text + text.join(move[0])
                 for tail, t in move[1]:
                     nxt.append((text + tail, t))
             level = nxt

@@ -1,5 +1,6 @@
 """Bounded untimed-language observation and comparison."""
 
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -19,6 +20,7 @@ from peralab.language import (
 from peralab.semantics import Analyzer, ExplorationConfig, ResourceExhausted, zone_graph
 
 from machines import inc3, loop, trivial
+from test_cli import LANG_ENCODING
 from test_encoder import machines
 from wordsets import LanguageSample, compare as compare_sets, enumerate_language
 
@@ -82,6 +84,38 @@ def test_maximal_finite_witnesses():
 def test_node_limit_exhaustion(loop2):
     with pytest.raises(ResourceExhausted):
         Determinized(loop2, cfg(6, node_limit=2), "maximal").counts()
+
+
+# -- the word walk ---------------------------------------------------------------
+
+
+def reference_lines(words) -> str:
+    return "".join(" ".join(w) + "\n" for w in sorted(words, key=lambda w: (len(w), w)))
+
+
+@pytest.mark.parametrize("semantics", ["maximal", "reach", "safety"])
+@pytest.mark.parametrize("machine", [loop, inc3, trivial], ids=["loop", "inc3", "halt"])
+@pytest.mark.parametrize("p", [Fraction(0), Fraction(2), Fraction(1, 2)], ids=str)
+def test_lines_yields_whole_lines_in_blocks(machine, semantics, p):
+    """Every chunk is whole lines, and together they are the reference word set."""
+    a = build(machine(), LANG_ENCODING[semantics])
+    va = a.rescale(p.denominator).valuate({"p": p.numerator})
+    for k in range(6):
+        ref = enumerate_language(va, cfg(k), semantics)
+        flagged = ref.maximal_finite_words if semantics == "maximal" else ref.accepted_words
+        det = Determinized(va, cfg(k), semantics)
+        for chunks, words in ((det.lines(), ref.prefix_words),
+                              (det.lines(flagged=True), flagged)):
+            chunks = list(chunks)
+            assert all(chunk.endswith("\n") for chunk in chunks)   # so none is empty
+            assert "".join(chunks) == reference_lines(words)
+
+
+def test_lines_yields_one_block_per_parent(loop2):
+    """The empty word's line, then one block per word shorter than the depth."""
+    chunks = list(Determinized(loop2, cfg(8), "maximal").lines())
+    assert len(chunks) == 1 + (4 ** 8 - 1) // 3 == 21_846
+    assert sum(chunk.count("\n") for chunk in chunks) == (4 ** 9 - 1) // 3 == 87_381
 
 
 # -- semantics dispatch -------------------------------------------------------
