@@ -194,12 +194,17 @@ def cmd_theorem_check(args) -> int:
         raise ModelError("--values must list at least one rational")
     if "" in items:
         raise ModelError(f"--values has an empty item in {args.values!r}")
-    values = [parse_valuation([f"p={v}"])["p"] for v in items]
-    for item, v in zip(items, values):
+    values = []
+    for item in items:
+        label = f"p={item}"
         try:
+            v = parse_valuation([label])["p"]
             str(v)
+        except ModelError as exc:   # quote the item as typed, not the label
+            raise ModelError(str(exc).replace(repr(label), repr(item), 1)) from None
         except ValueError:   # more digits than Python turns into a string
             raise ModelError(f"--values item {item!r} has too many digits for a zone bound") from None
+        values.append(v)
     if min(values) <= 0:
         raise ModelError(f"--values must be positive, got {min(values)}; p=0 is the reference")
     repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)

@@ -1,6 +1,6 @@
-"""Concrete and symbolic semantics of a valuated automaton.
+"""Symbolic semantics of a valuated automaton.
 
-The symbolic layer answers "where does edge e fire" with one zone per
+The analyzer answers "where does edge e fire" with one zone per
 edge (guard, source invariant, and target invariant pulled back
 through the reset), and "from where can e be waited for" with its
 wait zone.  `Analyzer` builds both per location on first use: the
@@ -14,15 +14,13 @@ subtracting every wait zone, a tuple of disjoint pieces.  `ZoneGraph`,
 finite by maximum-constant widening, numbers each symbolic state once
 and builds its successors on first use; `zone_graph` expands it
 breadth first, and `language.Determinized` on demand, as sets of node
-ids; whether a node blocks is memoized per node.  The concrete layer
-replays explicit delay/action scripts with exact rational arithmetic.
+ids; whether a node blocks is memoized per node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .core import Atom, Edge, Guard, ModelError, Pera, number_text
 from . import zones as Z
@@ -30,15 +28,6 @@ from . import zones as Z
 
 class ResourceExhausted(RuntimeError):
     """Exploration hit the configured node limit."""
-
-
-class SimulationError(ValueError):
-    """A script step could not be replayed; carries the failing index."""
-
-    def __init__(self, index: int, reason: str):
-        super().__init__(f"step {index}: {reason}")
-        self.index = index
-        self.reason = reason
 
 
 @dataclass(frozen=True)
@@ -75,22 +64,6 @@ def guard_zone(guard: Guard, clocks: Sequence[str]) -> Z.Dbm | None:
     for a in guard:
         cons.extend(_atom_constraints(a, clocks))
     return Z.from_constraints(clocks, cons)
-
-
-def atom_holds(atom: Atom, val: Mapping[str, Fraction]) -> bool:
-    v = val[atom.clock]
-    c = atom.offset
-    return {
-        "<": v < c,
-        "<=": v <= c,
-        "=": v == c,
-        ">=": v >= c,
-        ">": v > c,
-    }[atom.rel]
-
-
-def guard_holds(guard: Guard, val: Mapping[str, Fraction]) -> bool:
-    return all(atom_holds(a, val) for a in guard)
 
 
 class Analyzer:
@@ -140,9 +113,10 @@ class Analyzer:
         """Zone of points where `e` fires into its target's invariant.
 
         Conjoins guard, source invariant, and the pull-back of the
-        target invariant through the edge's reset: atoms on the reset
-        clock are decided at zero, the rest constrain the unchanged
-        clocks directly.  Exact because every atom bounds one clock.
+        target invariant through the edge's reset: an atom on the reset
+        clock holds at zero when each of its bounds admits `Z.LE_ZERO`,
+        the rest constrain the unchanged clocks directly.  Exact because
+        every atom bounds one clock.
 
         For the same reason the result is a box, the closure of
         single-clock bounds, which `moves` compiles once so that
@@ -156,7 +130,7 @@ class Analyzer:
         for atom in self.automaton.invariant(e.target):
             if atom.clock != reset_clock:
                 cons.extend(_atom_constraints(atom, self.clocks))
-            elif not atom_holds(atom, {reset_clock: Fraction(0)}):
+            elif any(b < Z.LE_ZERO for _, _, b in _atom_constraints(atom, self.clocks)):
                 return None
         return Z.from_constraints(self.clocks, cons)
 
@@ -309,79 +283,3 @@ def zone_graph(a: Pera, cfg: ExplorationConfig | None = None, levels: int | None
                 raise ResourceExhausted(f"zone graph exceeded {cfg.node_limit} nodes")
         lo, hi, level = hi, len(g.nodes), level + 1
     return g
-
-
-# -- concrete replay ----------------------------------------------------------
-
-
-ScriptStep = tuple[Fraction | int, str, str]      # (delay, action, target location)
-
-
-@dataclass(frozen=True)
-class RunStep:
-    delay: Fraction
-    edge: Edge
-    valuation: tuple[Fraction, ...]   # clock values right after the discrete step
-
-
-@dataclass(frozen=True)
-class Run:
-    clocks: tuple[str, ...]
-    steps: tuple[RunStep, ...]
-    final_location: str
-
-    @property
-    def untimed_word(self) -> tuple[str, ...]:
-        return tuple(s.edge.action for s in self.steps)
-
-    @property
-    def timed_word(self) -> tuple[tuple[str, Fraction], ...]:
-        out = []
-        now = Fraction(0)
-        for s in self.steps:
-            now += s.delay
-            out.append((s.edge.action, now))
-        return tuple(out)
-
-
-def concrete_simulate(a: Pera, script: Sequence[ScriptStep]) -> Run:
-    """Replay an explicit script from the initial state.
-
-    Every delay is checked against the location invariant at both ends
-    (invariants are convex, so the whole delay is covered), and every
-    discrete step must match exactly one satisfiable edge with the
-    scripted action and target.
-    """
-    if a.parameters:
-        raise ModelError("automaton still has parameters; valuate it first")
-    clocks = a.clocks
-    val: dict[str, Fraction] = {c: Fraction(0) for c in clocks}
-    loc = a.initial
-    if not guard_holds(a.invariant(loc), val):
-        raise SimulationError(0, "initial state violates its invariant")
-    steps: list[RunStep] = []
-    for idx, (delay, action, target) in enumerate(script):
-        d = Fraction(delay)
-        if d < 0:
-            raise SimulationError(idx, "negative delay")
-        after = {c: v + d for c, v in val.items()}
-        if not guard_holds(a.invariant(loc), after):
-            raise SimulationError(idx, f"delay {d} leaves the invariant of {loc}")
-        fired = None
-        for e in a.edges:
-            if e.source != loc or e.action != action or e.target != target:
-                continue
-            if not guard_holds(e.guard, after):
-                continue
-            if fired is not None:
-                raise SimulationError(idx, "ambiguous edge choice")
-            fired = e
-        if fired is None:
-            raise SimulationError(idx, f"no fireable {action} edge {loc} -> {target}")
-        after[a.clock_of(action)] = Fraction(0)
-        if not guard_holds(a.invariant(target), after):
-            raise SimulationError(idx, f"target invariant of {target} violated")
-        val = after
-        loc = target
-        steps.append(RunStep(d, fired, tuple(val[c] for c in clocks)))
-    return Run(tuple(clocks), tuple(steps), loc)

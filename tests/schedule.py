@@ -2,7 +2,8 @@
 
 `derive_schedule` simulates the machine and emits the exact delays at
 which each edge of the `plain` encoding fires, so the tests can replay
-it with `concrete_simulate` and read the counters back off the clocks.
+it with `replay.concrete_simulate`, the concrete reference, and read
+the counters back off the clocks with `replay.settled_zero_instants`.
 """
 
 from __future__ import annotations

@@ -13,11 +13,11 @@ import pytest
 from peralab.encoder import build, encode_core
 from wordsets import compare, enumerate_language
 from peralab.minsky import run, trace
-from peralab.semantics import ExplorationConfig, concrete_simulate
+from peralab.semantics import ExplorationConfig
 
 from gridoracle import GRID_UNITS
 from machines import inc3, loop, trivial
-from replay import settled_zero_instants
+from replay import concrete_simulate, settled_zero_instants
 from schedule import derive_schedule
 from test_zones_oracle import compare_random_instances
 

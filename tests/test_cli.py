@@ -540,6 +540,19 @@ def test_theorem_check_zero_denominator_exits_one(inc3_file, capsys):
     assert "verdict:" not in captured.out
 
 
+@pytest.mark.parametrize("item,reason", [
+    ("p=3", "Invalid literal for Fraction: 'p=3'"),
+    ("1/0", "zero denominator"),
+    ("nan", "Invalid literal for Fraction: 'nan'"),
+], ids=["p=3", "1/0", "nan"])
+def test_theorem_check_bad_value_quotes_the_item_as_typed(inc3_file, capsys, item, reason):
+    # the item is parsed as the valuation `p=<item>`, which the message must not show
+    assert main(["theorem-check", str(inc3_file), "--values", f"2,{item}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bad value in {item!r}: {reason}\n"
+
+
 # -- bounds on numeric options ------------------------------------------------------
 
 

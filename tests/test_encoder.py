@@ -18,10 +18,9 @@ from peralab.encoder import (
     wrap_preservation,
 )
 from peralab.minsky import Inc, Machine, TestDec, trace
-from peralab.semantics import concrete_simulate
 
 from machines import BENCHMARKS, MACHINE_DIR, inc3, load, loop, trivial
-from replay import settled_zero_instants
+from replay import concrete_simulate, settled_zero_instants
 from schedule import derive_schedule
 
 

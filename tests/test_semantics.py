@@ -13,9 +13,7 @@ from peralab.semantics import (
     Analyzer,
     ExplorationConfig,
     ResourceExhausted,
-    SimulationError,
-    concrete_simulate,
-    guard_holds,
+    ZoneGraph,
     guard_zone,
     zone_graph,
 )
@@ -23,6 +21,7 @@ from peralab import zones as Z
 
 import gridoracle as G
 from machines import inc3, load, loop
+from replay import SimulationError, concrete_simulate, guard_holds
 from schedule import derive_schedule
 from test_encoder import machines
 from wordsets import enumerate_language
@@ -476,6 +475,28 @@ def test_schedule_word_is_enumerated(monkeypatch):
     unwidened(monkeypatch)
     sample = enumerate_language(a, ExplorationConfig(depth=len(sch.script)), "maximal")
     assert run.untimed_word in sample.prefix_words
+
+
+@pytest.mark.parametrize("stem", ["inc3", "loop", "halt"])
+@pytest.mark.parametrize("period", [1, 2, 3, 5])
+def test_concrete_run_stays_in_the_zone_graph(stem, period):
+    """The forced run, replayed concretely, never leaves the widened zone graph.
+
+    After every step, the run's valuation lies in the zone of a node at
+    the step's target, reached from a node that held the previous
+    valuation by an edge labelled with the step's action.
+    """
+    m = load(stem)
+    a = encode_core(m).valuate({"p": period})
+    run = concrete_simulate(a, derive_schedule(m, period).script)
+    g = ZoneGraph(a)
+    held = {g.initial}
+    for i, step in enumerate(run.steps):
+        held = {
+            d for n in held for d in g.succ(n).get(step.edge.action, ())
+            if g.nodes[d][0] == step.edge.target and G.satisfies_point(g.nodes[d][1], step.valuation)
+        }
+        assert held, f"{stem} p={period}: step {i} ({step.edge.action}) leaves the zone graph"
 
 
 def test_extrapolation_preserves_words(loop2, monkeypatch):
