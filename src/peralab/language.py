@@ -13,13 +13,14 @@ Everything else is a view on that core.  `Determinized.counts` gives
 the number of prefix and flagged words by a level-by-level count,
 without materializing a word.  `Determinized.lines` is the one word
 walk, for `lang` to print: breadth first, in (length, word) order, it
-yields whole report lines, one block per parent word (plus the empty
-word's line), built by one join of the parent's text with its set's
-memoized child tails, keeps one level in memory and streams the last.
-Its flagged filter enters a set only if a flagged set is reachable from
-it within the steps left, read backwards off the tables `counts` built,
-so listing a few flagged words among many prefix words skips the rest
-of the tree.  `compare` on two determinized automata walks pairs of sets
+yields whole report lines, in blocks built by one join of a stored
+word's text with its set's memoized tails.  Only one level in two is
+stored: each stored word yields one block of its children's lines,
+then (after every stored word's children) one of its grandchildren's,
+and the grandchildren are the next stored level.  Its flagged filter
+enters a set only if a flagged set is reachable from it within the
+steps left, read backwards off the tables `counts` built, so listing a
+few flagged words among many prefix words skips the rest of the tree.  `compare` on two determinized automata walks pairs of sets
 breadth first and returns the shortest, lexicographically least
 distinguishing word.
 
@@ -149,18 +150,33 @@ class Determinized:
 
         A line is the word's actions joined by spaces, then a newline.
         Actions are taken in sorted order, so the lines come sorted by
-        (length, word).  The lines are yielded whole, in blocks: the
-        empty word's line alone, then one block per parent word holding
-        the lines of all its shown children, and no empty block.  Each
-        word of the current level keeps its text followed by a space,
-        and its set's shown children are memoized as tails (the action
-        and a newline), so a block is one join: the text, then the tails
-        with the text between them.  One level is kept; the last level
-        is yielded but not stored.
+        (length, word).  The lines are yielded whole, in blocks, and no
+        block is empty: the empty word's line alone, then per stored
+        level two passes over its words.  The first yields, per stored
+        word, one block of its shown children's lines; the second, per
+        stored word, one block of its shown grandchildren's lines, and
+        stores its kept grandchildren as the next level.  So one level
+        in two is stored (lengths 0, 2, 4, ...), and the last level is
+        yielded but never stored.  Each stored word keeps its text
+        followed by a space, and one memo entry per distinct set of the
+        level holds three lists: the shown children as tails (the action
+        and a newline), the shown grandchildren reached through kept
+        children as tails (two actions, a space between them, and a
+        newline), and the kept grandchildren as tails (two actions, each
+        followed by a space) with their sets.  A block is one join: the
+        text, then the tails with the text between them.
+
+        Memory: for b actions, a distinct set holds at most b + 2b²
+        memoized entries.  In the worst case, every stored word in its
+        own set, that is as many short tails as the grandchildren level
+        has words, where a walk storing every level would hold the
+        children level as full texts.  The walk steps only sets below
+        the depth, so after `counts` it creates no new set.
 
         With `flagged`, only the flagged words are listed, and a set is
         entered with r steps left only if it reaches a flagged set
-        within r steps (`_flag_horizon`).
+        within r steps (`_flag_horizon`): `keep` and `show` apply at
+        both levels, with `left` and `left - 1` steps left.
         """
         near = self._flag_horizon() if flagged else None
 
@@ -175,21 +191,33 @@ class Determinized:
         if show(self.start):
             yield "\n"
         level = [("", self.start)]
-        for left in range(self.depth - 1, -1, -1):   # steps left below the next level
-            moves: dict[States, tuple[list[str], list[tuple[str, States]]]] = {}
-            nxt: list[tuple[str, States]] = []
+        for left in range(self.depth - 1, -1, -2):   # steps left below the children's level
+            moves: dict[States, tuple[list[str], list[str], list[tuple[str, States]]]] = {}
             for text, states in level:
                 move = moves.get(states)
                 if move is None:
-                    table = self.step(states).items()
-                    move = moves[states] = (
-                        [act + "\n" for act, t in table if show(t)],
-                        [(act + " ", t) for act, t in table if left and keep(t, left)],
-                    )
+                    kids: list[str] = []
+                    tails: list[str] = []
+                    kept: list[tuple[str, States]] = []
+                    for act, t in self.step(states).items():
+                        if show(t):
+                            kids.append(act + "\n")
+                        if left and keep(t, left):
+                            for act2, u in self.step(t).items():
+                                if show(u):
+                                    tails.append(act + " " + act2 + "\n")
+                                if left > 1 and keep(u, left - 1):
+                                    kept.append((act + " " + act2 + " ", u))
+                    move = moves[states] = (kids, tails, kept)
                 if move[0]:   # else the join would print the bare parent text
                     yield text + text.join(move[0])
-                for tail, t in move[1]:
-                    nxt.append((text + tail, t))
+            nxt: list[tuple[str, States]] = []
+            for text, states in level:
+                _, tails, kept = moves[states]
+                if tails:
+                    yield text + text.join(tails)
+                for tail, u in kept:
+                    nxt.append((text + tail, u))
             level = nxt
 
 

@@ -111,11 +111,40 @@ def test_lines_yields_whole_lines_in_blocks(machine, semantics, p):
             assert "".join(chunks) == reference_lines(words)
 
 
-def test_lines_yields_one_block_per_parent(loop2):
-    """The empty word's line, then one block per word shorter than the depth."""
+def test_lines_yields_two_blocks_per_stored_word(loop2):
+    """The empty word's line, then two blocks per word of an even length below the depth.
+
+    One level in two is stored: the words of length 0, 2, 4 and 6 each
+    yield a block of their children's lines and one of their
+    grandchildren's, and the 16,384 words of length 7 are never stored.
+    """
     chunks = list(Determinized(loop2, cfg(8), "maximal").lines())
-    assert len(chunks) == 1 + (4 ** 8 - 1) // 3 == 21_846
+    assert len(chunks) == 1 + 2 * (1 + 16 + 256 + 4_096) == 8_739
     assert sum(chunk.count("\n") for chunk in chunks) == (4 ** 9 - 1) // 3 == 87_381
+
+
+@pytest.mark.parametrize("accepting,parity", [("u", 0), ("v", 1)])
+def test_lines_flagged_on_alternate_levels(accepting, parity):
+    """Flagged words of one parity only: one of a stored word's two blocks shows nothing.
+
+    On `u -a-> v -b-> u` under reach, the words of the other parity are
+    still kept, as they lead to flagged words; no chunk is empty or the
+    bare text of a parent.
+    """
+    a = Pera(
+        actions=(("a", "x"), ("b", "y")),
+        parameters=(),
+        locations=("u", "v"),
+        initial="u",
+        edges=(Edge("u", (), "a", "v"), Edge("v", (), "b", "u")),
+        accepting=frozenset({accepting}),
+    )
+    for k in range(7):
+        chunks = list(Determinized(a, cfg(k), "reach").lines(flagged=True))
+        words = [tuple("ab"[i % 2] for i in range(n)) for n in range(parity, k + 1, 2)]
+        assert enumerate_language(a, cfg(k), "reach").accepted_words == frozenset(words)
+        assert all(chunk.endswith("\n") for chunk in chunks)   # so none is empty or bare
+        assert "".join(chunks) == reference_lines(words)
 
 
 # -- semantics dispatch -------------------------------------------------------
