@@ -1,9 +1,10 @@
 """Depth-bounded untimed languages, decided on a determinized automaton.
 
 The one finite-word core is `Determinized`: an on-the-fly subset
-construction over one widened `ZoneGraph`.  Its states are frozensets
-of that graph's node ids, its transitions are memoized per set, and a
-set is flagged when one of its nodes is, by the semantics' node test:
+construction over one widened `ZoneGraph` that frees inactive clocks.
+Its states are frozensets of that graph's node ids, its transitions
+are memoized per set, and a set is flagged when one of its nodes is,
+by the semantics' node test:
 
 - maximal: the node blocks (`ZoneGraph.blocks`);
 - reach: the node's location is accepting;
@@ -25,7 +26,7 @@ breadth first and returns the shortest, lexicographically least
 distinguishing word.
 
 Büchi semantics is observed through `lassos` instead: stem/cycle pairs
-through accepting locations on the widened zone graph, which `compare`
+through accepting locations on the full widened zone graph, which `compare`
 diffs as sets.  Its elementary-cycle search backtracks over one shared
 action list and on-path table, on per-start edge tables pruned to the
 nodes that can still close the cycle within the bound, and rotates each
@@ -79,7 +80,7 @@ class Determinized:
         self.semantics = semantics
         self.depth = cfg.depth
         self.node_limit = cfg.node_limit
-        self.graph = ZoneGraph(a)
+        self.graph = ZoneGraph(a, free_inactive=True)
         if semantics == "maximal":
             self._node_flagged = self.graph.blocks
         elif semantics == "reach":
@@ -252,6 +253,7 @@ def lassos(a: Pera, cfg: ExplorationConfig) -> frozenset[Lasso]:
     ids and every edge out of those nodes.
     """
     _check_observable(a, "buchi")
+    # the full graph: freeing clocks merges nodes, which changes their elementary cycles
     g = zone_graph(a, cfg, levels=2 * cfg.depth)
     k = cfg.depth
 

@@ -1,15 +1,17 @@
 """Symbolic semantics of a valuated automaton.
 
-The analyzer answers "where does edge e fire" with one zone per
-edge (guard, source invariant, and target invariant pulled back
-through the reset), and "from where can e be waited for" with its
-wait zone.  `Analyzer` builds both per location on first use: the
-fire zones of a location's edges compiled into its moves (action,
-target, and the bounds `zones.post` reads), and the wait zones as far
-as blocking needs them.  A discrete successor is delay-closed and
-widened, and the widening is skipped when it could not change the
-step's result.  Blocking states (concrete states from which no delay
-reaches any fireable edge) are what is left of a zone after
+The analyzer answers "where does edge e fire" with one zone per edge
+(guard, source invariant, and target invariant pulled back through the
+reset), and "from where can e be waited for" with its wait zone.
+`Analyzer` builds both per location on first use: the fire zones of a
+location's edges compiled into its moves (action, target, and the
+bounds `zones.post` reads), and the wait zones as far as blocking
+needs them.  A discrete successor is delay-closed and widened, and the
+widening is skipped when it could not change the step's result.  With
+`free_inactive` it also frees the clocks inactive at its target, which
+keeps the untimed language and which states block (fire and wait zones
+read only active clocks).  Blocking states (concrete states from which
+no delay reaches any fireable edge) are what is left of a zone after
 subtracting every wait zone, a tuple of disjoint pieces.  `ZoneGraph`,
 finite by maximum-constant widening, numbers each symbolic state once
 and builds its successors on first use; `zone_graph` expands it
@@ -75,7 +77,7 @@ class Analyzer:
     whose guard is unsatisfiable never fires.
     """
 
-    def __init__(self, a: Pera):
+    def __init__(self, a: Pera, free_inactive: bool = False):
         if a.parameters:
             raise ModelError("automaton still has parameters; valuate it first")
         self.automaton = a
@@ -92,6 +94,9 @@ class Analyzer:
         for e in a.edges:
             self.edges_from[e.source].append(e)
         self.reset_clock: dict[str, str] = dict(a.actions)
+        # per location, the clocks a step into it frees (none without `free_inactive`)
+        active = self.active_clocks() if free_inactive else dict.fromkeys(a.locations, self.clocks)
+        self.freed = {loc: tuple(c for c in self.clocks if c not in act) for loc, act in active.items()}
         # per location, filled on first use: the moves, their fire zones,
         # and the wait zones of those, None when empty
         self._moves: dict[str, tuple[Move, ...]] = {}
@@ -100,6 +105,19 @@ class Analyzer:
         # zones the widening rebuilt, whose entries may lie past ±max_const
         self._loose: set[Z.Dbm] = set()
 
+    def active_clocks(self) -> dict[str, set[str]]:
+        """Per location, the clocks its invariant or a guard out of it reads, or that are
+        active at an edge's target and not reset by the edge (Daws & Yovine, 1996)."""
+        a = self.automaton
+        active = {loc: {atom.clock for atom in a.invariant(loc)} for loc in a.locations}
+        for e in a.edges:
+            active[e.source].update(atom.clock for atom in e.guard)
+        size = None
+        while size != (size := sum(map(len, active.values()))):   # until no set grows
+            for e in a.edges:
+                active[e.source] |= active[e.target] - {self.reset_clock[e.action]}
+        return active
+
     # -- symbolic steps ------------------------------------------------
 
     def initial(self) -> Sym:
@@ -107,6 +125,8 @@ class Analyzer:
         start = None if inv is None else Z.intersect(Z.origin(self.clocks), inv)
         if start is None:
             raise ModelError("initial invariant excludes the all-zero valuation")
+        for clock in self.freed[self.automaton.initial]:
+            start = Z.free(start, clock)
         return (self.automaton.initial, start)
 
     def _fire_zone(self, e: Edge) -> Z.Dbm | None:
@@ -145,7 +165,8 @@ class Analyzer:
             fires = [(e, f) for e in self.edges_from[loc] if (f := self._fire_zone(e)) is not None]
             self._fires[loc] = tuple(f for _, f in fires)
             moves = self._moves[loc] = tuple(
-                (e.action, e.target, Z.compile_box(f, self.reset_clock[e.action])) for e, f in fires
+                (e.action, e.target, Z.compile_box(f, self.reset_clock[e.action], self.freed[e.target]))
+                for e, f in fires
             )
         return moves
 
@@ -156,7 +177,8 @@ class Analyzer:
         `Z.extrapolate` returns as it is.  The widening is skipped when
         it would change nothing.  A box with no finite upper bound and
         no lower bound tighter than the zone's gives a result whose
-        entries are all entries of the zone, `LE_ZERO` or `INF`; if the
+        entries are all entries of the zone, `LE_ZERO` or `INF` (a freed
+        clock's entries are entries of the result or those two); if the
         zone's own finite entries lie within ±max_const, so do the
         result's, and `Z.extrapolate` would return it as it is.  A zone
         the widening rebuilt may not qualify (closing `x > M` and
@@ -167,7 +189,7 @@ class Analyzer:
         nxt = Z.post(zone, box)
         if nxt is None:
             return None
-        lows, ups, _ = box
+        lows, ups, _, _ = box
         loose = self._loose
         if ups or (lows and any(b < zone.m[k] for k, b in lows)) or (loose and zone in loose):
             return self.widen((target, nxt))
@@ -225,8 +247,8 @@ class ZoneGraph:
     target) triples, and `blocks(nid)` whether a node blocks.
     """
 
-    def __init__(self, a: Pera):
-        self.ana = Analyzer(a)
+    def __init__(self, a: Pera, free_inactive: bool = False):
+        self.ana = Analyzer(a, free_inactive)
         self.nodes: list[Sym] = []
         self.node_index: dict[Sym, int] = {}
         self._succ: dict[int, dict[str, tuple[int, ...]]] = {}

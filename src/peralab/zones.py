@@ -17,7 +17,7 @@ matrix.  A non-convex set is a plain tuple of disjoint zones, as
 `subtract` returns it; the empty tuple is the empty set.
 
 Every matrix is canonical by construction, in O(n²) per constraint:
-`up`, `down` and `reset` rewrite a row or column of a canonical matrix,
+`up`, `down`, `reset` and `free` rewrite a row or column of a canonical matrix,
 `from_constraints` closes a box (the shape of every guard and
 invariant) in closed form, `post` closes its one matrix through the
 reference node, and every other constraint is added to a canonical
@@ -257,28 +257,42 @@ def reset(d: Dbm, clock: str) -> Dbm:
     return Dbm(d.clocks, m)
 
 
-Box = tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...], int]
+def _free(m: list[int], n: int, k: int) -> None:
+    """Free clock index k in place, canonically: column k copies column 0, row k is `INF` off the diagonal."""
+    m[k::n] = m[::n]
+    m[k * n:(k + 1) * n] = [INF] * n
+    m[k * n + k] = LE_ZERO
 
 
-def compile_box(box: Dbm, clock: str) -> Box:
-    """What `post` reads of a box and the clock it resets, read off once.
+def free(d: Dbm, clock: str) -> Dbm:
+    """Let one clock take any value, keeping the others as they are."""
+    m = list(d.m)
+    _free(m, d.size, d.index(clock))
+    return Dbm(d.clocks, m)
+
+
+Box = tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...], int, tuple[int, ...]]
+
+
+def compile_box(box: Dbm, clock: str, freed: Sequence[str] = ()) -> Box:
+    """What `post` reads of a box, the clock it resets and those it frees, read off once.
 
     `box` must be canonical with every constraint on one clock (every
     guard and invariant closes to one).  The result is `(lows, ups,
-    k)`: each clock's lower bound tighter than `x >= 0` as `(index,
+    k, free)`: each clock's lower bound tighter than `x >= 0` as `(index,
     entry (0, index))`, each finite upper bound as `(index, entry
-    (index, 0))`, and the index of `clock`.  A box is the closure of
-    these bounds, so they are all of it that `post` needs.
+    (index, 0))`, the index of `clock` and those of `freed`.  A box is
+    the closure of these bounds, so they are all of it that `post` needs.
     """
     n = box.size
     m = box.m
     lows = tuple((k, m[k]) for k in range(1, n) if m[k] < LE_ZERO)
     ups = tuple((a, m[a * n]) for a in range(1, n) if m[a * n] < INF)
-    return lows, ups, box.index(clock)
+    return lows, ups, box.index(clock), tuple(map(box.index, freed))
 
 
 def post(d: Dbm, box: Box) -> Dbm | None:
-    """`reset(intersect(up(d), b), x)` in O(n²) for `box = compile_box(b, x)`.
+    """`free(reset(intersect(up(d), b), x), ...)` in O(n²) for `box = compile_box(b, x, freed)`.
 
     One list, one `Dbm`.  The arcs of the box `b` all touch the
     reference node 0, so a shortest path of the meet passes 0 at most
@@ -295,7 +309,7 @@ def post(d: Dbm, box: Box) -> Dbm | None:
     With no finite upper bound and no lower bound tighter than d's,
     every entry of the result is an entry of d, `LE_ZERO` or `INF`.
     """
-    lows, ups, reset_index = box
+    lows, ups, reset_index, freed = box
     dm = d.m
     n = len(d.clocks) + 1
     m = list(dm)
@@ -327,6 +341,8 @@ def post(d: Dbm, box: Box) -> Dbm | None:
     else:
         m[n::n] = [INF] * (n - 1)          # up: no upper bounds
     _reset(m, n, reset_index)
+    for k in freed:
+        _free(m, n, k)
     return Dbm(d.clocks, m)
 
 

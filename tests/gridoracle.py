@@ -88,8 +88,8 @@ def down_mask(cons: list[Constraint], n: int) -> np.ndarray:
     return out
 
 
-def reset_mask(cons: list[Constraint], n: int, k: int) -> np.ndarray:
-    """Image of the zone under `clock k := 0` (1-based axis index).
+def free_mask(cons: list[Constraint], n: int, k: int) -> np.ndarray:
+    """Points that agree with a point of the zone on every clock but k (1-based axis index).
 
     The erased value may sit beyond the displayed grid (a diagonal
     constraint can push it up to grid span plus largest constant), so
@@ -101,7 +101,12 @@ def reset_mask(cons: list[Constraint], n: int, k: int) -> np.ndarray:
         sub = list(vals)
         sub[k] = np.full((1,) * n, v, dtype=np.int64)
         exists |= eval_constraints(cons, sub)
-    return exists & (vals[k] == 0)
+    return exists
+
+
+def reset_mask(cons: list[Constraint], n: int, k: int) -> np.ndarray:
+    """Image of the zone under `clock k := 0` (1-based axis index)."""
+    return free_mask(cons, n, k) & (axes(n)[k] == 0)
 
 
 def time_pred_mask(target: list[Constraint], within: list[Constraint], n: int) -> np.ndarray:

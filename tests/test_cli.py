@@ -156,11 +156,12 @@ def test_lang_node_limit_exhaustion(wrapped_loop_file, capsys):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("limit,code", [(56, 2), (57, 0)])
+@pytest.mark.parametrize("limit,code", [(8, 2), (9, 0)])
 def test_lang_exhausted_on_the_last_set_prints_nothing(wrapped_loop_file, capsys, limit, code):
-    # p = 2 at k = 8 has 57 distinct determinized state sets; they are
-    # all built before the report starts, so running out on the last
-    # prints no partial word list
+    # p = 2 at k = 8 has 9 distinct determinized state sets (over the
+    # zone graph with inactive clocks freed); they are all built before
+    # the report starts, so running out on the last prints no partial
+    # word list
     argv = ["lang", str(wrapped_loop_file), "-p", "p=2", "--node-limit", str(limit)]
     assert main(argv) == code
     out = capsys.readouterr().out
@@ -168,10 +169,11 @@ def test_lang_exhausted_on_the_last_set_prints_nothing(wrapped_loop_file, capsys
 
 
 def test_lang_node_limit_counts_distinct_sets(wrapped_loop_file, capsys):
-    # p = 0 at k = 8 builds 81 distinct sets behind 325 transitions
+    # p = 0 at k = 8 builds 2 distinct sets behind 8 transitions (over
+    # the zone graph with inactive clocks freed)
     argv = ["lang", str(wrapped_loop_file), "-p", "p=0", "-k", "8"]
-    assert main(argv + ["--node-limit", "100"]) == 0
-    assert main(argv + ["--node-limit", "80"]) == 2
+    assert main(argv + ["--node-limit", "2"]) == 0
+    assert main(argv + ["--node-limit", "1"]) == 2
 
 
 @pytest.mark.parametrize("limit,code", [(74, 2), (75, 0)])
@@ -416,8 +418,8 @@ def test_theorem_check_looping_machine(loop_file, capsys):
 
 def test_theorem_check_reference_exhaustion_prints_no_report(loop_file, capsys):
     # the p = 0 reference is explored before the header, so running out
-    # of nodes on it leaves stdout empty
-    code = main(["theorem-check", str(loop_file), "--values", "1", "--node-limit", "3"])
+    # of nodes on it (it has 2 determinized sets) leaves stdout empty
+    code = main(["theorem-check", str(loop_file), "--values", "1", "--node-limit", "1"])
     assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -466,14 +468,15 @@ def test_theorem_check_witnesses_match_compare_at_each_scale(loop_file, wrapped_
     ("2,5", ["verdict: equal up to bound", "verdict: consistent with halting"]),
 ])
 def test_theorem_check_verdict_with_an_exhausted_value(inc3_file, capsys, values, verdicts):
-    # at k = 8 the p = 0 reference builds 129 determinized sets and p = 2
-    # builds 141, so a limit of 135 runs out on p = 2 alone
+    # at k = 8 the p = 0, 1, 2 and 5 walks build 2, 6, 17 and 12
+    # determinized sets (over the zone graph with inactive clocks freed),
+    # so a limit of 14 runs out on p = 2 alone
     argv = ["theorem-check", str(inc3_file), "--values", values, "--semantics", "reach",
-            "--node-limit", "135"]
+            "--node-limit", "14"]
     assert main(argv) == 0
     body = strip_timings(capsys.readouterr().out).splitlines()
     exhausted = body.index("-- valuation p=2 --") + 1
-    assert body[exhausted] == "resource exhaustion: language walk exceeded 135 determinized states"
+    assert body[exhausted] == "resource exhaustion: language walk exceeded 14 determinized states"
     assert [line for line in body if line.startswith("verdict: ")] == verdicts
 
 

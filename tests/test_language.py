@@ -1,6 +1,7 @@
 """Bounded untimed-language observation and comparison."""
 
 from fractions import Fraction
+from functools import cache
 from itertools import product
 
 import pytest
@@ -260,12 +261,22 @@ def reference_lassos(a, config):
     """The lasso set by the plain search: every simple path from the
     cycle start over ids at or above it, cut only by the depth bound."""
     g = zone_graph(a, config)
-    k = config.depth
-    adj = {i: [] for i in range(len(g.nodes))}
-    for src, act, dst in g.edges:
+    is_acc = tuple(loc in a.accepting for loc, _ in g.nodes)
+    return plain_lasso_search(tuple(g.edges), g.initial, is_acc, config.depth)
+
+
+@cache
+def plain_lasso_search(edges, initial, is_acc, k):
+    """`reference_lassos` on a graph given by what the search reads.
+
+    Memoized, as several valuations share one fixpoint graph (`halt`'s
+    Büchi encoding has the same one at p = 1, 2, 3 and 31).
+    """
+    adj = {i: [] for i in range(len(is_acc))}
+    for src, act, dst in edges:
         adj[src].append((act, dst))
-    stems = {g.initial: ()}
-    frontier = [g.initial]
+    stems = {initial: ()}
+    frontier = [initial]
     for _ in range(k):
         nxt = []
         for nid in sorted(frontier, key=lambda n: stems[n]):
@@ -274,7 +285,6 @@ def reference_lassos(a, config):
                     stems[dst] = stems[nid] + (act,)
                     nxt.append(dst)
         frontier = nxt
-    is_acc = [loc in a.accepting for loc, _ in g.nodes]
     out = set()
     for c0, stem in stems.items():
         stack = [(c0, (), frozenset({c0}), is_acc[c0])]

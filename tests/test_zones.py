@@ -100,8 +100,9 @@ def stepwise_post(d, box, clock):
 
 def test_compile_box_keeps_real_bounds_and_the_reset_index():
     box = zone(CLOCKS, (0, 1, Z.lt(-1)), (2, 0, Z.le(2)))        # x > 1, y <= 2
-    assert Z.compile_box(box, "y") == (((1, Z.lt(-1)),), ((2, Z.le(2)),), 2)
-    assert Z.compile_box(zone(CLOCKS), "x") == ((), (), 1)      # x >= 0 is no bound
+    assert Z.compile_box(box, "y") == (((1, Z.lt(-1)),), ((2, Z.le(2)),), 2, ())
+    assert Z.compile_box(zone(CLOCKS), "x") == ((), (), 1, ())  # x >= 0 is no bound
+    assert Z.compile_box(zone(CLOCKS), "x", ("y",)) == ((), (), 1, (2,))
 
 
 def test_post_without_a_tighter_bound_is_the_delayed_reset():
@@ -277,6 +278,27 @@ def test_bounds_at_the_ceiling_keep_their_path_sums():
     meet = Z.intersect(a, b)
     assert meet.m[3 * 4 + 2] == Z.le(top - 1)                          # so y - x <= top - 1
     assert meet == intersect_by_floyd_warshall(a, b)
+
+
+def free_by_floyd_warshall(d, k):
+    """`d` with clock index k's constraints replaced by `x_k >= 0`, closed from scratch."""
+    n = d.size
+    m = [Z.INF if k in (i, j) else b for i in range(n) for j, b in enumerate(d.m[i * n:(i + 1) * n])]
+    m[k] = m[k * n + k] = Z.LE_ZERO
+    assert floyd_warshall(m, n)
+    return tuple(m)
+
+
+def test_free_agrees_with_floyd_warshall():
+    rng = random.Random(20261020)
+    near_top = 0
+    for _ in range(1500):
+        clocks = ("x", "y", "w", "v", "u")[: rng.randint(1, 5)]
+        d = random_canonical_zone(rng, clocks, box=rng.random() < 0.2)
+        k = rng.randint(1, len(clocks))
+        assert Z.free(d, clocks[k - 1]).m == free_by_floyd_warshall(d, k), (d, k)
+        near_top += near_the_ceiling(d)
+    assert near_top > 150, near_top
 
 
 def down_by_floyd_warshall(d):

@@ -219,3 +219,32 @@ def test_post_agrees_with_stepwise_and_grid():
             assert np.array_equal(G.half_view(G.dbm_mask(got, n)), want_reset), (da, box, k)
         done += 1
     assert empty > 50, f"only {empty} empty meets: the empty paths went untested"
+
+
+def test_free_and_post_with_a_free_set_agree_with_stepwise_and_grid():
+    """`free` erases one clock; `post` with a free set is `free` after its reset."""
+    rng = random.Random(20261020)
+    done = freed_some = 0
+    while done < 600:
+        n = rng.randint(1, 3)
+        clocks = CLOCK_NAMES[:n]
+        cons_a = _random_constraints(rng, n)
+        da = Z.from_constraints(clocks, _encode(cons_a))
+        box = Z.from_constraints(clocks, _encode(_random_box(rng, n)))
+        if da is None or box is None:
+            continue
+        k = rng.randint(1, n)
+        got = Z.free(da, clocks[k - 1])
+        expect = G.half_view(G.free_mask(cons_a, n, k))
+        assert np.array_equal(G.half_view(G.dbm_mask(got, n)), expect), (da, k)
+        x = rng.choice(clocks)
+        free = tuple(c for c in clocks if rng.random() < 0.5)
+        got = Z.post(da, Z.compile_box(box, x, free))
+        meet = Z.intersect(Z.up(da), box)
+        want = None if meet is None else Z.reset(meet, x)
+        for c in free:
+            want = want and Z.free(want, c)
+        assert (got and got.m) == (want and want.m), (da, box, x, free)
+        freed_some += bool(free) and got is not None
+        done += 1
+    assert freed_some > 200, f"only {freed_some} non-empty steps freed a clock"
