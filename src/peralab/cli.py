@@ -27,9 +27,10 @@ from .encoder import VARIANTS, build
 from .language import FLAG_LABEL, SEMANTICS, Determinized, lassos, lassos_text
 from .language import compare as compare_samples
 from .minsky import parse_machine, run, trace
-from .semantics import ExplorationConfig, ResourceExhausted
+from .semantics import NODE_LIMIT, ResourceExhausted
 
 TIMING_HEADER = "--- timings ---"
+DEPTH = 8   # the default -k: words, stems and cycles of at most 8 actions
 
 
 @contextmanager
@@ -81,21 +82,22 @@ def _valuate(a: Pera, flags: list[str | None]):
     ]
 
 
-def _observe(a: Pera, cfg: ExplorationConfig, semantics: str):
+def _observe(a: Pera, args):
     """What `lang` and `compare` observe of `a`: (observation, count lines, flagged count).
 
     Büchi semantics gives the lasso set, whose flagged count is its
     size.  The others give the determinized automaton, counted level by
-    level, which expands every state set a comparison or a word listing
-    can visit, so running out of nodes happens here and not halfway
-    through a report.
+    level to `args.depth`, which expands every state set a comparison or
+    a word listing can visit, so running out of nodes happens here and
+    not halfway through a report.
     """
-    if semantics == "buchi":
-        found = lassos(a, cfg)
+    if args.semantics == "buchi":
+        found = lassos(a, args.depth, args.node_limit)
         return found, [f"lassos: {len(found)}"], len(found)
-    det = Determinized(a, cfg, semantics)
-    prefix, flagged = det.counts()
-    return det, [f"prefix words: {prefix}", f"{FLAG_LABEL[semantics]} words: {flagged}"], flagged
+    det = Determinized(a, args.semantics, args.node_limit)
+    prefix, flagged = det.counts(args.depth)
+    label = FLAG_LABEL[args.semantics]
+    return det, [f"prefix words: {prefix}", f"{label} words: {flagged}"], flagged
 
 
 def _explore(args, timings, flags: list[str | None], sides: tuple[tuple[str, str], ...]) -> list:
@@ -108,11 +110,10 @@ def _explore(args, timings, flags: list[str | None], sides: tuple[tuple[str, str
     with _timed(timings, "parse"):
         a = Pera.from_text(Path(args.pera).read_text())
         scale, valuations, valuated = _valuate(a, flags)
-    cfg = ExplorationConfig(depth=args.depth, node_limit=args.node_limit)
     observed = []
     for (_, label), va in zip(sides, valuated):
         with _timed(timings, label):
-            observed.append(_observe(va, cfg, args.semantics))
+            observed.append(_observe(va, args))
     print(f"automaton: {args.pera}")
     for (name, _), vals in zip(sides, valuations):
         print(f"{name}: " + (", ".join(f"{k}={v}" for k, v in sorted(vals.items())) or "(none)"))
@@ -147,10 +148,10 @@ def cmd_lang(args) -> int:
         print(lassos_text(obs), end="")
     else:
         print("-- prefix --")
-        sys.stdout.writelines(obs.lines())
+        sys.stdout.writelines(obs.lines(args.depth))
         print(f"-- {FLAG_LABEL[args.semantics]} --")
         # the prefix words hold the empty word; no flagged word prints one blank line
-        sys.stdout.writelines(obs.lines(flagged=True) if flagged else ("\n",))
+        sys.stdout.writelines(obs.lines(args.depth, flagged=True) if flagged else ("\n",))
     print(_footer(timings))
     return 0
 
@@ -163,7 +164,7 @@ def cmd_compare(args) -> int:
         args, timings, args.valuation, (("valuation A", "explore A"), ("valuation B", "explore B"))
     )
     with _timed(timings, "compare"):
-        res = compare_samples(observed[0][0], observed[1][0])
+        res = compare_samples(observed[0][0], observed[1][0], args.depth)
     for side, (_, stats, _) in zip("AB", observed):
         print(f"{side}: " + ", ".join(stats))
     print("verdict: " + res.text("A", "B"))
@@ -210,13 +211,12 @@ def cmd_theorem_check(args) -> int:
     repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
     if repeated is not None:
         raise ModelError(f"--values gives p={repeated} more than once")
-    cfg = ExplorationConfig(depth=args.depth, node_limit=args.node_limit)
     # the p = 0 reference at scale 1 stands for p = 0 at every scale (see
     # `_valuate`); every value is explored and compared before the first
     # line is printed, so an error other than a value's exhaustion, which
     # its section reports, prints no partial report
     with _timed(timings, "explore p=0"):
-        ref, _, _ = _observe(a.valuate({"p": 0}), cfg, args.semantics)
+        ref, _, _ = _observe(a.valuate({"p": 0}), args)
     sections: list[str] = []
     outcomes = []   # per value: "equal", "differs" or "exhausted"
     for v in values:
@@ -225,7 +225,7 @@ def cmd_theorem_check(args) -> int:
         sections.append(f"-- valuation {label} --")
         try:
             with _timed(timings, f"explore {label}"):
-                s, stats, _ = _observe(va, cfg, args.semantics)
+                s, stats, _ = _observe(va, args)
         except ResourceExhausted as exc:
             sections.append(f"resource exhaustion: {exc}")
             outcomes.append("exhausted")
@@ -234,7 +234,7 @@ def cmd_theorem_check(args) -> int:
             sections.append(f"rescaled by {scale} to clear denominators")
         sections += stats
         with _timed(timings, f"compare {label}"):
-            res = compare_samples(ref, s)
+            res = compare_samples(ref, s, args.depth)
         sections.append("verdict: " + res.text("reference", label))
         outcomes.append("equal" if res.equal else "differs")
 
@@ -271,9 +271,9 @@ def cmd_simulate_2cm(args) -> int:
 
 def _exploration_flags(parser: argparse.ArgumentParser, semantics: tuple[str, ...]) -> None:
     """-k/--depth, --semantics (offering `semantics`) and --node-limit, in that order."""
-    parser.add_argument("-k", "--depth", type=int, default=ExplorationConfig.depth)
+    parser.add_argument("-k", "--depth", type=int, default=DEPTH)
     parser.add_argument("--semantics", choices=semantics, default="maximal")
-    parser.add_argument("--node-limit", type=int, default=ExplorationConfig.node_limit)
+    parser.add_argument("--node-limit", type=int, default=NODE_LIMIT)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -1,4 +1,4 @@
-"""Depth-bounded untimed languages, decided on a determinized automaton.
+"""Untimed languages, decided on a determinized automaton read at any depth.
 
 The one finite-word core is `Determinized`: an on-the-fly subset
 construction over one widened `ZoneGraph` that frees inactive clocks.
@@ -10,20 +10,23 @@ by the semantics' node test:
 - reach: the node's location is accepting;
 - safety: every node, so the accepted words are the prefix words.
 
-Everything else is a view on that core.  `Determinized.counts` gives
-the number of prefix and flagged words by a level-by-level count,
-without materializing a word.  `Determinized.lines` is the one word
-walk, for `lang` to print: breadth first, in (length, word) order, it
-yields whole report lines, in blocks built by one join of a stored
-word's text with its set's memoized tails.  Only one level in two is
-stored: each stored word yields one block of its children's lines,
-then (after every stored word's children) one of its grandchildren's,
-and the grandchildren are the next stored level.  Its flagged filter
-enters a set only if a flagged set is reachable from it within the
-steps left, read backwards off the tables `counts` built, so listing a
-few flagged words among many prefix words skips the rest of the tree.  `compare` on two determinized automata walks pairs of sets
-breadth first and returns the shortest, lexicographically least
-distinguishing word.
+Everything else is a view on that core, read at a depth k of its own:
+the core stores no depth, and `node_limit` on its sets is its only
+bound.  Each view stops once a level is empty.  `Determinized.counts`
+gives the number of prefix and flagged words of length <= k by a
+level-by-level count, without materializing a word.
+`Determinized.lines` is the one word walk, for `lang` to print:
+breadth first, in (length, word) order, it yields whole report lines,
+in blocks built by one join of a stored word's text with its set's
+memoized tails.  Only one level in two is stored: each stored word
+yields one block of its children's lines, then (after every stored
+word's children) one of its grandchildren's, and the grandchildren are
+the next stored level.  Its flagged filter enters a set only if a
+flagged set is reachable from it within the steps left, read backwards
+off the tables `counts` built, so listing a few flagged words among
+many prefix words skips the rest of the tree.  `compare` on two
+determinized automata walks pairs of sets breadth first, up to k, and
+returns the shortest, lexicographically least distinguishing word.
 
 Büchi semantics is observed through `lassos` instead: stem/cycle pairs
 through accepting locations on the full widened zone graph, which `compare`
@@ -40,7 +43,7 @@ from functools import cache
 from typing import Iterator
 
 from .core import ModelError, Pera
-from .semantics import ExplorationConfig, ResourceExhausted, ZoneGraph, zone_graph
+from .semantics import NODE_LIMIT, ResourceExhausted, ZoneGraph, zone_graph
 
 SEMANTICS = ("maximal", "buchi", "reach", "safety")
 
@@ -68,18 +71,17 @@ class Determinized:
     successor; tables are memoized, and so are the nodes' own successors
     in `graph`, so a symbolic state shared by many sets is expanded
     once.  Successor sets are interned, so equal sets are one object,
-    and the number of distinct sets is what cfg.node_limit bounds.
+    and the number of distinct sets is what `node_limit` bounds.
     `flagged` is the per-set flag described in the module docstring,
     also memoized.
     """
 
-    def __init__(self, a: Pera, cfg: ExplorationConfig, semantics: str):
+    def __init__(self, a: Pera, semantics: str, node_limit: int = NODE_LIMIT):
         _check_observable(a, semantics)
         if semantics == "buchi":
             raise ModelError("buchi semantics is observed through lassos, not words")
         self.semantics = semantics
-        self.depth = cfg.depth
-        self.node_limit = cfg.node_limit
+        self.node_limit = node_limit
         self.graph = ZoneGraph(a, free_inactive=True)
         if semantics == "maximal":
             self._node_flagged = self.graph.blocks
@@ -117,37 +119,40 @@ class Determinized:
             flag = self._flags[states] = any(map(self._node_flagged, states))
         return flag
 
-    def counts(self) -> tuple[int, int]:
-        """(prefix words, flagged words) of length <= depth, counted per set."""
-        level = {self.start: 1}
+    def counts(self, k: int) -> tuple[int, int]:
+        """(prefix words, flagged words) of length <= k, counted per set."""
+        level, left = {self.start: 1}, k
         prefix = flagged = 0
-        for d in range(self.depth + 1):
+        while level:
             nxt: dict[States, int] = {}
             for states, n in level.items():
                 prefix += n
                 if self.flagged(states):
                     flagged += n
-                if d < self.depth:
+                if left:
                     for succ in self.step(states).values():
                         nxt[succ] = nxt.get(succ, 0) + n
-            level = nxt
+            level, left = nxt, left - 1
         return prefix, flagged
 
-    def _flag_horizon(self) -> list[set[States]]:
+    def _flag_horizon(self, k: int) -> list[set[States]]:
         """`out[r]`: the sets that reach a flagged set within r steps.
 
-        Read backwards off the memoized tables and flags, after `counts`
-        has built every set within the depth, so nothing new is stepped.
+        Read backwards off the memoized tables and flags, after `counts(k)`
+        has built every set within k, so nothing new is stepped.  The
+        list stops once it stops growing: read `out[min(r, len(out) - 1)]`.
         """
-        self.counts()
+        self.counts(k)
         out = [{s for s, flag in self._flags.items() if flag}]
-        for _ in range(self.depth):
+        for _ in range(k):
             near = out[-1]
             out.append(near | {s for s, t in self._trans.items() if not near.isdisjoint(t.values())})
+            if len(out[-1]) == len(near):
+                break
         return out
 
-    def lines(self, flagged: bool = False) -> Iterator[str]:
-        """Every word of length <= depth as its report line, breadth first.
+    def lines(self, k: int, flagged: bool = False) -> Iterator[str]:
+        """Every word of length <= k as its report line, breadth first.
 
         A line is the word's actions joined by spaces, then a newline.
         Actions are taken in sorted order, so the lines come sorted by
@@ -172,27 +177,27 @@ class Determinized:
         own set, that is as many short tails as the grandchildren level
         has words, where a walk storing every level would hold the
         children level as full texts.  The walk steps only sets below
-        the depth, so after `counts` it creates no new set.
+        depth k, so after `counts(k)` it creates no new set.
 
         With `flagged`, only the flagged words are listed, and a set is
         entered with r steps left only if it reaches a flagged set
         within r steps (`_flag_horizon`): `keep` and `show` apply at
         both levels, with `left` and `left - 1` steps left.
         """
-        near = self._flag_horizon() if flagged else None
+        near = self._flag_horizon(k) if flagged else None
 
         def keep(states: States, left: int) -> bool:
-            return near is None or states in near[left]
+            return near is None or states in near[min(left, len(near) - 1)]
 
         def show(states: States) -> bool:
             return near is None or self.flagged(states)
 
-        if not keep(self.start, self.depth):
+        if not keep(self.start, k):
             return
         if show(self.start):
             yield "\n"
-        level = [("", self.start)]
-        for left in range(self.depth - 1, -1, -2):   # steps left below the children's level
+        level, left = [("", self.start)], k - 1   # left: steps left below the children's level
+        while level and left >= 0:
             moves: dict[States, tuple[list[str], list[str], list[tuple[str, States]]]] = {}
             for text, states in level:
                 move = moves.get(states)
@@ -219,10 +224,10 @@ class Determinized:
                     yield text + text.join(tails)
                 for tail, u in kept:
                     nxt.append((text + tail, u))
-            level = nxt
+            level, left = nxt, left - 2
 
 
-def lassos(a: Pera, cfg: ExplorationConfig) -> frozenset[Lasso]:
+def lassos(a: Pera, k: int, node_limit: int = NODE_LIMIT) -> frozenset[Lasso]:
     """Stem/cycle pairs through accepting locations, on the widened graph.
 
     This is what Büchi semantics observes.
@@ -230,16 +235,16 @@ def lassos(a: Pera, cfg: ExplorationConfig) -> frozenset[Lasso]:
     Cycles are elementary (no repeated node except the endpoints),
     found once each by only walking nodes with ids at or above the
     start node's; stems are the shortest, lexicographically smallest
-    words reaching the cycle's start within the depth bound.  The cycle
-    word is reported in its minimal rotation.
+    words reaching the cycle's start within k steps.  The cycle word,
+    at most k long, is reported in its minimal rotation.
 
     For a start c0 the search keeps only the edges into c0 or into nodes
     above c0 that can get back to c0, over ids above c0, within k - 1
     steps (a node's kept edges are listed on its first visit, as at small
     k most nodes are never visited), and drops a path as soon as its next
-    node cannot get back within what is left of the depth bound.  That is exact: every way to
-    close the cycle from there stays on those ids, so it takes at least
-    that distance, and no dropped path closes within k.  The search
+    node cannot get back within what is left of k.  That is exact: every
+    way to close the cycle from there stays on those ids, so it takes at
+    least that distance, and no dropped path closes within k.  The search
     backtracks over one action list and one on-path table indexed by
     node id, pushing and popping one entry per step.  Each start's cycle
     words are collected in a set before they are rotated, and each
@@ -254,8 +259,7 @@ def lassos(a: Pera, cfg: ExplorationConfig) -> frozenset[Lasso]:
     """
     _check_observable(a, "buchi")
     # the full graph: freeing clocks merges nodes, which changes their elementary cycles
-    g = zone_graph(a, cfg, levels=2 * cfg.depth)
-    k = cfg.depth
+    g = zone_graph(a, node_limit, levels=2 * k)
 
     # adjacency with actions, in sorted order, and reverse adjacency for distances
     adj: list[list[tuple[str, int]]] = [[] for _ in g.nodes]
@@ -267,7 +271,7 @@ def lassos(a: Pera, cfg: ExplorationConfig) -> frozenset[Lasso]:
     # shortest-lex stem per node, bounded by k
     stems: dict[int, Word] = {g.initial: ()}
     frontier = [g.initial]
-    for _ in range(k):
+    while frontier and len(stems[frontier[0]]) < k:
         nxt = []
         for nid in sorted(frontier, key=lambda n: stems[n]):
             for act, dst in adj[nid]:
@@ -286,15 +290,15 @@ def lassos(a: Pera, cfg: ExplorationConfig) -> frozenset[Lasso]:
         # above c0, and 0 for c0 itself; only up to k - 1, as a longer
         # way back closes no cycle within k
         dist = {c0: 0}
-        frontier = [c0]
-        for d in range(1, k):
+        frontier, d = [c0], 1
+        while frontier and d < k:
             nxt = []
             for nid in frontier:
                 for src in radj[nid]:
                     if src > c0 and src not in dist:
                         dist[src] = d
                         nxt.append(src)
-            frontier = nxt
+            frontier, d = nxt, d + 1
         return dist
 
     def cycle_words(c0: int) -> set[Word]:
@@ -389,8 +393,8 @@ class CompareResult:
         return f"differs; {field} witness [{shown}] only on the {owner} side"
 
 
-def _product_walk(left: Determinized, right: Determinized) -> CompareResult:
-    """Breadth-first walk over pairs of sets, up to the depth bound.
+def _product_walk(left: Determinized, right: Determinized, k: int) -> CompareResult:
+    """Breadth-first walk over pairs of sets, up to depth k.
 
     Pairs are expanded in the order of the words reaching them (actions
     sorted), so the first pair that tells the sides apart is reached by
@@ -403,7 +407,7 @@ def _product_walk(left: Determinized, right: Determinized) -> CompareResult:
     field = FLAG_LABEL[left.semantics].replace(" ", "_")
     seen = {(left.start, right.start)}
     frontier: list[tuple[Word, States, States]] = [((), left.start, right.start)]
-    for level in range(left.depth + 1):
+    while frontier:
         nxt: list[tuple[Word, States, States]] = []
         for word, sl, sr in frontier:
             if not (sl and sr):
@@ -411,7 +415,7 @@ def _product_walk(left: Determinized, right: Determinized) -> CompareResult:
             fl = left.flagged(sl)
             if fl != right.flagged(sr):
                 return CompareResult(False, field, word, "left" if fl else "right")
-            if level == left.depth:
+            if len(word) == k:
                 continue
             tl, tr = left.step(sl), right.step(sr)
             for act in sorted(tl.keys() | tr.keys()):
@@ -424,20 +428,18 @@ def _product_walk(left: Determinized, right: Determinized) -> CompareResult:
 
 
 def compare(
-    s1: Determinized | frozenset[Lasso], s2: Determinized | frozenset[Lasso]
+    s1: Determinized | frozenset[Lasso], s2: Determinized | frozenset[Lasso], k: int
 ) -> CompareResult:
     """Bounded-language comparison; a difference names its shortest witness.
 
-    Takes two `Determinized` automata, which are walked as a product
-    without listing their words, or two lasso sets, whose least lasso
+    Takes two `Determinized` automata, walked as a product up to depth
+    k without listing their words, or two lasso sets, whose least lasso
     on one side only, in `_lasso_key` order, is the witness.
     """
     if isinstance(s1, Determinized) and isinstance(s2, Determinized):
         if s1.semantics != s2.semantics:
             raise ModelError("the two automata use different semantics")
-        if s1.depth != s2.depth:
-            raise ModelError("the two automata use different depth bounds")
-        return _product_walk(s1, s2)
+        return _product_walk(s1, s2, k)
     if not (isinstance(s1, frozenset) and isinstance(s2, frozenset)):
         raise ModelError("compare needs two determinized automata or two lasso sets")
     delta = s1.symmetric_difference(s2)

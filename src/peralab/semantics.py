@@ -21,7 +21,6 @@ ids; whether a node blocks is memoized per node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .core import Atom, Edge, Guard, ModelError, Pera, number_text
@@ -32,10 +31,7 @@ class ResourceExhausted(RuntimeError):
     """Exploration hit the configured node limit."""
 
 
-@dataclass(frozen=True)
-class ExplorationConfig:
-    depth: int = 8
-    node_limit: int = 200_000
+NODE_LIMIT = 200_000   # the default bound on nodes or sets an exploration may build
 
 
 Sym = tuple[str, Z.Dbm]
@@ -285,7 +281,7 @@ class ZoneGraph:
         return sorted((n, act, d) for n, t in self._succ.items() for act, ds in t.items() for d in ds)
 
 
-def zone_graph(a: Pera, cfg: ExplorationConfig | None = None, levels: int | None = None) -> ZoneGraph:
+def zone_graph(a: Pera, node_limit: int = NODE_LIMIT, levels: int | None = None) -> ZoneGraph:
     """Widened reachability graph, explored to fixpoint, or `levels` levels deep.
 
     Nodes are expanded in id order, so they are numbered breadth first
@@ -295,13 +291,12 @@ def zone_graph(a: Pera, cfg: ExplorationConfig | None = None, levels: int | None
     steps from the start.  Whether a node blocks is left to
     `ZoneGraph.blocks`.
     """
-    cfg = cfg or ExplorationConfig()
     g = ZoneGraph(a)
     lo, hi, level = 0, 1, 0
     while lo < hi and (levels is None or level < levels):
         for nid in range(lo, hi):
             g.succ(nid)
-            if len(g.nodes) > cfg.node_limit:
-                raise ResourceExhausted(f"zone graph exceeded {cfg.node_limit} nodes")
+            if len(g.nodes) > node_limit:
+                raise ResourceExhausted(f"zone graph exceeded {node_limit} nodes")
         lo, hi, level = hi, len(g.nodes), level + 1
     return g

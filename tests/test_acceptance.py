@@ -11,9 +11,8 @@ from itertools import product
 import pytest
 
 from peralab.encoder import build, encode_core
-from wordsets import compare, enumerate_language
+from wordsets import ExplorationConfig, compare, enumerate_language
 from peralab.minsky import run, trace
-from peralab.semantics import ExplorationConfig
 
 from gridoracle import GRID_UNITS
 from machines import inc3, loop, trivial

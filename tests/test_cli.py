@@ -19,10 +19,9 @@ from peralab.cli import TIMING_HEADER, main
 from peralab.core import Pera
 from peralab.language import Determinized
 from peralab.encoder import build
-from peralab.semantics import ExplorationConfig
 
 from machines import MACHINE_DIR, load, loop
-from wordsets import enumerate_language
+from wordsets import ExplorationConfig, enumerate_language
 
 
 @pytest.fixture
@@ -238,8 +237,8 @@ def test_lang_prints_the_reference_word_sets(tmp_path, capsys, monkeypatch, sema
             assert body.endswith(f"-- {title} --\n\n")
 
         # printing builds, steps and flags no set that counting did not
-        counted = Determinized(va, cfg, semantics)
-        counted.counts()
+        counted = Determinized(va, semantics)
+        counted.counts(k)
         printed = built[-1]
         assert len(printed._sets) == len(counted._sets)
         assert printed._trans.keys() == counted._trans.keys()
@@ -289,6 +288,70 @@ def test_lang_buchi_finds_a_cycle_longer_than_the_recursion_limit(tmp_path, caps
     body = strip_timings(capsys.readouterr().out).splitlines()
     assert "lassos: 1" in body
     assert body[body.index("-- lassos --") + 1] == " | " + " ".join(["a"] * n)
+
+
+# a depth far past any level these languages reach: a run that walks
+# every level up to it takes seconds to tens of seconds
+DEEP = "10000000"
+
+
+def one_action_automaton(tmp_path, edge, locations=("q", "r"), **fields):
+    """`a` from q on `edge` (its "from", "to" and "guard"), written to a file."""
+    f = tmp_path / "one.pera"
+    f.write_text(json.dumps({
+        "actions": [{"action": "a", "clock": "x"}],
+        "locations": [{"name": loc} for loc in locations],
+        "initial": "q",
+        "edges": [{"from": "q", "action": "a", **edge}],
+        **fields,
+    }))
+    return f
+
+
+def deep_run(capsys, argv) -> list[str]:
+    """The body of `argv`'s report at -k DEEP, after its `automaton:` line; under 2 s."""
+    t0 = time.perf_counter()
+    assert main([*argv, "-k", DEEP]) == 0
+    assert time.perf_counter() - t0 < 2
+    return strip_timings(capsys.readouterr().out).splitlines()[1:]
+
+
+def test_lang_of_a_finite_language_stops_at_its_last_level(tmp_path, capsys):
+    f = one_action_automaton(tmp_path, {"to": "r"})
+    assert deep_run(capsys, ["lang", str(f)]) == [
+        "valuation: (none)",
+        f"semantics: maximal  depth: {DEEP}",
+        "prefix words: 2",
+        "maximal finite words: 1",
+        "-- prefix --",
+        "",
+        "a",
+        "-- maximal finite --",
+        "a",
+    ]
+
+
+def test_compare_of_finite_languages_stops_at_their_last_level(tmp_path, capsys):
+    f = one_action_automaton(tmp_path, {"to": "r", "guard": "x <= p"}, parameters=["p"])
+    assert deep_run(capsys, ["compare", str(f), "-p", "p=1", "-p", "p=2"]) == [
+        "valuation A: p=1",
+        "valuation B: p=2",
+        f"semantics: maximal  depth: {DEEP}",
+        "A: prefix words: 2, maximal finite words: 1",
+        "B: prefix words: 2, maximal finite words: 1",
+        "verdict: equal up to bound",
+    ]
+
+
+def test_buchi_lang_of_a_self_loop_stops_at_its_last_level(tmp_path, capsys):
+    f = one_action_automaton(tmp_path, {"to": "q"}, locations=("q",), accepting=["q"])
+    assert deep_run(capsys, ["lang", str(f), "--semantics", "buchi"]) == [
+        "valuation: (none)",
+        f"semantics: buchi  depth: {DEEP}",
+        "lassos: 1",
+        "-- lassos --",
+        " | a",
+    ]
 
 
 def test_lang_into_a_closed_pipe_exits_one_quietly(wrapped_loop_file):

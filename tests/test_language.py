@@ -18,16 +18,16 @@ from peralab.language import (
     lassos,
     lassos_text,
 )
-from peralab.semantics import Analyzer, ExplorationConfig, ResourceExhausted, zone_graph
+from peralab.semantics import Analyzer, ResourceExhausted, zone_graph
 
-from machines import inc3, loop, trivial
+from machines import inc3, load, loop, trivial
 from test_cli import LANG_ENCODING
 from test_encoder import machines
-from wordsets import LanguageSample, compare as compare_sets, enumerate_language
+from wordsets import ExplorationConfig, LanguageSample, compare as compare_sets, enumerate_language
 
 
-def cfg(depth, **kw):
-    return ExplorationConfig(depth=depth, **kw)
+def cfg(depth):
+    return ExplorationConfig(depth=depth)
 
 
 @pytest.fixture(scope="module")
@@ -84,7 +84,7 @@ def test_maximal_finite_witnesses():
 
 def test_node_limit_exhaustion(loop2):
     with pytest.raises(ResourceExhausted):
-        Determinized(loop2, cfg(6, node_limit=2), "maximal").counts()
+        Determinized(loop2, "maximal", node_limit=2).counts(6)
 
 
 # -- the word walk ---------------------------------------------------------------
@@ -104,9 +104,9 @@ def test_lines_yields_whole_lines_in_blocks(machine, semantics, p):
     for k in range(6):
         ref = enumerate_language(va, cfg(k), semantics)
         flagged = ref.maximal_finite_words if semantics == "maximal" else ref.accepted_words
-        det = Determinized(va, cfg(k), semantics)
-        for chunks, words in ((det.lines(), ref.prefix_words),
-                              (det.lines(flagged=True), flagged)):
+        det = Determinized(va, semantics)
+        for chunks, words in ((det.lines(k), ref.prefix_words),
+                              (det.lines(k, flagged=True), flagged)):
             chunks = list(chunks)
             assert all(chunk.endswith("\n") for chunk in chunks)   # so none is empty
             assert "".join(chunks) == reference_lines(words)
@@ -119,7 +119,7 @@ def test_lines_yields_two_blocks_per_stored_word(loop2):
     yield a block of their children's lines and one of their
     grandchildren's, and the 16,384 words of length 7 are never stored.
     """
-    chunks = list(Determinized(loop2, cfg(8), "maximal").lines())
+    chunks = list(Determinized(loop2, "maximal").lines(8))
     assert len(chunks) == 1 + 2 * (1 + 16 + 256 + 4_096) == 8_739
     assert sum(chunk.count("\n") for chunk in chunks) == (4 ** 9 - 1) // 3 == 87_381
 
@@ -141,7 +141,7 @@ def test_lines_flagged_on_alternate_levels(accepting, parity):
         accepting=frozenset({accepting}),
     )
     for k in range(7):
-        chunks = list(Determinized(a, cfg(k), "reach").lines(flagged=True))
+        chunks = list(Determinized(a, "reach").lines(k, flagged=True))
         words = [tuple("ab"[i % 2] for i in range(n)) for n in range(parity, k + 1, 2)]
         assert enumerate_language(a, cfg(k), "reach").accepted_words == frozenset(words)
         assert all(chunk.endswith("\n") for chunk in chunks)   # so none is empty or bare
@@ -153,22 +153,22 @@ def test_lines_flagged_on_alternate_levels(accepting, parity):
 
 def test_unknown_semantics(loop2):
     with pytest.raises(ModelError):
-        Determinized(loop2, cfg(3), "timed")
+        Determinized(loop2, "timed")
 
 
 def test_parametric_automaton_rejected():
     # the zone layer rejects it, for words and for lassos alike
     with pytest.raises(ModelError, match="automaton still has parameters"):
-        Determinized(build(loop(), "wrapped"), cfg(3), "maximal")
+        Determinized(build(loop(), "wrapped"), "maximal")
     with pytest.raises(ModelError, match="automaton still has parameters"):
-        lassos(build(loop(), "buchi"), cfg(3))
+        lassos(build(loop(), "buchi"), 3)
 
 
 def test_accepting_set_required(loop2):
     with pytest.raises(ModelError):
-        lassos(loop2, cfg(3))
+        lassos(loop2, 3)
     with pytest.raises(ModelError):
-        Determinized(loop2, cfg(3), "reach")
+        Determinized(loop2, "reach")
 
 
 def test_safety_accepts_every_prefix():
@@ -179,8 +179,8 @@ def test_safety_accepts_every_prefix():
 
 
 def test_safety_flags_every_set_it_builds():
-    det = Determinized(build(loop(), "safety").valuate({"p": 2}), cfg(6), "safety")
-    det.counts()
+    det = Determinized(build(loop(), "safety").valuate({"p": 2}), "safety")
+    det.counts(6)
     assert len(det._sets) > 1
     assert all(det.flagged(s) for s in det._sets)
 
@@ -215,7 +215,7 @@ def test_lassos_on_hand_built_cycle():
         edges=(Edge("u", (), "a", "v"), Edge("v", (), "b", "u")),
         accepting=frozenset({"u"}),
     )
-    found = lassos(a, cfg(4))
+    found = lassos(a, 4)
     # the origin zone is never revisited, so the cycle sits one step in
     assert (("a",), ("a", "b")) in found
     assert all(c == _min_rotation(c) for _, c in found)
@@ -233,7 +233,7 @@ def test_lassos_respect_accepting_set():
         accepting=frozenset({"v"}),
     )
     # the pure self-loop at u never visits v, so it is not a lasso here
-    assert all("b" in c for _, c in lassos(a, cfg(3)))
+    assert all("b" in c for _, c in lassos(a, 3))
 
 
 def test_lassos_forget_accepting_nodes_backed_out_of():
@@ -248,21 +248,21 @@ def test_lassos_forget_accepting_nodes_backed_out_of():
                Edge("u", (), "b", "w"), Edge("w", (), "b", "u")),
         accepting=frozenset({"v"}),
     )
-    found = lassos(a, cfg(4))
+    found = lassos(a, 4)
     assert (("b",), ("a", "b")) in found
     assert not any(c == ("b", "b") for _, c in found)
-    assert found == reference_lassos(a, cfg(4))
+    assert found == reference_lassos(a, 4)
 
 
 # -- lasso search against the unpruned reference ------------------------------------
 
 
-def reference_lassos(a, config):
+def reference_lassos(a, k):
     """The lasso set by the plain search: every simple path from the
-    cycle start over ids at or above it, cut only by the depth bound."""
-    g = zone_graph(a, config)
+    cycle start over ids at or above it, cut only by the depth bound k."""
+    g = zone_graph(a)
     is_acc = tuple(loc in a.accepting for loc, _ in g.nodes)
-    return plain_lasso_search(tuple(g.edges), g.initial, is_acc, config.depth)
+    return plain_lasso_search(tuple(g.edges), g.initial, is_acc, k)
 
 
 @cache
@@ -320,7 +320,7 @@ def test_lassos_with_repeated_cycle_words(depth):
     a = repeated_word_automaton()
     want = {0: set(), 1: {(("b",), ("b",))}}.get(
         depth, {(("b",), ("b",)), (("b",), ("a", "b"))})
-    assert lassos(a, cfg(depth)) == want == reference_lassos(a, cfg(depth))
+    assert lassos(a, depth) == want == reference_lassos(a, depth)
 
 
 @pytest.mark.parametrize("a", [repeated_word_automaton(),
@@ -334,7 +334,7 @@ def test_lassos_rotate_each_cycle_word_once(a, monkeypatch):
         return _min_rotation(word)
 
     monkeypatch.setattr(language, "_min_rotation", counted)
-    found = lassos(a, cfg(10))
+    found = lassos(a, 10)
     assert calls and len(calls) == len(set(calls))
     assert {c for _, c in found} == {_min_rotation(w) for w in calls}
 
@@ -344,7 +344,7 @@ def test_lassos_rotate_each_cycle_word_once(a, monkeypatch):
 @settings(deadline=None, max_examples=60)
 def test_lassos_match_reference_on_random_machines(m, p, depth):
     a = build(m, "buchi").valuate({"p": p})
-    assert lassos(a, cfg(depth)) == reference_lassos(a, cfg(depth))
+    assert lassos(a, depth) == reference_lassos(a, depth)
 
 
 @pytest.mark.parametrize("p", [0, 1, 2, 3, 31, 65, 100])
@@ -354,8 +354,8 @@ def test_pruned_lassos_match_unpruned_search(make, p):
     # bound; at p = 65 and 100 that bound cuts the graph well short at depth 4
     a = build(make(), "buchi").valuate({"p": p})
     for depth in (4,) if p > 31 else (0, 1, 2, 4, 7, 10):
-        want = reference_lassos(a, cfg(depth))
-        assert lassos(a, cfg(depth)) == want, depth
+        want = reference_lassos(a, depth)
+        assert lassos(a, depth) == want, depth
 
 
 # -- comparison ----------------------------------------------------------------
@@ -400,7 +400,7 @@ def test_compare_prefers_shorter_field_witness():
 
 
 def test_compare_buchi_lassos():
-    res = compare(frozenset({(("a",), ("b",))}), frozenset())
+    res = compare(frozenset({(("a",), ("b",))}), frozenset(), 8)
     assert not res.equal and res.field == "lassos"
     assert res.witness == (("a",), ("b",)) and res.owner == "left"
     assert res.text("A", "B") == "differs; lassos witness [a | b] only on the A side"
@@ -419,12 +419,12 @@ def assert_product_walk_matches_samples(a, pairs, semantics):
     for depth in (0, 1, 4):
         autos = {p: a.valuate({"p": p}) for p in periods}
         samples = {p: enumerate_language(autos[p], cfg(depth), semantics) for p in periods}
-        dets = {p: Determinized(autos[p], cfg(depth), semantics) for p in periods}
+        dets = {p: Determinized(autos[p], semantics) for p in periods}
         for pa, pb in pairs:
             want = compare_sets(samples[pa], samples[pb])
-            assert compare(dets[pa], dets[pb]) == want, (pa, pb, depth)
+            assert compare(dets[pa], dets[pb], depth) == want, (pa, pb, depth)
         for p in periods:
-            assert dets[p].counts() == samples[p].counts(), (p, depth)
+            assert dets[p].counts(depth) == samples[p].counts(), (p, depth)
 
 
 @pytest.mark.parametrize("semantics", ["maximal", "safety"])
@@ -453,22 +453,83 @@ def test_product_walk_reports_prefix_before_flag():
     want = CompareResult(False, "prefix", ("a",), "left")
     samples = [enumerate_language(x, cfg(2), "maximal") for x in (left, right)]
     assert compare_sets(*samples) == want
-    assert compare(*(Determinized(x, cfg(2), "maximal") for x in (left, right))) == want
+    assert compare(*(Determinized(x, "maximal") for x in (left, right)), 2) == want
 
 
 def test_product_walk_needs_matching_inputs(loop2):
-    det = Determinized(loop2, cfg(3), "maximal")
+    det = Determinized(loop2, "maximal")
     with pytest.raises(ModelError):
-        compare(det, frozenset())
+        compare(det, frozenset(), 3)
     with pytest.raises(ModelError):
-        compare(det, Determinized(loop2, cfg(4), "maximal"))
+        compare(det, Determinized(loop2, "safety"), 3)
     with pytest.raises(ModelError):
-        Determinized(build(loop(), "buchi").valuate({"p": 0}), cfg(3), "buchi")
+        Determinized(build(loop(), "buchi").valuate({"p": 0}), "buchi")
+
+
+# -- one automaton, read at every depth -------------------------------------------
+
+# the bundled machines' encodings that `lang` and `theorem-check` read,
+# each under every finite-word semantics it accepts: reach needs an
+# accepting set, which only the `buchi` encoding declares
+DEPTH_GRID = [
+    (stem, variant, semantics)
+    for stem in ("inc3", "loop", "halt")
+    for variant in ("wrapped", "buchi", "safety")
+    for semantics in ("maximal", "reach", "safety")
+    if semantics != "reach" or build(load(stem), variant).accepting
+]
+GRID_PERIODS = (Fraction(0), Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2))
+
+
+def grid_automata(stem, variant):
+    """(valuation, its p = 0 reference) per period; p = 1/2 is read as p = 1 at scale 2."""
+    a = build(load(stem), variant)
+    ref = a.valuate({"p": 0})
+    return [(a.rescale(p.denominator).valuate({"p": p.numerator}), ref) for p in GRID_PERIODS]
+
+
+def depth_views(det, ref, k):
+    return (det.counts(k), "".join(det.lines(k)), "".join(det.lines(k, flagged=True)),
+            compare(det, ref, k))
+
+
+@pytest.mark.parametrize("stem,variant,semantics", DEPTH_GRID)
+def test_one_automaton_answers_every_depth(stem, variant, semantics):
+    """Read at k = 8, 0, 5, 2, 7 in turn, one object gives a fresh object's answers.
+
+    Nothing it memoizes depends on k, so after `counts(8)` no read at a
+    smaller k builds a set.
+    """
+    for va, ref in grid_automata(stem, variant):
+        det, det_ref = Determinized(va, semantics), Determinized(ref, semantics)
+        det.counts(8)
+        built = len(det._sets)
+        for k in (8, 0, 5, 2, 7):
+            want = depth_views(Determinized(va, semantics), Determinized(ref, semantics), k)
+            assert depth_views(det, det_ref, k) == want, (va.to_text(), k)
+            assert len(det._sets) == built, k
+
+
+@pytest.mark.parametrize("stem,variant,semantics", DEPTH_GRID)
+def test_bounded_verdict_is_monotone_in_depth(stem, variant, semantics):
+    """Against p = 0 the walk is equal up to some k, then differs with one witness.
+
+    The witness of a difference first seen at k is k letters long, so
+    the walk at k = len(witness) already gives the verdict.
+    """
+    for va, ref in grid_automata(stem, variant):
+        det, det_ref = Determinized(va, semantics), Determinized(ref, semantics)
+        verdicts = [compare(det, det_ref, k) for k in range(11)]
+        first = next((k for k, res in enumerate(verdicts) if not res.equal), len(verdicts))
+        assert all(res.equal for res in verdicts[:first])
+        assert all(res == verdicts[first] for res in verdicts[first:])
+        if first < len(verdicts):
+            assert len(verdicts[first].witness) == first
 
 
 def test_counts_without_words(loop0):
-    det = Determinized(loop0, cfg(8), "maximal")
-    assert det.counts() == ((4 ** 9 - 1) // 3, 0)
+    det = Determinized(loop0, "maximal")
+    assert det.counts(8) == ((4 ** 9 - 1) // 3, 0)
 
 
 def test_successor_runs_once_per_node_and_edge(monkeypatch):
@@ -486,8 +547,8 @@ def test_successor_runs_once_per_node_and_edge(monkeypatch):
         return raw(self, zone, move)
 
     monkeypatch.setattr(Analyzer, "successor", counting)
-    det = Determinized(build(inc3(), "wrapped").valuate({"p": 5}), cfg(8), "maximal")
-    det.counts()
+    det = Determinized(build(inc3(), "wrapped").valuate({"p": 5}), "maximal")
+    det.counts(8)
     g = det.graph
     assert calls == sum(len(g.ana.moves(g.nodes[n][0])) for n in g._succ)
 
@@ -503,12 +564,12 @@ def test_blocking_runs_once_per_node(monkeypatch):
 
     monkeypatch.setattr(Analyzer, "blocking_subset", counting)
     a = build(loop(), "wrapped")
-    det = Determinized(a.valuate({"p": 2}), cfg(8), "maximal")
-    ref = Determinized(a.valuate({"p": 0}), cfg(8), "maximal")
-    det.counts()
-    list(det.lines())
-    list(det.lines(flagged=True))
-    compare(det, ref)
+    det = Determinized(a.valuate({"p": 2}), "maximal")
+    ref = Determinized(a.valuate({"p": 0}), "maximal")
+    det.counts(8)
+    list(det.lines(8))
+    list(det.lines(8, flagged=True))
+    compare(det, ref, 8)
     graphs = {id(d.graph.ana): d.graph for d in (det, ref)}
     computed = [(id(ana), graphs[id(ana)].node_index[s]) for ana, s in calls]
     assert any(ana is det.graph.ana for ana, _ in calls)

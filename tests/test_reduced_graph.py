@@ -16,7 +16,7 @@ from peralab import language
 from peralab.core import RELATIONS, Atom, Edge, ModelError, Pera
 from peralab.encoder import build
 from peralab.language import Determinized, compare
-from peralab.semantics import ExplorationConfig, ZoneGraph
+from peralab.semantics import ZoneGraph
 
 from machines import load
 
@@ -28,19 +28,18 @@ def full_graph(a, free_inactive):
     return ZoneGraph(a)
 
 
-def walks(a, depth, semantics, monkeypatch):
+def walks(a, semantics, monkeypatch):
     """(reduced, unreduced) determinized walks of `a`."""
-    cfg = ExplorationConfig(depth=depth)
-    reduced = Determinized(a, cfg, semantics)
+    reduced = Determinized(a, semantics)
     with monkeypatch.context() as m:
         m.setattr(language, "ZoneGraph", full_graph)
-        full = Determinized(a, cfg, semantics)
+        full = Determinized(a, semantics)
     assert full.graph.ana.freed == dict.fromkeys(a.locations, ())
     return reduced, full
 
 
-def views(det):
-    return det.counts(), "".join(det.lines()), "".join(det.lines(flagged=True))
+def views(det, k):
+    return det.counts(k), "".join(det.lines(k)), "".join(det.lines(k, flagged=True))
 
 
 def valuated(stem, semantics, p):
@@ -52,12 +51,12 @@ def valuated(stem, semantics, p):
 @pytest.mark.parametrize("stem", ["loop", "inc3", "halt"])
 def test_reduced_walk_matches_full_walk_on_encodings(stem, semantics, monkeypatch):
     depth = 6
-    ref = walks(valuated(stem, semantics, Fraction(0)), depth, semantics, monkeypatch)
+    ref = walks(valuated(stem, semantics, Fraction(0)), semantics, monkeypatch)
     smaller = 0
     for p in PERIODS:
-        reduced, full = walks(valuated(stem, semantics, p), depth, semantics, monkeypatch)
-        assert views(reduced) == views(full), (stem, semantics, p)
-        assert compare(ref[0], reduced) == compare(ref[1], full), (stem, semantics, p)
+        reduced, full = walks(valuated(stem, semantics, p), semantics, monkeypatch)
+        assert views(reduced, depth) == views(full, depth), (stem, semantics, p)
+        assert compare(ref[0], reduced, depth) == compare(ref[1], full, depth), (stem, semantics, p)
         smaller += len(reduced._sets) < len(full._sets)
     assert smaller, f"{stem} {semantics}: freeing clocks never merged a set"
 
@@ -89,10 +88,10 @@ def test_reduced_walk_matches_full_walk_on_random_eras(monkeypatch):
         a = random_era(rng)
         semantics = rng.choice(sorted(ENCODING))
         try:
-            reduced, full = walks(a, 5, semantics, monkeypatch)
+            reduced, full = walks(a, semantics, monkeypatch)
         except ModelError:             # the initial invariant excludes zero
             continue
-        assert views(reduced) == views(full), a.to_text()
+        assert views(reduced, 5) == views(full, 5), a.to_text()
         freed += any(reduced.graph.ana.freed.values())
         done += 1
     assert freed > 300, f"only {freed} automata had an inactive clock"
@@ -102,6 +101,6 @@ def test_reduced_walk_matches_full_walk_on_random_eras(monkeypatch):
 def test_reduced_sizes_of_the_wrapped_loop(p, nodes, sets):
     """Pinned, so that a weaker reduction shows: the full graph has 82 and 48 nodes."""
     a = build(load("loop"), "wrapped").valuate({"p": p})
-    det = Determinized(a, ExplorationConfig(depth=8), "maximal")
-    det.counts()
+    det = Determinized(a, "maximal")
+    det.counts(8)
     assert (len(det.graph.nodes), len(det._sets)) == (nodes, sets)

@@ -1,6 +1,5 @@
 """Zone exploration, blocking detection, and concrete replay."""
 
-from dataclasses import fields
 from fractions import Fraction
 from functools import cache
 
@@ -11,7 +10,6 @@ from peralab.core import Atom, Edge, ModelError, Pera
 from peralab.encoder import VARIANTS, build, encode_core
 from peralab.semantics import (
     Analyzer,
-    ExplorationConfig,
     ResourceExhausted,
     ZoneGraph,
     guard_zone,
@@ -24,7 +22,7 @@ from machines import inc3, load, loop
 from replay import SimulationError, concrete_simulate, guard_holds
 from schedule import derive_schedule
 from test_encoder import machines
-from wordsets import enumerate_language
+from wordsets import ExplorationConfig, enumerate_language
 
 
 def one_loc(edges, invariant=(), actions=(("a", "x"),)):
@@ -363,7 +361,7 @@ def test_zone_graph_matches_reference_on_random_machines(m, variant, p):
 
 def test_zone_graph_node_limit(loop2):
     with pytest.raises(ResourceExhausted):
-        zone_graph(loop2, ExplorationConfig(node_limit=3))
+        zone_graph(loop2, node_limit=3)
 
 
 # -- concrete replay -----------------------------------------------------------
@@ -544,10 +542,6 @@ def test_extrapolation_preserves_words(loop2, monkeypatch):
     raw = enumerate_language(loop2, ExplorationConfig(depth=8), "maximal")
     assert raw.prefix_words == wide.prefix_words
     assert raw.maximal_finite_words == wide.maximal_finite_words
-
-
-def test_exploration_config_fields():
-    assert [f.name for f in fields(ExplorationConfig)] == ["depth", "node_limit"]
 
 
 def test_widen_is_extrapolation(loop2):

@@ -1,5 +1,6 @@
 """The reference for peralab's bounded languages: explicit word sets.
 
+`ExplorationConfig` bundles a depth k with a node limit.
 `enumerate_language` lists every word of length <= k into frozensets,
 one per observed set, by its own word-by-word breadth-first search over
 `Determinized.step` and `Determinized.flagged`, and `compare` diffs two
@@ -18,6 +19,13 @@ from peralab.core import ModelError
 from peralab.language import (
     CompareResult, Determinized, Lasso, Word, compare as compare_lassos, lassos,
 )
+from peralab.semantics import NODE_LIMIT
+
+
+@dataclass(frozen=True)
+class ExplorationConfig:
+    depth: int = 8
+    node_limit: int = NODE_LIMIT
 
 
 @dataclass(frozen=True)
@@ -39,12 +47,13 @@ class LanguageSample:
         return len(self.prefix_words), len(flagged)
 
 
-def enumerate_language(a, cfg, semantics: str) -> LanguageSample:
+def enumerate_language(a, cfg: ExplorationConfig, semantics: str) -> LanguageSample:
     """Observe one automaton's untimed language at cfg.depth, word by word."""
     if semantics == "buchi":
-        return LanguageSample(semantics, cfg.depth, frozenset(), lassos=lassos(a, cfg))
+        found = lassos(a, cfg.depth, cfg.node_limit)
+        return LanguageSample(semantics, cfg.depth, frozenset(), lassos=found)
 
-    det = Determinized(a, cfg, semantics)
+    det = Determinized(a, semantics, cfg.node_limit)
     prefix: set[Word] = set()
     flagged: set[Word] = set()
     frontier = [((), det.start)]
@@ -79,7 +88,7 @@ def compare(s1: LanguageSample, s2: LanguageSample) -> CompareResult:
     if s1.depth != s2.depth:
         raise ModelError("samples use different depth bounds")
     if s1.semantics == "buchi":
-        return compare_lassos(s1.lassos, s2.lassos)
+        return compare_lassos(s1.lassos, s2.lassos, s1.depth)
     fields = (
         ("prefix", s1.prefix_words, s2.prefix_words),
         ("maximal_finite", s1.maximal_finite_words, s2.maximal_finite_words),
