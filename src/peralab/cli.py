@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .core import ModelError, Pera, parse_valuation
 from .encoder import VARIANTS, build
-from .language import FLAG_LABEL, SEMANTICS, Determinized, lassos, lassos_text
+from .language import FLAG_LABEL, SEMANTICS, Determinized, Lassos, lassos, lassos_text
 from .language import compare as compare_samples
 from .minsky import parse_machine, run, trace
 from .semantics import NODE_LIMIT, ResourceExhausted
@@ -85,13 +85,17 @@ def _valuate(a: Pera, flags: list[str | None]):
 def _observe(a: Pera, args):
     """What `lang` and `compare` observe of `a`: (observation, count lines, flagged count).
 
-    Büchi semantics gives the lasso set, whose flagged count is its
-    size.  The others give the determinized automaton, counted level by
-    level to `args.depth`, which expands every state set a comparison or
-    a word listing can visit, so running out of nodes happens here and
-    not halfway through a report.
+    Büchi semantics gives, for `compare`, the lasso walk, with no count
+    lines, as the comparison counts what it reads; for `lang`, the lasso
+    set, whose flagged count is its size.  Either way the zone graph is
+    built here.  The others give the determinized automaton, counted
+    level by level to `args.depth`, which expands every state set a
+    comparison or a word listing can visit.  So running out of nodes
+    happens here and not halfway through a report.
     """
     if args.semantics == "buchi":
+        if args.command == "compare":
+            return Lassos(a, args.depth, args.node_limit), [], 0
         found = lassos(a, args.depth, args.node_limit)
         return found, [f"lassos: {len(found)}"], len(found)
     det = Determinized(a, args.semantics, args.node_limit)
@@ -165,8 +169,12 @@ def cmd_compare(args) -> int:
     )
     with _timed(timings, "compare"):
         res = compare_samples(observed[0][0], observed[1][0], args.depth)
-    for side, (_, stats, _) in zip("AB", observed):
-        print(f"{side}: " + ", ".join(stats))
+    stats = [lines for _, lines, _ in observed]
+    if res.counts is not None:   # Büchi: the lassos the walk read up to its witness
+        label = "lassos" if res.equal else f"lassos up to length {sum(map(len, res.witness))}"
+        stats = [[f"{label}: {n}"] for n in res.counts]
+    for side, lines in zip("AB", stats):
+        print(f"{side}: " + ", ".join(lines))
     print("verdict: " + res.text("A", "B"))
     print(_footer(timings))
     return 0

@@ -28,18 +28,24 @@ many prefix words skips the rest of the tree.  `compare` on two
 determinized automata walks pairs of sets breadth first, up to k, and
 returns the shortest, lexicographically least distinguishing word.
 
-Büchi semantics is observed through `lassos` instead: stem/cycle pairs
-through accepting locations on the full widened zone graph, which `compare`
-diffs as sets.  Its elementary-cycle search backtracks over one shared
-action list and on-path table, on per-start edge tables pruned to the
-nodes that can still close the cycle within the bound, and rotates each
-distinct cycle word once per call.
+Büchi semantics is observed through `Lassos` instead: stem/cycle pairs
+through accepting locations on the full widened zone graph, cut at 2k
+levels.  `Lassos.levels()` yields them one stem length at a time, and
+`lassos` is the union of the levels, for `lang`.  `compare` on two lasso
+walks reads their levels in lockstep and stops once the least lasso on
+one side only can no longer be undercut by a longer stem.  The
+elementary-cycle search backtracks over one shared action list and
+on-path table, on per-start edge tables pruned to the nodes that can
+still close the cycle within the bound, and rotates each distinct cycle
+word once per walk.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
+from itertools import chain, zip_longest
 from typing import Iterator
 
 from .core import ModelError, Pera
@@ -227,10 +233,14 @@ class Determinized:
             level, left = nxt, left - 2
 
 
-def lassos(a: Pera, k: int, node_limit: int = NODE_LIMIT) -> frozenset[Lasso]:
-    """Stem/cycle pairs through accepting locations, on the widened graph.
+class Lassos:
+    """One automaton's lassos through accepting locations, walked by stem length.
 
-    This is what Büchi semantics observes.
+    This is what Büchi semantics observes: stem/cycle pairs on the
+    widened zone graph, with stem and cycle at most k long.  The
+    constructor builds the graph, its adjacency and the stems, then
+    frees the zones; `levels()` searches the cycles one stem length at
+    a time, so a comparison that settles early never searches the rest.
 
     Cycles are elementary (no repeated node except the endpoints),
     found once each by only walking nodes with ids at or above the
@@ -238,54 +248,79 @@ def lassos(a: Pera, k: int, node_limit: int = NODE_LIMIT) -> frozenset[Lasso]:
     words reaching the cycle's start within k steps.  The cycle word,
     at most k long, is reported in its minimal rotation.
 
-    For a start c0 the search keeps only the edges into c0 or into nodes
-    above c0 that can get back to c0, over ids above c0, within k - 1
-    steps (a node's kept edges are listed on its first visit, as at small
-    k most nodes are never visited), and drops a path as soon as its next
-    node cannot get back within what is left of k.  That is exact: every
-    way to close the cycle from there stays on those ids, so it takes at
-    least that distance, and no dropped path closes within k.  The search
-    backtracks over one action list and one on-path table indexed by
-    node id, pushing and popping one entry per step.  Each start's cycle
-    words are collected in a set before they are rotated, and each
-    distinct word is rotated once per call, since many starts close the
-    same words.
-
-    Building the zone graph only 2k levels deep is exact too: a stem
+    Building the zone graph only 2k levels deep is exact: a stem
     reaches its cycle start within k steps and the cycle goes at most
     k - 1 further, so every lasso edge leaves a node within 2k - 1 steps
     of the initial node, and the cut graph keeps the fixpoint graph's
-    ids and every edge out of those nodes.
+    ids and every edge out of those nodes.  So `node_limit` counts the
+    nodes of the cut graph, and running out happens in the constructor.
     """
-    _check_observable(a, "buchi")
-    # the full graph: freeing clocks merges nodes, which changes their elementary cycles
-    g = zone_graph(a, node_limit, levels=2 * k)
 
-    # adjacency with actions, in sorted order, and reverse adjacency for distances
-    adj: list[list[tuple[str, int]]] = [[] for _ in g.nodes]
-    radj: list[list[int]] = [[] for _ in g.nodes]
-    for src, act, dst in g.edges:
-        adj[src].append((act, dst))
-        radj[dst].append(src)
+    def __init__(self, a: Pera, k: int, node_limit: int = NODE_LIMIT):
+        _check_observable(a, "buchi")
+        # the full graph: freeing clocks merges nodes, which changes their elementary cycles
+        g = zone_graph(a, node_limit, levels=2 * k)
+        self.k = k
 
-    # shortest-lex stem per node, bounded by k
-    stems: dict[int, Word] = {g.initial: ()}
-    frontier = [g.initial]
-    while frontier and len(stems[frontier[0]]) < k:
-        nxt = []
-        for nid in sorted(frontier, key=lambda n: stems[n]):
-            for act, dst in adj[nid]:
-                if dst not in stems:
-                    stems[dst] = stems[nid] + (act,)
-                    nxt.append(dst)
-        frontier = nxt
-    # breadth order makes stems shortest; stem-sorted expansion makes ties lex-min
+        # adjacency with actions, in sorted order, and reverse adjacency for distances
+        self._adj: list[list[tuple[str, int]]] = [[] for _ in g.nodes]
+        self._radj: list[list[int]] = [[] for _ in g.nodes]
+        for src, act, dst in g.edges:
+            self._adj[src].append((act, dst))
+            self._radj[dst].append(src)
 
-    is_acc = [loc in a.accepting for loc, _ in g.nodes]
-    on_path = [False] * len(g.nodes)
-    del g  # the search reads only these tables, so free the zones before it
+        # shortest-lex stem per node, bounded by k, and the nodes per stem length;
+        # breadth order makes stems shortest, stem-sorted expansion makes ties lex-min
+        self._stems: dict[int, Word] = {g.initial: ()}
+        self._starts: list[list[int]] = [[g.initial]]
+        while len(self._starts) <= k:
+            nxt = []
+            for nid in sorted(self._starts[-1], key=self._stems.__getitem__):
+                for act, dst in self._adj[nid]:
+                    if dst not in self._stems:
+                        self._stems[dst] = self._stems[nid] + (act,)
+                        nxt.append(dst)
+            if not nxt:
+                break
+            self._starts.append(nxt)
 
-    def dist_to(c0: int) -> dict[int, int]:
+        self._is_acc = [loc in a.accepting for loc, _ in g.nodes]
+        self._on_path = [False] * len(g.nodes)
+        # the search reads only these tables, so the zones go with `g`
+
+    def levels(self) -> Iterator[frozenset[Lasso]]:
+        """Per stem length d = 0, 1, ..., the lassos whose cycle starts at depth d.
+
+        A lasso's stem length is the depth of its cycle's start, so the
+        levels partition the lasso set.  The walk stops after the last
+        stem length that has a node, at most k.  Each distinct cycle
+        word is rotated once per walk, since many starts close the same
+        words.
+        """
+        rotate = cache(_min_rotation)   # for this walk only
+        stems = self._stems
+        for starts in self._starts:
+            yield frozenset(
+                (stems[c0], rotate(cyc)) for c0 in starts for cyc in self._cycle_words(c0)
+            )
+
+    def _cycle_words(self, c0: int) -> set[Word]:
+        """Words of the elementary cycles through an accepting node with
+        minimal node id c0, of length at most k.
+
+        The search keeps only the edges into c0 or into nodes above c0
+        that can get back to c0, over ids above c0, within k - 1 steps (a
+        node's kept edges are listed on its first visit, as at small k
+        most nodes are never visited), and drops a path as soon as its
+        next node cannot get back within what is left of k.  That is
+        exact: every way to close the cycle from there stays on those
+        ids, so it takes at least that distance, and no dropped path
+        closes within k.  It backtracks over one action list and one
+        on-path table indexed by node id, pushing and popping one entry
+        per step.
+        """
+        adj, radj, on_path, is_acc, k = self._adj, self._radj, self._on_path, self._is_acc, self.k
+
         # fewest edges from each node above c0 back to c0, through ids
         # above c0, and 0 for c0 itself; only up to k - 1, as a longer
         # way back closes no cycle within k
@@ -299,12 +334,6 @@ def lassos(a: Pera, k: int, node_limit: int = NODE_LIMIT) -> frozenset[Lasso]:
                         dist[src] = d
                         nxt.append(src)
             frontier, d = nxt, d + 1
-        return dist
-
-    def cycle_words(c0: int) -> set[Word]:
-        # words of the elementary cycles through an accepting node with
-        # minimal node id c0, of length at most k
-        dist = dist_to(c0)
 
         def pruned(nid: int) -> list[tuple[int, str, int]]:
             # nid's edges into c0 or into nodes that can get back to c0,
@@ -347,8 +376,13 @@ def lassos(a: Pera, k: int, node_limit: int = NODE_LIMIT) -> frozenset[Lasso]:
                     hits -= is_acc[nid]
         return words
 
-    rotate = cache(_min_rotation)   # for this call only
-    return frozenset((stem, rotate(cyc)) for c0, stem in stems.items() for cyc in cycle_words(c0))
+
+def lassos(a: Pera, k: int, node_limit: int = NODE_LIMIT) -> frozenset[Lasso]:
+    """Every lasso of `Lassos(a, k, node_limit)`: the union of its levels.
+
+    The levels are read one at a time, so only one is held beside the union.
+    """
+    return frozenset(chain.from_iterable(Lassos(a, k, node_limit).levels()))
 
 
 def _check_observable(a: Pera, semantics: str) -> None:
@@ -379,6 +413,9 @@ class CompareResult:
     field: str | None = None       # which set the witness came from
     witness: object | None = None  # a word, or a (stem, cycle) pair
     owner: str | None = None       # "left" or "right"
+    # lassos only: per side, how many have a total length at most the
+    # witness's, or all of them when equal
+    counts: tuple[int, int] | None = None
 
     def text(self, left: str, right: str) -> str:
         """The verdict in words, naming the sides `left` and `right`."""
@@ -427,23 +464,50 @@ def _product_walk(left: Determinized, right: Determinized, k: int) -> CompareRes
     return CompareResult(True)
 
 
-def compare(
-    s1: Determinized | frozenset[Lasso], s2: Determinized | frozenset[Lasso], k: int
-) -> CompareResult:
+def _lasso_walk(left: Lassos, right: Lassos) -> CompareResult:
+    """Both sides' lasso levels in lockstep, up to the least lasso on one side only.
+
+    A side with no starts left reads empty levels.  Lassos of equal
+    stems have equal stem lengths, so the two sides' symmetric
+    difference is the union of the levels' differences, and the walk
+    keeps its least element in `_lasso_key` order.  After stem length d
+    that element is the witness once its stem plus cycle is at most
+    d + 1: every lasso not yet built has a stem of at least d + 1
+    actions and a cycle of at least one, so it is longer.
+    """
+    sizes = (Counter(), Counter())   # per side, the lassos read per total length
+    best: Lasso | None = None
+    owner = ""
+    levels = zip_longest(left.levels(), right.levels(), fillvalue=frozenset())
+    for d, (ls, rs) in enumerate(levels):
+        for size, level in zip(sizes, (ls, rs)):
+            size.update(len(stem) + len(cyc) for stem, cyc in level)
+        delta = ls ^ rs
+        if delta:
+            l = min(delta, key=_lasso_key)
+            if best is None or _lasso_key(l) < _lasso_key(best):
+                best, owner = l, "left" if l in ls else "right"
+        if best is not None and len(best[0]) + len(best[1]) <= d + 1:
+            break
+    if best is None:
+        return CompareResult(True, counts=tuple(sum(size.values()) for size in sizes))
+    most = len(best[0]) + len(best[1])
+    counts = tuple(sum(n for length, n in size.items() if length <= most) for size in sizes)
+    return CompareResult(False, "lassos", best, owner, counts)
+
+
+def compare(s1: Determinized | Lassos, s2: Determinized | Lassos, k: int) -> CompareResult:
     """Bounded-language comparison; a difference names its shortest witness.
 
     Takes two `Determinized` automata, walked as a product up to depth
-    k without listing their words, or two lasso sets, whose least lasso
-    on one side only, in `_lasso_key` order, is the witness.
+    k without listing their words, or two `Lassos` walks, each read at
+    the depth it was built for, whose least lasso on one side only, in
+    `_lasso_key` order, is the witness.
     """
     if isinstance(s1, Determinized) and isinstance(s2, Determinized):
         if s1.semantics != s2.semantics:
             raise ModelError("the two automata use different semantics")
         return _product_walk(s1, s2, k)
-    if not (isinstance(s1, frozenset) and isinstance(s2, frozenset)):
-        raise ModelError("compare needs two determinized automata or two lasso sets")
-    delta = s1.symmetric_difference(s2)
-    if not delta:
-        return CompareResult(True)
-    l = min(delta, key=_lasso_key)
-    return CompareResult(False, "lassos", l, "left" if l in s1 else "right")
+    if isinstance(s1, Lassos) and isinstance(s2, Lassos):
+        return _lasso_walk(s1, s2)
+    raise ModelError("compare needs two determinized automata or two lasso walks")

@@ -185,6 +185,23 @@ def test_buchi_node_limit_counts_only_explored_nodes(tmp_path, loop_file, capsys
     assert main(argv + ["--node-limit", str(limit)]) == code
 
 
+@pytest.mark.parametrize("limit,code", [(129, 2), (130, 0)])
+def test_buchi_compare_runs_out_before_its_header(tmp_path, loop_file, capsys, limit, code):
+    # both cut graphs are built before the first report line, so the
+    # lasso walk, which stops at its witness, never runs out mid-report
+    out = tmp_path / "b.pera"
+    assert main(["encode", str(loop_file), "--variant", "buchi", "-o", str(out)]) == 0
+    capsys.readouterr()
+    argv = ["compare", str(out), "-p", "p=0", "-p", "p=100", "--semantics", "buchi", "-k", "4"]
+    assert main(argv + ["--node-limit", str(limit)]) == code
+    captured = capsys.readouterr()
+    if code == 2:
+        assert captured.out == ""
+        assert captured.err == f"resource exhaustion: zone graph exceeded {limit} nodes\n"
+    else:
+        assert "verdict: differs; lassos witness [a_1 a_1 | a_1] only on the A side" in captured.out
+
+
 def test_lang_deterministic(wrapped_loop_file, capsys):
     args = ["lang", str(wrapped_loop_file), "-p", "p=2", "-k", "5"]
     assert main(args) == 0

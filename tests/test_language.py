@@ -13,6 +13,8 @@ from peralab.encoder import build
 from peralab.language import (
     CompareResult,
     Determinized,
+    Lassos,
+    _lasso_key,
     _min_rotation,
     compare,
     lassos,
@@ -23,7 +25,9 @@ from peralab.semantics import Analyzer, ResourceExhausted, zone_graph
 from machines import inc3, load, loop, trivial
 from test_cli import LANG_ENCODING
 from test_encoder import machines
-from wordsets import ExplorationConfig, LanguageSample, compare as compare_sets, enumerate_language
+from wordsets import (
+    ExplorationConfig, LanguageSample, compare as compare_sets, compare_lassos, enumerate_language,
+)
 
 
 def cfg(depth):
@@ -260,9 +264,13 @@ def test_lassos_forget_accepting_nodes_backed_out_of():
 def reference_lassos(a, k):
     """The lasso set by the plain search: every simple path from the
     cycle start over ids at or above it, cut only by the depth bound k."""
+    return plain_lasso_search(*fixpoint_tables(a), k)
+
+
+def fixpoint_tables(a):
+    """What `plain_lasso_search` reads of `a`'s fixpoint zone graph."""
     g = zone_graph(a)
-    is_acc = tuple(loc in a.accepting for loc, _ in g.nodes)
-    return plain_lasso_search(tuple(g.edges), g.initial, is_acc, k)
+    return tuple(g.edges), g.initial, tuple(loc in a.accepting for loc, _ in g.nodes)
 
 
 @cache
@@ -358,6 +366,106 @@ def test_pruned_lassos_match_unpruned_search(make, p):
         assert lassos(a, depth) == want, depth
 
 
+# -- the lasso walk against the set diff --------------------------------------------
+
+WALK_PERIODS = (0, 1, 2, 3, 5, 31, Fraction(1, 2))
+
+
+def valuated_pair(a, pa, pb):
+    """`a` at pa and at pb, on one scale that clears both denominators."""
+    scale = max(Fraction(pa).denominator, Fraction(pb).denominator)
+    a = a.rescale(scale) if scale != 1 else a
+    return [a.valuate({"p": int(p * scale)}) for p in (pa, pb)]
+
+
+@pytest.mark.parametrize("make", [loop, inc3, trivial], ids=["loop", "inc3", "halt"])
+def test_lasso_walk_matches_set_diff(make):
+    # the verdict, its witness and owner, and the count of lassos of total
+    # length at most the witness's (or every lasso, when equal), per side
+    a = build(make(), "buchi")
+    for i, pa in enumerate(WALK_PERIODS):
+        for pb in WALK_PERIODS[i + 1:]:
+            va, vb = valuated_pair(a, pa, pb)
+            tables = [fixpoint_tables(v) for v in (va, vb)]
+            for depth in (0, 1, 2, 3, 4, 6):
+                walks = Lassos(va, depth), Lassos(vb, depth)
+                sets = [plain_lasso_search(*t, depth) for t in tables]
+                for walk, want in zip(walks, sets):
+                    assert frozenset().union(*walk.levels()) == want, (pa, pb, depth)
+                assert compare(*walks, depth) == compare_lassos(*sets), (pa, pb, depth)
+
+
+class GivenLevels(Lassos):
+    """A lasso walk over levels given by hand."""
+
+    def __init__(self, *levels):
+        self._given = [frozenset(level) for level in levels]
+
+    def levels(self):
+        yield from self._given
+
+
+@pytest.mark.parametrize("first,later", [
+    # level 0 differs first, but only by a lasso of total length 5; the
+    # right side's stem-2 lasso, of total length 3, is the least one
+    ((((), ("a", "b", "c", "d", "e")), 0), ((("a", "a"), ("b",)), 2)),
+    # level 1's lasso has total length 3, as does level 2's, whose stem is less
+    (((("b",), ("c", "c")), 1), ((("a", "a"), ("c",)), 2)),
+], ids=["longer", "same-length"])
+def test_lasso_walk_waits_for_a_lesser_witness_at_a_later_level(first, later):
+    (l1, d1), (l2, d2) = first, later
+    left = GivenLevels(*({l1} if d == d1 else () for d in range(5)))
+    right = GivenLevels(*({l2} if d == d2 else () for d in range(d2 + 1)))
+    res = compare(left, right, 5)
+    assert (res.witness, res.owner) == (l2, "right")
+    assert res == compare_lassos(frozenset({l1}), frozenset({l2}))
+
+
+def one_action_pera(locations, edges, accepting):
+    return Pera(actions=(("a", "x"),), parameters=(), locations=locations,
+                initial=locations[0], edges=tuple(Edge(u, (), "a", v) for u, v in edges),
+                accepting=frozenset(accepting))
+
+
+def test_lasso_walk_stop_rule_on_automata():
+    # one action and one clock: every node's zone is x <= 0, so the
+    # initial node is on the five-cycle, which has stem 0; on the right,
+    # the self-loop at w has stem a a
+    ring = one_action_pera("uvwyz", ("uv", "vw", "wy", "yz", "zu"), "u")
+    tail = one_action_pera("uvw", ("uv", "vw", "ww"), "w")
+    left, right = Lassos(ring, 5), Lassos(tail, 5)
+    assert [len(level) for level in left.levels()] == [1, 0, 0, 0, 0]
+    res = compare(left, right, 5)
+    assert res == CompareResult(False, "lassos", (("a", "a"), ("a",)), "right", (0, 1))
+    assert res == compare_lassos(lassos(ring, 5), lassos(tail, 5))
+
+
+def levels_read(monkeypatch, pair, depth):
+    """How many levels each side's walk yields when `pair` is compared."""
+    read = []
+    levels = Lassos.levels
+
+    def counted(self):
+        read.append(0)
+        side = len(read) - 1
+        for level in levels(self):
+            read[side] += 1
+            yield level
+
+    monkeypatch.setattr(Lassos, "levels", counted)
+    compare(*(Lassos(v, depth) for v in pair), depth)
+    return read
+
+
+def test_lasso_walk_stops_at_the_first_settled_length(monkeypatch):
+    a = build(loop(), "buchi")
+    # the witness a_1 a_1 | a_1 settles after stem length 2
+    assert levels_read(monkeypatch, valuated_pair(a, 0, 3), 10) == [3, 3]
+    # an equal pair reads every stem length
+    pair = valuated_pair(a, Fraction(121, 2), Fraction(141, 2))
+    assert levels_read(monkeypatch, pair, 4) == [5, 5]
+
+
 # -- comparison ----------------------------------------------------------------
 
 
@@ -400,7 +508,7 @@ def test_compare_prefers_shorter_field_witness():
 
 
 def test_compare_buchi_lassos():
-    res = compare(frozenset({(("a",), ("b",))}), frozenset(), 8)
+    res = compare_lassos(frozenset({(("a",), ("b",))}), frozenset())
     assert not res.equal and res.field == "lassos"
     assert res.witness == (("a",), ("b",)) and res.owner == "left"
     assert res.text("A", "B") == "differs; lassos witness [a | b] only on the A side"
@@ -459,7 +567,7 @@ def test_product_walk_reports_prefix_before_flag():
 def test_product_walk_needs_matching_inputs(loop2):
     det = Determinized(loop2, "maximal")
     with pytest.raises(ModelError):
-        compare(det, frozenset(), 3)
+        compare(det, Lassos(build(loop(), "buchi").valuate({"p": 0}), 3), 3)
     with pytest.raises(ModelError):
         compare(det, Determinized(loop2, "safety"), 3)
     with pytest.raises(ModelError):

@@ -60,13 +60,13 @@ REPORTS_SHA256 = {
     "lang PERA:wrapped -p p=2":
         "678af06b0bafd42af9c0632241a0687fe174018349a11ad9d58ad36af252953a",
     "compare PERA:buchi -p p=0 -p p=48 --semantics buchi -k 4":
-        "ffdc4cbd223510bdab751fe5ad69fab3c9f2b492bcf2eb0339816263358ad86b",
+        "ca5036361f04e99c22b7c36d62538f68611d3245033b97e5c1126e19c46064b7",
     "compare PERA:buchi -p p=0 -p p=83 --semantics buchi -k 4":
-        "fcd3ac9879c8b4bedfe057daa43e9139cc6ca6fcc6fb2c8838ae775b703da9e8",
+        "7970fdc10f35bbc0062290b524a400680637295ac2f1f1d9b414600e07e55f61",
     "compare PERA:buchi -p p=0 -p p=149/3 --semantics buchi -k 4":
-        "80ac7bb8f0d0798a1c1f53296b9242c093660b2691a4e6b4ee416795a080e6ce",
+        "520c85e83a5b26f8c72fc5a5876fc2206d3d437a2fe0e8622e02ffb36c9d7071",
     "compare PERA:buchi -p p=0 -p p=244/3 --semantics buchi -k 4":
-        "32ff496ed3f683c29708f31024c4136cbd16a540b7c479a5907be8db54353b14",
+        "07e944f0b159072171cb676a2f06812830e5702f5a1f7c49ed43ab7c352982e8",
     "compare PERA:buchi -p p=121/2 -p p=141/2 --semantics buchi -k 4":
         "f31d2fe2c83e1f94e546adda7634ff3e943a6fe4b858f00111f3d46c26bdbaf3",
     "lang PERA:buchi -p p=0 --semantics buchi -k 10":
@@ -74,7 +74,7 @@ REPORTS_SHA256 = {
     "lang PERA:buchi -p p=2 --semantics buchi -k 10":
         "777f735cc479462b7588cd177bdbe9d4f3413dbf418fddc7654550e5d2f82b85",
     "compare PERA:buchi -p p=0 -p p=3 --semantics buchi -k 10":
-        "363ea0867c1bfc039d1fac1ede34e2da3e26d96589ace35b609d0d973ea6baeb",
+        "c4b8d2cc8caacc75f9c8b238dad98d589cf7f0f78543fb79920ef8cc489c4b5b",
     "theorem-check MACHINE:halt --values 1,2,3,5 -k 7 --semantics maximal":
         "13ff6765bbe3f77b3ffb9c6e00dc9db284a10b430e016158d7e4658a4c6f6e4f",
     "theorem-check MACHINE:halt --values 1,2,3,5 -k 7 --semantics reach":

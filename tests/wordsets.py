@@ -5,10 +5,11 @@
 one per observed set, by its own word-by-word breadth-first search over
 `Determinized.step` and `Determinized.flagged`, and `compare` diffs two
 such samples set by set and reports the shortest, lexicographically
-least word on one side only.  This is the brute-force view that
-`Determinized.counts`, the product walk in `peralab.language.compare`
-and the word walk of `peralab lang` are checked against; nothing in
-`src` uses it.
+least word on one side only.  `compare_lassos` diffs two lasso sets
+the same way.  This is the brute-force view that `Determinized.counts`,
+the product walk and the lasso walk in `peralab.language.compare` and
+the word walk of `peralab lang` are checked against; nothing in `src`
+uses it.
 """
 
 from __future__ import annotations
@@ -16,9 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from peralab.core import ModelError
-from peralab.language import (
-    CompareResult, Determinized, Lasso, Word, compare as compare_lassos, lassos,
-)
+from peralab.language import CompareResult, Determinized, Lasso, Word, _lasso_key, lassos
 from peralab.semantics import NODE_LIMIT
 
 
@@ -81,6 +80,21 @@ def _word_diff(left: frozenset[Word], right: frozenset[Word]):
     return w, ("left" if w in left else "right")
 
 
+def compare_lassos(s1: frozenset[Lasso], s2: frozenset[Lasso]) -> CompareResult:
+    """The least lasso on one side only, in `_lasso_key` order, as the witness.
+
+    `counts` holds each side's number of lassos of total length at most
+    the witness's, or each side's size when the sets are equal.
+    """
+    delta = s1.symmetric_difference(s2)
+    if not delta:
+        return CompareResult(True, counts=(len(s1), len(s2)))
+    l = min(delta, key=_lasso_key)
+    most = len(l[0]) + len(l[1])
+    counts = tuple(sum(len(stem) + len(cyc) <= most for stem, cyc in s) for s in (s1, s2))
+    return CompareResult(False, "lassos", l, "left" if l in s1 else "right", counts)
+
+
 def compare(s1: LanguageSample, s2: LanguageSample) -> CompareResult:
     """Set-by-set comparison of two samples; the shortest witness wins."""
     if s1.semantics != s2.semantics:
@@ -88,7 +102,7 @@ def compare(s1: LanguageSample, s2: LanguageSample) -> CompareResult:
     if s1.depth != s2.depth:
         raise ModelError("samples use different depth bounds")
     if s1.semantics == "buchi":
-        return compare_lassos(s1.lassos, s2.lassos, s1.depth)
+        return compare_lassos(s1.lassos, s2.lassos)
     fields = (
         ("prefix", s1.prefix_words, s2.prefix_words),
         ("maximal_finite", s1.maximal_finite_words, s2.maximal_finite_words),
