@@ -37,6 +37,8 @@ RUNS = [
     ("lang", "PERA:buchi", "-p", "p=0", *BUCHI, "-k", "10"),
     ("lang", "PERA:buchi", "-p", "p=2", *BUCHI, "-k", "10"),
     ("compare", "PERA:buchi", "-p", "p=0", "-p", "p=3", *BUCHI, "-k", "10"),
+    # an empty lasso listing: the header, then one blank line
+    ("lang", "PERA:buchi", "-p", "p=0", *BUCHI, "-k", "0"),
     # the other semantics and machines
     *(("theorem-check", f"MACHINE:{m}", "--values", "1,2,3,5", "-k", "7", "--semantics", s)
       for m in ("halt", "inc3", "loop") for s in ("maximal", "reach", "safety")),
@@ -75,6 +77,8 @@ REPORTS_SHA256 = {
         "777f735cc479462b7588cd177bdbe9d4f3413dbf418fddc7654550e5d2f82b85",
     "compare PERA:buchi -p p=0 -p p=3 --semantics buchi -k 10":
         "c4b8d2cc8caacc75f9c8b238dad98d589cf7f0f78543fb79920ef8cc489c4b5b",
+    "lang PERA:buchi -p p=0 --semantics buchi -k 0":
+        "dcb0cd1bfb600be26556e6bcb29bfe2c539b19b0cf2e1e6d4044f1713796218e",
     "theorem-check MACHINE:halt --values 1,2,3,5 -k 7 --semantics maximal":
         "13ff6765bbe3f77b3ffb9c6e00dc9db284a10b430e016158d7e4658a4c6f6e4f",
     "theorem-check MACHINE:halt --values 1,2,3,5 -k 7 --semantics reach":
