@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .core import ModelError, Pera, parse_valuation
 from .encoder import VARIANTS, build
-from .language import FLAG_LABEL, SEMANTICS, Determinized, Lassos, lassos, lassos_text
+from .language import FLAG_LABEL, SEMANTICS, Determinized, Lassos
 from .language import compare as compare_samples
 from .minsky import parse_machine, run, trace
 from .semantics import NODE_LIMIT, ResourceExhausted
@@ -87,17 +87,19 @@ def _observe(a: Pera, args):
 
     Büchi semantics gives, for `compare`, the lasso walk, with no count
     lines, as the comparison counts what it reads; for `lang`, the lasso
-    set, whose flagged count is its size.  Either way the zone graph is
-    built here.  The others give the determinized automaton, counted
-    level by level to `args.depth`, which expands every state set a
-    comparison or a word listing can visit.  So running out of nodes
-    happens here and not halfway through a report.
+    listing's report lines, whose flagged count is the number of lassos.
+    Either way the zone graph is built here, and for `lang` the cycle
+    search runs here too.  The others give the determinized automaton,
+    counted level by level to `args.depth`, which expands every state
+    set a comparison or a word listing can visit.  So running out of
+    nodes, sets or cycle words happens here and not halfway through a
+    report.
     """
     if args.semantics == "buchi":
         if args.command == "compare":
             return Lassos(a, args.depth, args.node_limit), [], 0
-        found = lassos(a, args.depth, args.node_limit)
-        return found, [f"lassos: {len(found)}"], len(found)
+        held, lines = Lassos(a, args.depth, args.node_limit).listing()
+        return lines, [f"lassos: {held}"], held
     det = Determinized(a, args.semantics, args.node_limit)
     prefix, flagged = det.counts(args.depth)
     label = FLAG_LABEL[args.semantics]
@@ -149,13 +151,14 @@ def cmd_lang(args) -> int:
     print(*stats, sep="\n")
     if args.semantics == "buchi":
         print("-- lassos --")
-        print(lassos_text(obs), end="")
+        shown = obs
     else:
         print("-- prefix --")
         sys.stdout.writelines(obs.lines(args.depth))
         print(f"-- {FLAG_LABEL[args.semantics]} --")
-        # the prefix words hold the empty word; no flagged word prints one blank line
-        sys.stdout.writelines(obs.lines(args.depth, flagged=True) if flagged else ("\n",))
+        shown = obs.lines(args.depth, flagged=True)
+    # an empty flagged or lasso section prints one blank line, as no prefix section is empty
+    sys.stdout.writelines(shown if flagged else ("\n",))
     print(_footer(timings))
     return 0
 
@@ -281,7 +284,11 @@ def _exploration_flags(parser: argparse.ArgumentParser, semantics: tuple[str, ..
     """-k/--depth, --semantics (offering `semantics`) and --node-limit, in that order."""
     parser.add_argument("-k", "--depth", type=int, default=DEPTH)
     parser.add_argument("--semantics", choices=semantics, default="maximal")
-    parser.add_argument("--node-limit", type=int, default=NODE_LIMIT)
+    parser.add_argument(
+        "--node-limit", type=int, default=NODE_LIMIT,
+        help="bound on each of: zone-graph nodes, determinized state sets, and the "
+             f"distinct cycle words a Büchi lang holds (default {NODE_LIMIT})",
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:

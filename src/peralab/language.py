@@ -30,14 +30,16 @@ returns the shortest, lexicographically least distinguishing word.
 
 Büchi semantics is observed through `Lassos` instead: stem/cycle pairs
 through accepting locations on the full widened zone graph, cut at 2k
-levels.  `Lassos.levels()` yields them one stem length at a time, and
-`lassos` is the union of the levels, for `lang`.  `compare` on two lasso
-walks reads their levels in lockstep and stops once the least lasso on
-one side only can no longer be undercut by a longer stem.  The
+levels.  `Lassos.levels()` yields them one stem length at a time, for
+`compare`, which reads two walks' levels in lockstep and stops once the
+least lasso on one side only can no longer be undercut by a longer stem.
+`Lassos.listing()` gives `lang` the number of lassos and their report
+lines, in blocks already in `_lasso_key` order, from per-stem buckets of
+cycles by length, with no set of every lasso and no keyed sort.  The
 elementary-cycle search backtracks over one shared action list and
 on-path table, on per-start edge tables pruned to the nodes that can
-still close the cycle within the bound, and rotates each distinct cycle
-word once per walk.
+still close the cycle within the bound, and each walk rotates each
+distinct cycle word once.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, zip_longest
+from itertools import zip_longest
 from typing import Iterator
 
 from .core import ModelError, Pera
@@ -239,8 +241,10 @@ class Lassos:
     This is what Büchi semantics observes: stem/cycle pairs on the
     widened zone graph, with stem and cycle at most k long.  The
     constructor builds the graph, its adjacency and the stems, then
-    frees the zones; `levels()` searches the cycles one stem length at
-    a time, so a comparison that settles early never searches the rest.
+    frees the zones.  Two walks read those tables.  `levels()` searches
+    the cycles one stem length at a time, so a comparison that settles
+    early never searches the rest.  `listing()` searches them all and
+    returns the report lines, sorted from per-stem buckets.
 
     Cycles are elementary (no repeated node except the endpoints),
     found once each by only walking nodes with ids at or above the
@@ -253,7 +257,9 @@ class Lassos:
     k - 1 further, so every lasso edge leaves a node within 2k - 1 steps
     of the initial node, and the cut graph keeps the fixpoint graph's
     ids and every edge out of those nodes.  So `node_limit` counts the
-    nodes of the cut graph, and running out happens in the constructor.
+    nodes of the cut graph, and running out of nodes happens in the
+    constructor.  `listing()` also counts its distinct cycle words
+    against `node_limit`.
     """
 
     def __init__(self, a: Pera, k: int, node_limit: int = NODE_LIMIT):
@@ -261,6 +267,7 @@ class Lassos:
         # the full graph: freeing clocks merges nodes, which changes their elementary cycles
         g = zone_graph(a, node_limit, levels=2 * k)
         self.k = k
+        self.node_limit = node_limit
 
         # adjacency with actions, in sorted order, and reverse adjacency for distances
         self._adj: list[list[tuple[str, int]]] = [[] for _ in g.nodes]
@@ -303,6 +310,54 @@ class Lassos:
             yield frozenset(
                 (stems[c0], rotate(cyc)) for c0 in starts for cyc in self._cycle_words(c0)
             )
+
+    def listing(self) -> tuple[int, Iterator[str]]:
+        """The number of lassos, and their report lines in `_lasso_key` order.
+
+        The cycle search runs here, over every stem length, before any
+        line is made.  Starts with equal stems are merged, so a cycle word
+        closed from two of them is one lasso.  Each distinct search word
+        is rotated once.  A stem's cycles are bucketed by length, and each
+        bucket is one row of its total length, stem plus cycle.  A stem
+        has one length, so it has at most one row per total length.  The
+        lines come one block per row, each block one join: the total
+        lengths that occur, in increasing order, then their rows by stem,
+        then each row's cycles, sorted on their own.  Stems and cycles
+        sort as tuples, so the order holds for any action names.
+
+        `node_limit` bounds the distinct search words held, each a tuple
+        of up to k actions kept with its rotation.  A lasso adds only a
+        reference to a stem and a cycle already held.
+        """
+        rotate = cache(_min_rotation)   # for this walk only
+        stems = self._stems
+        rows: dict[int, list[tuple[Word, list[Word]]]] = {}   # per total length
+        held = 0
+        for d, starts in enumerate(self._starts):
+            groups: dict[Word, list[int]] = {}
+            for c0 in starts:
+                groups.setdefault(stems[c0], []).append(c0)
+            for stem, group in groups.items():
+                cycles = {rotate(w) for c0 in group for w in self._cycle_words(c0)}
+                if rotate.cache_info().currsize > self.node_limit:
+                    raise ResourceExhausted(
+                        f"lasso listing exceeded {self.node_limit} distinct cycle words"
+                    )
+                held += len(cycles)
+                buckets: dict[int, list[Word]] = {}
+                for cyc in cycles:
+                    buckets.setdefault(len(cyc), []).append(cyc)
+                for n, bucket in buckets.items():
+                    rows.setdefault(d + n, []).append((stem, bucket))
+
+        def blocks() -> Iterator[str]:
+            for total in sorted(rows):
+                for stem, bucket in sorted(rows.pop(total)):
+                    bucket.sort()
+                    head = " ".join(stem) + " | "
+                    yield head + ("\n" + head).join(map(" ".join, bucket)) + "\n"
+
+        return held, blocks()
 
     def _cycle_words(self, c0: int) -> set[Word]:
         """Words of the elementary cycles through an accepting node with
@@ -377,14 +432,6 @@ class Lassos:
         return words
 
 
-def lassos(a: Pera, k: int, node_limit: int = NODE_LIMIT) -> frozenset[Lasso]:
-    """Every lasso of `Lassos(a, k, node_limit)`: the union of its levels.
-
-    The levels are read one at a time, so only one is held beside the union.
-    """
-    return frozenset(chain.from_iterable(Lassos(a, k, node_limit).levels()))
-
-
 def _check_observable(a: Pera, semantics: str) -> None:
     if semantics not in SEMANTICS:
         raise ModelError(f"unknown semantics {semantics!r}; pick one of {SEMANTICS}")
@@ -398,13 +445,8 @@ def _lasso_key(l: Lasso):
 
 
 def _lasso_text(l: Lasso) -> str:
-    """`stem | cycle`, as reports spell a lasso."""
+    """`stem | cycle`, as reports spell a lasso (`Lassos.listing` joins a block of them at once)."""
     return " ".join(l[0]) + " | " + " ".join(l[1])
-
-
-def lassos_text(found: frozenset[Lasso]) -> str:
-    """One `stem | cycle` line per lasso, in `_lasso_key` order."""
-    return "\n".join(map(_lasso_text, sorted(found, key=_lasso_key))) + "\n"
 
 
 @dataclass(frozen=True)

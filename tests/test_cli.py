@@ -185,6 +185,25 @@ def test_buchi_node_limit_counts_only_explored_nodes(tmp_path, loop_file, capsys
     assert main(argv + ["--node-limit", str(limit)]) == code
 
 
+@pytest.mark.parametrize("depth,limit,code", [(8, 470, 0), (8, 469, 2), (8, 1000, 0), (18, 1000, 2)])
+def test_buchi_lang_counts_its_cycle_words_against_the_node_limit(tmp_path, loop_file, capsys,
+                                                                   depth, limit, code):
+    # p = 3 has 103 nodes at both depths; k = 8 holds 470 distinct cycle
+    # words behind 586 lassos, and k = 18 would hold 79,071 behind 79,197
+    out = tmp_path / "b.pera"
+    assert main(["encode", str(loop_file), "--variant", "buchi", "-o", str(out)]) == 0
+    capsys.readouterr()
+    argv = ["lang", str(out), "-p", "p=3", "--semantics", "buchi", "-k", str(depth)]
+    assert main(argv + ["--node-limit", str(limit)]) == code
+    captured = capsys.readouterr()
+    if code == 2:
+        assert captured.out == ""
+        assert captured.err == (
+            f"resource exhaustion: lasso listing exceeded {limit} distinct cycle words\n")
+    else:
+        assert "lassos: 586" in captured.out.splitlines()
+
+
 @pytest.mark.parametrize("limit,code", [(129, 2), (130, 0)])
 def test_buchi_compare_runs_out_before_its_header(tmp_path, loop_file, capsys, limit, code):
     # both cut graphs are built before the first report line, so the

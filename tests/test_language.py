@@ -17,8 +17,6 @@ from peralab.language import (
     _lasso_key,
     _min_rotation,
     compare,
-    lassos,
-    lassos_text,
 )
 from peralab.semantics import Analyzer, ResourceExhausted, zone_graph
 
@@ -27,6 +25,7 @@ from test_cli import LANG_ENCODING
 from test_encoder import machines
 from wordsets import (
     ExplorationConfig, LanguageSample, compare as compare_sets, compare_lassos, enumerate_language,
+    lassos, lassos_text,
 )
 
 
@@ -345,6 +344,10 @@ def test_lassos_rotate_each_cycle_word_once(a, monkeypatch):
     found = lassos(a, 10)
     assert calls and len(calls) == len(set(calls))
     assert {c for _, c in found} == {_min_rotation(w) for w in calls}
+    rotated = list(calls)
+    calls.clear()
+    Lassos(a, 10).listing()
+    assert sorted(calls) == sorted(rotated)
 
 
 @seed(1975)
@@ -364,6 +367,39 @@ def test_pruned_lassos_match_unpruned_search(make, p):
     for depth in (4,) if p > 31 else (0, 1, 2, 4, 7, 10):
         want = reference_lassos(a, depth)
         assert lassos(a, depth) == want, depth
+        assert listed(Lassos(a, depth)) == (len(want), lassos_text(want)), depth
+
+
+# -- the lasso listing against the sorted set -------------------------------------
+
+
+def listed(walk):
+    """`walk.listing()` as `lang` prints it: the count, then the lines, or one blank line."""
+    n, lines = walk.listing()
+    return n, "".join(lines) if n else "\n"
+
+
+def test_lasso_listing_merges_starts_with_one_stem():
+    # s reaches u and v on a, and each loops on a: two nodes with stem a
+    # close the cycle word a, which is one lasso and one line
+    a = one_action_pera("suv", ("su", "sv", "uu", "vv"), "uv")
+    walk = Lassos(a, 3)
+    assert len(walk._starts[1]) == 2
+    assert listed(walk) == (1, "a | a\n") == (1, lassos_text(lassos(a, 3)))
+
+
+def test_lasso_listing_sorts_any_action_names():
+    # a name with a space, and one with a character below the space, so
+    # neither the lines nor the stems' texts sort as the lasso tuples do
+    acts = (("a", "x"), ("a b", "y"), ("a\tc", "z"))
+    edges = [Edge("s", (), "a", "u"), Edge("s", (), "a b", "u"), Edge("s", (), "a\tc", "u")]
+    edges += [Edge("u", (), act, v) for act, _ in acts for v in "uv"]
+    edges += [Edge("v", (), act, "u") for act, _ in acts]
+    a = Pera(actions=acts, parameters=(), locations=("s", "u", "v"), initial="s",
+             edges=tuple(edges), accepting=frozenset({"u"}))
+    for depth in range(5):
+        want = reference_lassos(a, depth)
+        assert listed(Lassos(a, depth)) == (len(want), lassos_text(want)), depth
 
 
 # -- the lasso walk against the set diff --------------------------------------------
@@ -392,6 +428,7 @@ def test_lasso_walk_matches_set_diff(make):
                 sets = [plain_lasso_search(*t, depth) for t in tables]
                 for walk, want in zip(walks, sets):
                     assert frozenset().union(*walk.levels()) == want, (pa, pb, depth)
+                    assert listed(walk) == (len(want), lassos_text(want)), (pa, pb, depth)
                 assert compare(*walks, depth) == compare_lassos(*sets), (pa, pb, depth)
 
 

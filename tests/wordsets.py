@@ -5,20 +5,38 @@
 one per observed set, by its own word-by-word breadth-first search over
 `Determinized.step` and `Determinized.flagged`, and `compare` diffs two
 such samples set by set and reports the shortest, lexicographically
-least word on one side only.  `compare_lassos` diffs two lasso sets
-the same way.  This is the brute-force view that `Determinized.counts`,
-the product walk and the lasso walk in `peralab.language.compare` and
-the word walk of `peralab lang` are checked against; nothing in `src`
-uses it.
+least word on one side only.  `lassos` is the lasso set, the union of
+`Lassos.levels()`, `lassos_text` spells it one sorted line per lasso,
+and `compare_lassos` diffs two lasso sets the same way.  This is the
+brute-force view that `Determinized.counts`, the product walk and the
+lasso walk in `peralab.language.compare`, the word walk of `peralab
+lang` and its lasso listing are checked against; nothing in `src` uses
+it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from peralab.core import ModelError
-from peralab.language import CompareResult, Determinized, Lasso, Word, _lasso_key, lassos
+from peralab.language import (
+    CompareResult, Determinized, Lasso, Lassos, Word, _lasso_key, _lasso_text,
+)
 from peralab.semantics import NODE_LIMIT
+
+
+def lassos(a, k: int, node_limit: int = NODE_LIMIT) -> frozenset[Lasso]:
+    """Every lasso of `Lassos(a, k, node_limit)`: the union of its levels.
+
+    The levels are read one at a time, so only one is held beside the union.
+    """
+    return frozenset(chain.from_iterable(Lassos(a, k, node_limit).levels()))
+
+
+def lassos_text(found: frozenset[Lasso]) -> str:
+    """One `stem | cycle` line per lasso, in `_lasso_key` order."""
+    return "\n".join(map(_lasso_text, sorted(found, key=_lasso_key))) + "\n"
 
 
 @dataclass(frozen=True)
