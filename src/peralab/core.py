@@ -222,19 +222,11 @@ class Pera:
             v = values[p]
             if not isinstance(v, int) or v < 0:
                 raise ModelError(f"parameter {p!r} must be a nonnegative integer")
-        edges = []
-        for e in self.edges:
-            try:
-                guard = tuple(a.valuate(values) for a in e.guard)
-            except UnsatisfiableAtom:
-                continue
-            edges.append(Edge(e.source, guard, e.action, e.target))
-        return replace(
-            self,
-            parameters=(),
-            edges=tuple(edges),
-            invariants={loc: tuple(a.valuate(values) for a in g) for loc, g in self.invariants.items()},
-        )
+
+        def valued(g: Guard) -> Guard:
+            return tuple(a.valuate(values) for a in g) if any(a.param is not None for a in g) else g
+
+        return self._map_guards(valued, parameters=())
 
     def rescale(self, factor: int) -> "Pera":
         """Multiply every constant by `factor` (parameters stay symbolic).
@@ -245,15 +237,23 @@ class Pera:
         """
         if factor <= 0:
             raise ModelError("scale factor must be positive")
+        return self._map_guards(lambda g: tuple(Atom(a.clock, a.rel, a.offset * factor, a.param) for a in g))
 
-        def sc(g: Guard) -> Guard:
-            return tuple(Atom(a.clock, a.rel, a.offset * factor, a.param) for a in g)
-
-        return replace(
-            self,
-            edges=tuple(Edge(e.source, sc(e.guard), e.action, e.target) for e in self.edges),
-            invariants={loc: sc(g) for loc, g in self.invariants.items()},
-        )
+    def _map_guards(self, f: Callable[[Guard], Guard], **changes) -> "Pera":
+        """A copy with `f` applied to every invariant and once per distinct edge guard; an edge is
+        dropped when `f` raises `UnsatisfiableAtom` on its guard, kept when `f` returns its guard."""
+        mapped: dict[int, Guard | None] = {}   # by identity, as `from_text` shares equal guards
+        edges = []
+        for e in self.edges:
+            if (key := id(e.guard)) not in mapped:
+                try:
+                    mapped[key] = f(e.guard)
+                except UnsatisfiableAtom:
+                    mapped[key] = None
+            if (g := mapped[key]) is not None:
+                edges.append(e if g is e.guard else Edge(e.source, g, e.action, e.target))
+        invariants = {loc: f(g) for loc, g in self.invariants.items()}
+        return replace(self, edges=tuple(edges), invariants=invariants, **changes)
 
     def max_constant(self) -> int:
         """Largest constant bound appearing anywhere; parameters excluded.
@@ -303,19 +303,25 @@ class Pera:
             raise ModelError("malformed automaton document: expected a JSON object")
         try:
             params = _names(doc.get("parameters", []), "parameters")
-            actions = tuple(
-                (_name(d["action"], "action"), _name(d["clock"], "clock"))
-                for d in doc["actions"]
-            )
+            actions = tuple((_name(d["action"], "action"), _name(d["clock"], "clock"))
+                            for d in doc["actions"])
+            # a report prints a word as its actions joined by spaces
+            if bad := [act for act, _ in actions if act.split() != [act]]:
+                raise ModelError(f"malformed automaton document: action {bad[0]!r} is empty or holds a space")
             locations = tuple(_name(d["name"], "location") for d in doc["locations"])
-            invariants = {   # empty ones are trimmed by the constructor
-                d["name"]: parse_guard(d.get("invariant", "true"), params)
-                for d in doc["locations"]
-            }
+            parsed: dict[str, Guard] = {}   # each distinct guard text is parsed once
+
+            def guard(text) -> Guard:   # `parse_guard` rejects a non-string before it is hashed
+                if not isinstance(text, str) or text not in parsed:
+                    parsed[text] = parse_guard(text, params)
+                return parsed[text]
+
+            # empty invariants are trimmed by the constructor
+            invariants = {d["name"]: guard(d.get("invariant", "true")) for d in doc["locations"]}
             edges = tuple(
                 Edge(
                     _name(d["from"], "edge source"),
-                    parse_guard(d.get("guard", "true"), params),
+                    guard(d.get("guard", "true")),
                     _name(d["action"], "edge action"),
                     _name(d["to"], "edge target"),
                 )

@@ -1,12 +1,12 @@
 """Symbolic semantics of a valuated automaton.
 
-The analyzer answers "where does edge e fire" with one zone per edge
+The analyzer answers "where does edge e fire" with one box per edge
 (guard, source invariant, and target invariant pulled back through the
 reset), and "from where can e be waited for" with its wait zone.
-`Analyzer` builds both per location on first use: the fire zones of a
-location's edges compiled into its moves (action, target, and the
-bounds `zones.post` reads), and the wait zones as far as blocking
-needs them.  A discrete successor is delay-closed and widened, and the
+`Analyzer` builds both per location on first use: its moves (action,
+target and each clock's tightest bounds for `zones.post`, read off
+the atoms), and for blocking only the fire zones and wait zones, as
+needed.  A discrete successor is delay-closed and widened, and the
 widening is skipped when it could not change the step's result.  With
 `free_inactive` it also frees the clocks inactive at its target, which
 keeps the untimed language and which states block (fire and wait zones
@@ -35,33 +35,39 @@ NODE_LIMIT = 200_000   # the default bound on nodes or sets an exploration may b
 
 
 Sym = tuple[str, Z.Dbm]
-Move = tuple[str, str, Z.Box]   # (action, target location, compiled fire box)
+Move = tuple[str, str, Z.Box]   # (action, target location, fire box)
 
 
-def _atom_constraints(atom: Atom, clocks: Sequence[str]) -> list[tuple[int, int, int]]:
-    """Encode one constant atom as DBM constraint triples."""
+def _atom_bounds(atom: Atom) -> tuple[int, int]:
+    """The packed entries (0, i) and (i, 0) a constant atom on clock i sets; `LE_ZERO`, `INF` if none."""
     if atom.param is not None:
         raise ModelError(f"atom {atom.text()} still parametric; valuate first")
-    i = clocks.index(atom.clock) + 1
-    c = atom.offset
+    c, rel = atom.offset, atom.rel
     if c > Z.MAX_BOUND:
         raise ModelError(
             f"constant {number_text(c)} in {atom.text()} is too large for a zone bound "
             f"(at most {Z.MAX_BOUND}, after rescaling)"
         )
-    out = []
-    if atom.rel in ("<", "<=", "="):
-        out.append((i, 0, Z.lt(c) if atom.rel == "<" else Z.le(c)))
-    if atom.rel in (">", ">=", "="):
-        out.append((0, i, Z.lt(-c) if atom.rel == ">" else Z.le(-c)))
-    return out
+    low = Z.LE_ZERO if rel in ("<", "<=") else Z.lt(-c) if rel == ">" else Z.le(-c)
+    return low, Z.INF if rel in (">", ">=") else Z.lt(c) if rel == "<" else Z.le(c)
 
 
 def guard_zone(guard: Guard, clocks: Sequence[str]) -> Z.Dbm | None:
     cons: list[tuple[int, int, int]] = []
     for a in guard:
-        cons.extend(_atom_constraints(a, clocks))
+        i = clocks.index(a.clock) + 1
+        low, up = _atom_bounds(a)
+        cons += ((0, i, low), (i, 0, up))
     return Z.from_constraints(clocks, cons)
+
+
+def _meet(low: dict[int, int], up: dict[int, int], bounds) -> None:
+    """Meet the packed bounds `low` and `up` map clock indices to with `(index, lower, upper)` triples."""
+    for i, lo, hi in bounds:
+        if lo < low.get(i, Z.LE_ZERO):
+            low[i] = lo
+        if hi < up.get(i, Z.INF):
+            up[i] = hi
 
 
 class Analyzer:
@@ -70,7 +76,8 @@ class Analyzer:
     Requires a fully valuated automaton, every constant of which, fired
     or not, fits a zone bound.  Locations whose invariant is
     unsatisfiable are legal (they are simply uninhabitable); an edge
-    whose guard is unsatisfiable never fires.
+    whose guard is unsatisfiable never fires.  Tables are filled per
+    location on first use; only `initial` and blocking build zones.
     """
 
     def __init__(self, a: Pera, free_inactive: bool = False):
@@ -82,9 +89,11 @@ class Analyzer:
         if self.max_const > Z.MAX_BOUND:   # name the first constant past the ceiling
             for guard in (*a.invariants.values(), *(e.guard for e in a.edges)):
                 for atom in guard:
-                    _atom_constraints(atom, self.clocks)
-        self.inv_zone: dict[str, Z.Dbm | None] = {
-            loc: guard_zone(a.invariant(loc), self.clocks) for loc in a.locations
+                    _atom_bounds(atom)
+        self.index = {c: i for i, c in enumerate(self.clocks, 1)}
+        # per location with an invariant, (clock index, lower, upper bound) per atom
+        self.inv_bounds = {
+            loc: [(self.index[t.clock], *_atom_bounds(t)) for t in g] for loc, g in a.invariants.items()
         }
         self.edges_from: dict[str, list[Edge]] = {loc: [] for loc in a.locations}
         for e in a.edges:
@@ -93,10 +102,10 @@ class Analyzer:
         # per location, the clocks a step into it frees (none without `free_inactive`)
         active = self.active_clocks() if free_inactive else dict.fromkeys(a.locations, self.clocks)
         self.freed = {loc: tuple(c for c in self.clocks if c not in act) for loc, act in active.items()}
-        # per location, filled on first use: the moves, their fire zones,
-        # and the wait zones of those, None when empty
+        # per location, filled on first use: the moves, the invariant zone,
+        # and the wait zones of the moves' fire zones, None when empty
         self._moves: dict[str, tuple[Move, ...]] = {}
-        self._fires: dict[str, tuple[Z.Dbm, ...]] = {}
+        self._inv: dict[str, Z.Dbm | None] = {}
         self._waits: dict[str, list[Z.Dbm | None]] = {}
         # zones the widening rebuilt, whose entries may lie past ±max_const
         self._loose: set[Z.Dbm] = set()
@@ -116,8 +125,13 @@ class Analyzer:
 
     # -- symbolic steps ------------------------------------------------
 
+    def inv_zone(self, loc: str) -> Z.Dbm | None:
+        if loc not in self._inv:
+            self._inv[loc] = guard_zone(self.automaton.invariant(loc), self.clocks)
+        return self._inv[loc]
+
     def initial(self) -> Sym:
-        inv = self.inv_zone[self.automaton.initial]
+        inv = self.inv_zone(self.automaton.initial)
         start = None if inv is None else Z.intersect(Z.origin(self.clocks), inv)
         if start is None:
             raise ModelError("initial invariant excludes the all-zero valuation")
@@ -125,46 +139,38 @@ class Analyzer:
             start = Z.free(start, clock)
         return (self.automaton.initial, start)
 
-    def _fire_zone(self, e: Edge) -> Z.Dbm | None:
-        """Zone of points where `e` fires into its target's invariant.
-
-        Conjoins guard, source invariant, and the pull-back of the
-        target invariant through the edge's reset: an atom on the reset
-        clock holds at zero when each of its bounds admits `Z.LE_ZERO`,
-        the rest constrain the unchanged clocks directly.  Exact because
-        every atom bounds one clock.
-
-        For the same reason the result is a box, the closure of
-        single-clock bounds, which `moves` compiles once so that
-        `successor` delays, meets and resets in one O(n²) step,
-        `Z.post`, instead of a full closure.
-        """
-        reset_clock = self.reset_clock[e.action]
-        cons: list[tuple[int, int, int]] = []
-        for atom in (*e.guard, *self.automaton.invariant(e.source)):
-            cons.extend(_atom_constraints(atom, self.clocks))
-        for atom in self.automaton.invariant(e.target):
-            if atom.clock != reset_clock:
-                cons.extend(_atom_constraints(atom, self.clocks))
-            elif any(b < Z.LE_ZERO for _, _, b in _atom_constraints(atom, self.clocks)):
-                return None
-        return Z.from_constraints(self.clocks, cons)
-
     def moves(self, loc: str) -> tuple[Move, ...]:
         """The moves out of `loc`, in edge order; compiled on first use.
 
-        A move is (action, target, `Z.compile_box` of the fire zone); an
-        edge whose fire zone is empty never fires and has no move.
+        A move is (action, target, the `Z.Box` of the edge's fire zone).
+        That zone meets guard, source invariant and the target invariant
+        pulled back through the reset: an atom on the reset clock must
+        hold at zero, the rest bound the clocks the edge keeps.  Every
+        atom bounds one clock, so it is the closure of each clock's
+        tightest bounds (Bengtsson & Yi, 2004), and empty, with no move,
+        iff a lower bound passes an upper one.  No `Dbm` is built.
         """
         moves = self._moves.get(loc)
         if moves is None:
-            fires = [(e, f) for e in self.edges_from[loc] if (f := self._fire_zone(e)) is not None]
-            self._fires[loc] = tuple(f for _, f in fires)
-            moves = self._moves[loc] = tuple(
-                (e.action, e.target, Z.compile_box(f, self.reset_clock[e.action], self.freed[e.target]))
-                for e, f in fires
-            )
+            low, up = {}, {}
+            _meet(low, up, self.inv_bounds.get(loc, ()))
+            moves = self._moves[loc] = tuple(m for e in self.edges_from[loc] if (m := self._move(e, low, up)))
         return moves
+
+    def _move(self, e: Edge, low: dict[int, int], up: dict[int, int]) -> Move | None:
+        """`e`'s move, from the bounds `low` and `up` of its source's invariant; None when it never fires."""
+        index = self.index
+        reset = index[self.reset_clock[e.action]]
+        target = self.inv_bounds.get(e.target, ())
+        if any(i == reset and min(lo, hi) < Z.LE_ZERO for i, lo, hi in target):
+            return None     # the reset clock is 0 on arrival, where the target's invariant fails
+        low, up = dict(low), dict(up)
+        _meet(low, up, [b for b in target if b[0] != reset])
+        _meet(low, up, [(index[t.clock], *_atom_bounds(t)) for t in e.guard])
+        if any(u + (lo := low.get(i, Z.LE_ZERO)) - ((u | lo) & 1) < Z.LE_ZERO for i, u in up.items()):
+            return None
+        freed = tuple(index[c] for c in self.freed[e.target])
+        return e.action, e.target, (tuple(sorted(low.items())), tuple(sorted(up.items())), reset, freed)
 
     def successor(self, zone: Z.Dbm, move: Move) -> Sym | None:
         """Widened delay-closed successor of a widened zone along `move`; None when empty.
@@ -207,15 +213,16 @@ class Analyzer:
         that can wait (inside the invariant) until the move's fire
         zone.  What remains blocks, as disjoint pieces; none when
         nothing does.  The wait zones of a location are built in move
-        order as far as some call has needed them, None when empty.
+        order as far as some call has needed them, None when empty,
+        each from its fire zone, the move's box closed.
         """
         loc, zone = s
-        self.moves(loc)                    # fills self._fires[loc]
         waits = self._waits.setdefault(loc, [])
         pieces: tuple[Z.Dbm, ...] = (zone,)
-        for i, fire in enumerate(self._fires[loc]):
+        for i, (_, _, (lows, ups, _, _)) in enumerate(self.moves(loc)):
             if i == len(waits):
-                waits.append(Z.time_pred(fire, self.inv_zone[loc]))
+                box = [(0, k, b) for k, b in lows] + [(k, 0, b) for k, b in ups]
+                waits.append(Z.time_pred(Z.from_constraints(self.clocks, box), self.inv_zone(loc)))
             if waits[i] is None:
                 continue
             pieces = tuple(q for p in pieces for q in Z.subtract(p, waits[i]))

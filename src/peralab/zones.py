@@ -271,28 +271,14 @@ def free(d: Dbm, clock: str) -> Dbm:
     return Dbm(d.clocks, m)
 
 
+# All `post` needs of a box b (the closure of its bounds), the clock x it resets and those it
+# frees: `(lows, ups, k, free)`, each lower bound tighter than `x >= 0` as `(index, entry (0,
+# index))`, each finite upper bound as `(index, entry (index, 0))`, x's index and the freed ones.
 Box = tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...], int, tuple[int, ...]]
 
 
-def compile_box(box: Dbm, clock: str, freed: Sequence[str] = ()) -> Box:
-    """What `post` reads of a box, the clock it resets and those it frees, read off once.
-
-    `box` must be canonical with every constraint on one clock (every
-    guard and invariant closes to one).  The result is `(lows, ups,
-    k, free)`: each clock's lower bound tighter than `x >= 0` as `(index,
-    entry (0, index))`, each finite upper bound as `(index, entry
-    (index, 0))`, the index of `clock` and those of `freed`.  A box is
-    the closure of these bounds, so they are all of it that `post` needs.
-    """
-    n = box.size
-    m = box.m
-    lows = tuple((k, m[k]) for k in range(1, n) if m[k] < LE_ZERO)
-    ups = tuple((a, m[a * n]) for a in range(1, n) if m[a * n] < INF)
-    return lows, ups, box.index(clock), tuple(map(box.index, freed))
-
-
 def post(d: Dbm, box: Box) -> Dbm | None:
-    """`free(reset(intersect(up(d), b), x), ...)` in O(n²) for `box = compile_box(b, x, freed)`.
+    """`free(reset(intersect(up(d), b), x), ...)` in O(n²), for `box` the `Box` of b, x and the freed clocks.
 
     One list, one `Dbm`.  The arcs of the box `b` all touch the
     reference node 0, so a shortest path of the meet passes 0 at most

@@ -725,6 +725,20 @@ MALFORMED = {
     # a bare string is not a list of one-letter names
     "string-parameters": (one_location_document(parameters="pq"), "is not a list"),
     "string-accepting": (one_location_document(accepting="l"), "is not a list"),
+    # each distinct guard text is parsed once, and a repeated bad one still fails
+    "repeated-malformed-guard": (one_location_document(
+        edges=[{"from": "l", "guard": "x <", "action": "a", "to": "l"}] * 2,
+    ), "cannot parse atom 'x <'"),
+    "repeated-list-guard": (one_location_document(
+        edges=[{"from": "l", "guard": ["x < 1"], "action": "a", "to": "l"}] * 2,
+    ), "expected a guard string, got ['x < 1']"),
+    # a report joins a word's actions with spaces, so `a b` could print as two actions
+    "empty-action": (one_location_document(
+        actions=[{"action": "", "clock": "x"}], edges=[{"from": "l", "action": "", "to": "l"}],
+    ), "action '' is empty or holds a space"),
+    "spaced-action": (one_location_document(
+        actions=[{"action": "a", "clock": "x"}, {"action": "a b", "clock": "y"}],
+    ), "action 'a b' is empty or holds a space"),
 }
 
 

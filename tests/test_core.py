@@ -1,10 +1,12 @@
 """Model layer: atoms, guards, automaton structure, serialization."""
 
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from peralab import core
 from peralab.core import (
     Atom,
     Edge,
@@ -16,9 +18,9 @@ from peralab.core import (
     parse_guard,
     parse_valuation,
 )
-from peralab.encoder import build
+from peralab.encoder import VARIANTS, build
 
-from machines import loop
+from machines import load, loop
 
 CLOCKS = ("t", "x1", "x2", "z")
 
@@ -239,6 +241,75 @@ def test_from_text_rejects_garbage():
         Pera.from_text("not json")
     with pytest.raises(ModelError):
         Pera.from_text("{}")
+
+
+@pytest.mark.parametrize("name", ["loop", "inc3", "halt"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_every_encoding_round_trips_through_text(name, variant):
+    a = build(load(name), variant)
+    for b in (a, a.rescale(2), a.valuate({"p": 2})):
+        assert Pera.from_text(b.to_text()) == b
+
+
+# -- one parse and one valuation per distinct guard -------------------------------
+
+
+RING = 6   # locations l0 ... l5, with one edge from each to the next
+
+
+def ring_document(guards, invariant="true"):
+    """A ring whose edge i carries `guards[i % len(guards)]`; every location has `invariant`."""
+    return json.dumps({
+        "actions": [{"action": "a", "clock": "x"}, {"action": "b", "clock": "y"}],
+        "parameters": ["p"],
+        "locations": [{"name": f"l{i}", "invariant": invariant} for i in range(RING)],
+        "initial": "l0",
+        "edges": [{"from": f"l{i}", "guard": guards[i % len(guards)], "action": "ab"[i % 2],
+                   "to": f"l{(i + 1) % RING}"} for i in range(RING)],
+    })
+
+
+def test_a_repeated_guard_text_is_parsed_once_as_it_would_be_per_edge(monkeypatch):
+    guards = ["x <= p+1 && y > 2", "true", "y >= p-1"]
+    per_edge = Pera(
+        actions=(("a", "x"), ("b", "y")),
+        parameters=("p",),
+        locations=tuple(f"l{i}" for i in range(RING)),
+        initial="l0",
+        edges=tuple(Edge(f"l{i}", parse_guard(guards[i % 3], ("p",)), "ab"[i % 2], f"l{(i + 1) % RING}")
+                    for i in range(RING)),
+        invariants=dict.fromkeys((f"l{i}" for i in range(RING)), parse_guard("x <= p", ("p",))),
+    )
+    texts = []
+    monkeypatch.setattr(core, "parse_guard", lambda text, params: texts.append(text) or parse_guard(text, params))
+    a = Pera.from_text(ring_document(guards, "x <= p"))
+    assert a == per_edge
+    assert sorted(texts) == sorted(guards + ["x <= p"])
+    assert a.edges[0].guard is a.edges[3].guard
+
+
+def test_each_distinct_guard_is_valuated_once(monkeypatch):
+    a = Pera.from_text(ring_document(["x <= p+1 && y > 2", "true", "y >= p-1"]))
+    valuated = []
+    valuate = Atom.valuate
+    monkeypatch.setattr(Atom, "valuate", lambda atom, values: valuated.append(atom) or valuate(atom, values))
+    v = a.valuate({"p": 3})
+    assert valuated == [Atom("x", "<=", 1, "p"), Atom("y", ">", 2), Atom("y", ">=", -1, "p")]
+    assert [e.guard for e in v.edges] == [
+        (Atom("x", "<=", 4), Atom("y", ">", 2)), (), (Atom("y", ">=", 2),)] * 2
+    assert v.edges[1] is a.edges[1] and v.edges[4] is a.edges[4]    # no parameter: kept as it is
+
+
+def test_an_unsatisfiable_shared_guard_drops_every_edge_that_shares_it():
+    a = Pera.from_text(ring_document(["x = p-1", "x = p-1", "y <= 3"]))
+    assert [e.source for e in a.valuate({"p": 0}).edges] == ["l2", "l5"]
+    assert len(a.valuate({"p": 1}).edges) == RING
+
+
+def test_an_unsatisfiable_invariant_still_raises_when_a_guard_shares_it():
+    a = Pera.from_text(ring_document(["x = p-1"], invariant="x = p-1"))
+    with pytest.raises(UnsatisfiableAtom):
+        a.valuate({"p": 0})
 
 
 # -- valuations -------------------------------------------------------------

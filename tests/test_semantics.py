@@ -1,5 +1,6 @@
 """Zone exploration, blocking detection, and concrete replay."""
 
+import itertools
 from fractions import Fraction
 from functools import cache
 
@@ -8,6 +9,8 @@ from hypothesis import given, seed, settings, strategies as st
 
 from peralab.core import Atom, Edge, ModelError, Pera
 from peralab.encoder import VARIANTS, build, encode_core
+from peralab.language import Determinized, Lassos
+from peralab import semantics as S
 from peralab.semantics import (
     Analyzer,
     ResourceExhausted,
@@ -18,6 +21,7 @@ from peralab.semantics import (
 from peralab import zones as Z
 
 import gridoracle as G
+from boxes import compile_box
 from machines import inc3, load, loop
 from replay import SimulationError, concrete_simulate, guard_holds
 from schedule import derive_schedule
@@ -61,6 +65,11 @@ def test_guard_zone_of_unsatisfiable_guard():
     assert guard_zone((), ("x",)) is not None
 
 
+def test_guard_zone_rejects_a_parametric_atom():
+    with pytest.raises(ModelError, match=r"atom x <= p\+1 still parametric"):
+        guard_zone((Atom("x", "<=", 1, "p"),), ("x",))
+
+
 def test_successor_hand_case():
     a = one_loc((Edge("only", (Atom("x", ">=", 2),), "a", "only"),))
     ana = Analyzer(a)
@@ -94,9 +103,14 @@ def stepwise_successor(ana, s, e):
 
 
 def widened_stepwise_successor(ana, s, e):
-    """`stepwise_successor`, widened as every zone graph node is."""
+    """`stepwise_successor`, with the clocks `ana` frees at the target freed, widened as every zone graph node is."""
     nxt = stepwise_successor(ana, s, e)
-    return None if nxt is None else (nxt[0], Z.extrapolate(nxt[1], ana.max_const))
+    if nxt is None:
+        return None
+    zone = nxt[1]
+    for clock in ana.freed[e.target]:
+        zone = Z.free(zone, clock)
+    return (nxt[0], Z.extrapolate(zone, ana.max_const))
 
 
 def reference_graph(a):
@@ -121,10 +135,28 @@ def reference_graph(a):
     return nodes, sorted(edges)
 
 
+def fire_zone(ana, e):
+    """Where `e` fires into its target's invariant, as one closed zone; None when nowhere.
+
+    Guard and source invariant, and the target invariant pulled back
+    through the reset: its atoms on the reset clock must hold at zero,
+    the rest bound the clocks the edge leaves as they are.
+    """
+    a = ana.automaton
+    reset = ana.reset_clock[e.action]
+    target = a.invariant(e.target)
+    if not guard_holds(tuple(t for t in target if t.clock == reset), {reset: Fraction(0)}):
+        return None
+    kept = tuple(t for t in target if t.clock != reset)
+    return cached_guard_zone(e.guard + a.invariant(e.source) + kept, ana.clocks)
+
+
 def move_for(ana, e):
     """The move `Analyzer.moves` compiles for `e`; None when `e` never fires."""
-    fire = ana._fire_zone(e)
-    return None if fire is None else (e.action, e.target, Z.compile_box(fire, ana.reset_clock[e.action]))
+    fire = fire_zone(ana, e)
+    if fire is None:
+        return None
+    return (e.action, e.target, compile_box(fire, ana.reset_clock[e.action], ana.freed[e.target]))
 
 
 def two_loc(edge, invariants):
@@ -178,11 +210,15 @@ def successor_and_skip(ana, zone, move):
 @pytest.mark.parametrize("machine", [loop, inc3])
 @pytest.mark.parametrize("variant", ["wrapped", "buchi", "safety"])
 def test_successor_matches_stepwise_reference_on_encodings(machine, variant):
-    """Every move out of every node: the widened reference, and a skipped widening changes nothing."""
+    """Every move out of every node, with and without inactive clocks freed: the
+    widened reference, and a skipped widening changes nothing."""
     base = build(machine(), variant)
-    for scale, p in ((1, 0), (1, 1), (1, 2), (1, 5), (1, 61), (2, 1)):     # and p = 1/2
+    valuations = ((1, 0), (1, 1), (1, 2), (1, 5), (1, 61), (2, 1))     # and p = 1/2
+    for (scale, p), free_inactive in itertools.product(valuations, (False, True)):
         a = base.rescale(scale).valuate({"p": p})
-        g = zone_graph(a)
+        g = ZoneGraph(a, free_inactive)
+        for nid, _ in enumerate(g.nodes):                      # to fixpoint; the list grows
+            g.succ(nid)
         ana = g.ana
         moves = {e: move_for(ana, e) for e in a.edges}
         for loc, edges in ana.edges_from.items():
@@ -234,7 +270,7 @@ def test_fire_zones_are_boxes(name, variant):
         ana = Analyzer(a.rescale(scale).valuate({"p": p}))
         n = len(ana.clocks) + 1
         for e in ana.automaton.edges:
-            fire = ana._fire_zone(e)
+            fire = fire_zone(ana, e)
             if fire is None:
                 continue
             m = fire.m
@@ -243,6 +279,64 @@ def test_fire_zones_are_boxes(name, variant):
                     up, low = m[i * n], m[j]
                     via_zero = Z.INF if up >= Z.INF else up + low - ((up | low) & 1)
                     assert i == j or m[i * n + j] == via_zero, (e, fire)
+
+
+INVARIANT = object()
+
+
+def recorded_zone_builds(monkeypatch):
+    """Record each zone `zones.from_constraints` builds, as (where, zone): where is INVARIANT
+    under `semantics.guard_zone`, else the location `Analyzer.blocking_subset` is at, or None."""
+    built, at = [], [None]
+    from_constraints, guard_zone_, blocking_subset = Z.from_constraints, S.guard_zone, Analyzer.blocking_subset
+
+    def inside(where, f, *args):
+        at.append(where)
+        try:
+            return f(*args)
+        finally:
+            at.pop()
+
+    def record(clocks, cons):
+        built.append((at[-1], from_constraints(clocks, cons)))
+        return built[-1][1]
+
+    monkeypatch.setattr(Z, "from_constraints", record)
+    monkeypatch.setattr(S, "guard_zone", lambda guard, clocks: inside(INVARIANT, guard_zone_, guard, clocks))
+    monkeypatch.setattr(Analyzer, "blocking_subset", lambda self, s: inside(s[0], blocking_subset, self, s))
+    return built
+
+
+def bundled_valuations():
+    for name in ("loop", "inc3", "halt"):
+        for variant in VARIANTS:
+            for scale, p in ((1, 0), (1, 2), (2, 1)):          # p = 0, 2, 1/2
+                yield pytest.param(build(load(name), variant).rescale(scale).valuate({"p": p}),
+                                   id=f"{name}-{variant}-{p}/{scale}")
+
+
+@pytest.mark.parametrize("a", bundled_valuations())
+def test_zones_are_built_only_where_read(a, monkeypatch):
+    """Moves build no zone, a Büchi lasso search builds only invariant zones, and a
+    maximal word walk builds the fire zones of a location's moves in order, each once."""
+    ana = Analyzer(a)
+    fires = {loc: [f for e in ana.edges_from[loc] if (f := fire_zone(ana, e))] for loc in a.locations}
+    built = recorded_zone_builds(monkeypatch)
+    for loc in a.locations:
+        ana.moves(loc)
+    assert built == []
+    if not guard_holds(a.invariant(a.initial), dict.fromkeys(a.clocks, Fraction(0))):
+        return                             # no initial state (plain at p = 0), so no walk
+    if a.accepting:                        # Büchi semantics needs accepting locations
+        Lassos(a, 3)
+        assert built and all(where is INVARIANT for where, _ in built)
+        built.clear()
+    det = Determinized(a, "maximal")
+    det.counts(6)
+    assert len([z for where, z in built if where is INVARIANT]) <= len(a.locations)
+    for loc in a.locations:
+        at_loc = [z for where, z in built if where == loc]
+        assert at_loc == fires[loc][:len(at_loc)]
 
 
 # -- blocking ---------------------------------------------------------------

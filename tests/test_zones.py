@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gridoracle as G
+from boxes import compile_box
 from peralab import zones as Z
 
 
@@ -89,7 +90,7 @@ def test_intersect_basic():
 
 def post(d, box, clock):
     """`Z.post` on `box` compiled for a reset of `clock`."""
-    return Z.post(d, Z.compile_box(box, clock))
+    return Z.post(d, compile_box(box, clock))
 
 
 def stepwise_post(d, box, clock):
@@ -100,9 +101,9 @@ def stepwise_post(d, box, clock):
 
 def test_compile_box_keeps_real_bounds_and_the_reset_index():
     box = zone(CLOCKS, (0, 1, Z.lt(-1)), (2, 0, Z.le(2)))        # x > 1, y <= 2
-    assert Z.compile_box(box, "y") == (((1, Z.lt(-1)),), ((2, Z.le(2)),), 2, ())
-    assert Z.compile_box(zone(CLOCKS), "x") == ((), (), 1, ())  # x >= 0 is no bound
-    assert Z.compile_box(zone(CLOCKS), "x", ("y",)) == ((), (), 1, (2,))
+    assert compile_box(box, "y") == (((1, Z.lt(-1)),), ((2, Z.le(2)),), 2, ())
+    assert compile_box(zone(CLOCKS), "x") == ((), (), 1, ())  # x >= 0 is no bound
+    assert compile_box(zone(CLOCKS), "x", ("y",)) == ((), (), 1, (2,))
 
 
 def test_post_without_a_tighter_bound_is_the_delayed_reset():

@@ -17,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 import gridoracle as G
+from boxes import compile_box
 from peralab import zones as Z
 
 CLOCK_NAMES = ("x", "y", "w")
@@ -204,7 +205,7 @@ def test_post_agrees_with_stepwise_and_grid():
         if da is None or box is None:
             continue
         k = rng.randint(1, n)
-        got = Z.post(da, Z.compile_box(box, clocks[k - 1]))
+        got = Z.post(da, compile_box(box, clocks[k - 1]))
         meet = Z.intersect(Z.up(da), box)
         want = None if meet is None else Z.reset(meet, clocks[k - 1])
         # the same canonical tuple, or both empty
@@ -239,7 +240,7 @@ def test_free_and_post_with_a_free_set_agree_with_stepwise_and_grid():
         assert np.array_equal(G.half_view(G.dbm_mask(got, n)), expect), (da, k)
         x = rng.choice(clocks)
         free = tuple(c for c in clocks if rng.random() < 0.5)
-        got = Z.post(da, Z.compile_box(box, x, free))
+        got = Z.post(da, compile_box(box, x, free))
         meet = Z.intersect(Z.up(da), box)
         want = None if meet is None else Z.reset(meet, x)
         for c in free:
