@@ -22,7 +22,7 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
-from .core import ModelError, Pera, parse_valuation
+from .core import ModelError, Pera, number_text, parse_valuation
 from .encoder import VARIANTS, build
 from .language import FLAG_LABEL, SEMANTICS, Determinized, Lassos
 from .language import compare as compare_samples
@@ -89,11 +89,11 @@ def _observe(a: Pera, args):
     lines, as the comparison counts what it reads; for `lang`, the lasso
     listing's report lines, whose flagged count is the number of lassos.
     Either way the zone graph is built here, and for `lang` the cycle
-    search runs here too.  The others give the determinized automaton,
-    counted level by level to `args.depth`, which expands every state
-    set a comparison or a word listing can visit.  So running out of
-    nodes, sets or cycle words happens here and not halfway through a
-    report.
+    search runs here too; `compare` runs its walk before its first line.
+    The others give the determinized automaton, counted level by level
+    to `args.depth`, which expands every state set a comparison or a
+    word listing can visit.  So running out of nodes, sets or cycle
+    words happens before a report starts.
     """
     if args.semantics == "buchi":
         if args.command == "compare":
@@ -103,15 +103,15 @@ def _observe(a: Pera, args):
     det = Determinized(a, args.semantics, args.node_limit)
     prefix, flagged = det.counts(args.depth)
     label = FLAG_LABEL[args.semantics]
-    return det, [f"prefix words: {prefix}", f"{label} words: {flagged}"], flagged
+    return det, [f"prefix words: {number_text(prefix)}", f"{label} words: {number_text(flagged)}"], flagged
 
 
-def _explore(args, timings, flags: list[str | None], sides: tuple[tuple[str, str], ...]) -> list:
-    """`_observe`'s result per flag, for `lang` and `compare`, then the report header.
+def _explore(args, timings, flags: list[str | None], sides: tuple[tuple[str, str], ...]):
+    """`_observe`'s result per flag, for `lang` and `compare`, and the report header's lines.
 
     `args.pera` is valuated at every flag and each valuation observed
-    under its (header name, timing label) in `sides` before the first
-    line is printed, so a failure prints no partial report.
+    under its (header name, timing label) in `sides`; nothing is
+    printed, so a failure prints no partial report.
     """
     with _timed(timings, "parse"):
         a = Pera.from_text(Path(args.pera).read_text())
@@ -120,13 +120,13 @@ def _explore(args, timings, flags: list[str | None], sides: tuple[tuple[str, str
     for (_, label), va in zip(sides, valuated):
         with _timed(timings, label):
             observed.append(_observe(va, args))
-    print(f"automaton: {args.pera}")
+    header = [f"automaton: {args.pera}"]
     for (name, _), vals in zip(sides, valuations):
-        print(f"{name}: " + (", ".join(f"{k}={v}" for k, v in sorted(vals.items())) or "(none)"))
+        header.append(f"{name}: " + (", ".join(f"{k}={v}" for k, v in sorted(vals.items())) or "(none)"))
     if scale != 1:
-        print(f"rescaled by {scale} to clear denominators")
-    print(f"semantics: {args.semantics}  depth: {args.depth}")
-    return observed
+        header.append(f"rescaled by {scale} to clear denominators")
+    header.append(f"semantics: {args.semantics}  depth: {args.depth}")
+    return observed, header
 
 
 # -- subcommands ---------------------------------------------------------
@@ -147,8 +147,8 @@ def cmd_lang(args) -> int:
         raise ModelError(f"lang takes at most one -p flag, got {len(args.valuation)}")
     # the one flag, if any; an empty -p gives no value, as no -p does
     flag = "".join(args.valuation) or None
-    ((obs, stats, flagged),) = _explore(args, timings, [flag], (("valuation", "enumerate"),))
-    print(*stats, sep="\n")
+    ((obs, stats, flagged),), header = _explore(args, timings, [flag], (("valuation", "enumerate"),))
+    print(*header, *stats, sep="\n")
     if args.semantics == "buchi":
         print("-- lassos --")
         shown = obs
@@ -167,7 +167,7 @@ def cmd_compare(args) -> int:
     timings: list[tuple[str, float]] = []
     if len(args.valuation) != 2:
         raise ModelError("compare needs exactly two -p flags (valuation A and valuation B)")
-    observed = _explore(
+    observed, header = _explore(
         args, timings, args.valuation, (("valuation A", "explore A"), ("valuation B", "explore B"))
     )
     with _timed(timings, "compare"):
@@ -176,6 +176,7 @@ def cmd_compare(args) -> int:
     if res.counts is not None:   # Büchi: the lassos the walk read up to its witness
         label = "lassos" if res.equal else f"lassos up to length {sum(map(len, res.witness))}"
         stats = [[f"{label}: {n}"] for n in res.counts]
+    print(*header, sep="\n")
     for side, lines in zip("AB", stats):
         print(f"{side}: " + ", ".join(lines))
     print("verdict: " + res.text("A", "B"))
@@ -287,7 +288,7 @@ def _exploration_flags(parser: argparse.ArgumentParser, semantics: tuple[str, ..
     parser.add_argument(
         "--node-limit", type=int, default=NODE_LIMIT,
         help="bound on each of: zone-graph nodes, determinized state sets, and the "
-             f"distinct cycle words a Büchi lang holds (default {NODE_LIMIT})",
+             f"distinct cycle words a Büchi walk holds (default {NODE_LIMIT})",
     )
 
 

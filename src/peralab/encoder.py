@@ -58,31 +58,29 @@ def encode_core(m: Machine) -> Pera:
     )
     locations = [main_loc(m, s) for s in m.states] + [bar_loc(m, s) for s in m.states]
     edges: list[Edge] = []
+    shared: dict[Guard, Guard] = {}
+
+    def guard(*atoms: Atom) -> Guard:
+        # one object per distinct guard, so `Pera.valuate` maps each once
+        return shared.setdefault(atoms, atoms)
 
     for loc in locations:
-        edges.append(Edge(loc, (Atom("t", "=", 0, PARAM),), "a_t", loc))
-        edges.append(Edge(loc, (Atom("x1", "=", 0, PARAM),), "a_1", loc))
-        edges.append(Edge(loc, (Atom("x2", "=", 0, PARAM),), "a_2", loc))
+        for act, clk in SIGMA[:3]:
+            edges.append(Edge(loc, guard(Atom(clk, "=", 0, PARAM)), act, loc))
 
     for s, ins in m.program:
         src = main_loc(m, s)
         xk, ak = f"x{ins.counter}", f"a_{ins.counter}"
         if isinstance(ins, Inc):
-            edges.append(Edge(src, (Atom(xk, "=", -1, PARAM),), ak, bar_loc(m, ins.goto)))
+            edges.append(Edge(src, guard(Atom(xk, "=", -1, PARAM)), ak, bar_loc(m, ins.goto)))
         else:
-            edges.append(Edge(src, (Atom("t", "=", 0), Atom(xk, "=", 0)), "a_t", bar_loc(m, ins.if_zero)))
+            edges.append(Edge(src, guard(Atom("t", "=", 0), Atom(xk, "=", 0)), "a_t", bar_loc(m, ins.if_zero)))
             for t_side in (Atom("t", "<", 1), Atom("t", ">", 1)):
-                edges.append(Edge(src, (Atom(xk, "=", 1), t_side), ak, bar_loc(m, ins.if_pos)))
+                edges.append(Edge(src, guard(Atom(xk, "=", 1), t_side), ak, bar_loc(m, ins.if_pos)))
 
+    back = guard(Atom("z", "=", -1, PARAM), Atom("t", ">", 0), Atom("t", "<", 0, PARAM))
     for s in m.states:
-        edges.append(
-            Edge(
-                bar_loc(m, s),
-                (Atom("z", "=", -1, PARAM), Atom("t", ">", 0), Atom("t", "<", 0, PARAM)),
-                "a_z",
-                main_loc(m, s),
-            )
-        )
+        edges.append(Edge(bar_loc(m, s), back, "a_z", main_loc(m, s)))
 
     return Pera(
         actions=SIGMA,
@@ -139,10 +137,12 @@ def add_sink(a: Pera) -> Pera:
     if "l_sink" in a.locations:
         raise ModelError("l_sink already present")
     edges = list(a.edges)
+    at_period = (Atom("t", "=", 0, PARAM), Atom("z", "=", -1, PARAM))
+    at_zero = (Atom("t", "=", 0), Atom("z", "=", -1, PARAM))
     for bar in bars:
         for act, _ in SIGMA:
-            edges.append(Edge(bar, (Atom("t", "=", 0, PARAM), Atom("z", "=", -1, PARAM)), act, "l_sink"))
-            edges.append(Edge(bar, (Atom("t", "=", 0), Atom("z", "=", -1, PARAM)), act, "l_sink"))
+            edges.append(Edge(bar, at_period, act, "l_sink"))
+            edges.append(Edge(bar, at_zero, act, "l_sink"))
     return replace(a, locations=a.locations + ("l_sink",), edges=tuple(edges))
 
 

@@ -30,16 +30,16 @@ returns the shortest, lexicographically least distinguishing word.
 
 Büchi semantics is observed through `Lassos` instead: stem/cycle pairs
 through accepting locations on the full widened zone graph, cut at 2k
-levels.  `Lassos.levels()` yields them one stem length at a time, for
-`compare`, which reads two walks' levels in lockstep and stops once the
-least lasso on one side only can no longer be undercut by a longer stem.
-`Lassos.listing()` gives `lang` the number of lassos and their report
-lines, in blocks already in `_lasso_key` order, from per-stem buckets of
-cycles by length, with no set of every lasso and no keyed sort.  The
+levels.  `Lassos.levels()` is the one cycle walk, per stem length a
+map from each stem to its cycle words, under one `node_limit` on the
+distinct words held.  `compare` diffs two walks stem by stem and stops
+once the least lasso on one side only cannot be undercut by a longer
+stem.  `Lassos.listing()` gives `lang` the number of lassos and their
+report lines, in blocks already in `_lasso_key` order, from per-stem
+buckets of cycles by length, with no set of every lasso.  The
 elementary-cycle search backtracks over one shared action list and
 on-path table, on per-start edge tables pruned to the nodes that can
-still close the cycle within the bound, and each walk rotates each
-distinct cycle word once.
+still close the cycle within the bound.
 """
 
 from __future__ import annotations
@@ -241,10 +241,10 @@ class Lassos:
     This is what Büchi semantics observes: stem/cycle pairs on the
     widened zone graph, with stem and cycle at most k long.  The
     constructor builds the graph, its adjacency and the stems, then
-    frees the zones.  Two walks read those tables.  `levels()` searches
-    the cycles one stem length at a time, so a comparison that settles
-    early never searches the rest.  `listing()` searches them all and
-    returns the report lines, sorted from per-stem buckets.
+    frees the zones.  `levels()` searches the cycles one stem length at
+    a time, so a comparison that settles early never searches the rest,
+    and `listing()` reads every level and returns the report lines,
+    sorted from per-stem buckets.
 
     Cycles are elementary (no repeated node except the endpoints),
     found once each by only walking nodes with ids at or above the
@@ -258,8 +258,8 @@ class Lassos:
     of the initial node, and the cut graph keeps the fixpoint graph's
     ids and every edge out of those nodes.  So `node_limit` counts the
     nodes of the cut graph, and running out of nodes happens in the
-    constructor.  `listing()` also counts its distinct cycle words
-    against `node_limit`.
+    constructor.  The walk also counts its distinct cycle words against
+    `node_limit`, so `compare` and `lang` run out at the same bound.
     """
 
     def __init__(self, a: Pera, k: int, node_limit: int = NODE_LIMIT):
@@ -295,54 +295,48 @@ class Lassos:
         self._on_path = [False] * len(g.nodes)
         # the search reads only these tables, so the zones go with `g`
 
-    def levels(self) -> Iterator[frozenset[Lasso]]:
-        """Per stem length d = 0, 1, ..., the lassos whose cycle starts at depth d.
+    def levels(self) -> Iterator[dict[Word, set[Word]]]:
+        """Per stem length d = 0, 1, ..., each stem of d actions with its cycle words.
 
         A lasso's stem length is the depth of its cycle's start, so the
-        levels partition the lasso set.  The walk stops after the last
-        stem length that has a node, at most k.  Each distinct cycle
-        word is rotated once per walk, since many starts close the same
-        words.
+        levels partition the lasso set.  Starts with equal stems are
+        merged, so a cycle word closed from two of them is one lasso;
+        stems with no cycle are left out.  The walk stops after the last
+        stem length that has a node, at most k.  Each distinct search
+        word is rotated once per walk, and holding more than `node_limit`
+        of them, each up to k actions kept with its rotation, raises
+        `ResourceExhausted`; a lasso only points at words already held.
         """
         rotate = cache(_min_rotation)   # for this walk only
         stems = self._stems
         for starts in self._starts:
-            yield frozenset(
-                (stems[c0], rotate(cyc)) for c0 in starts for cyc in self._cycle_words(c0)
-            )
+            level: dict[Word, set[Word]] = {}
+            for c0 in starts:
+                words = self._cycle_words(c0)
+                if words:
+                    level.setdefault(stems[c0], set()).update(map(rotate, words))
+                    if rotate.cache_info().currsize > self.node_limit:
+                        raise ResourceExhausted(
+                            f"lasso listing exceeded {self.node_limit} distinct cycle words"
+                        )
+            yield level
 
     def listing(self) -> tuple[int, Iterator[str]]:
         """The number of lassos, and their report lines in `_lasso_key` order.
 
-        The cycle search runs here, over every stem length, before any
-        line is made.  Starts with equal stems are merged, so a cycle word
-        closed from two of them is one lasso.  Each distinct search word
-        is rotated once.  A stem's cycles are bucketed by length, and each
-        bucket is one row of its total length, stem plus cycle.  A stem
-        has one length, so it has at most one row per total length.  The
-        lines come one block per row, each block one join: the total
-        lengths that occur, in increasing order, then their rows by stem,
-        then each row's cycles, sorted on their own.  Stems and cycles
-        sort as tuples, so the order holds for any action names.
-
-        `node_limit` bounds the distinct search words held, each a tuple
-        of up to k actions kept with its rotation.  A lasso adds only a
-        reference to a stem and a cycle already held.
+        Every level is read here, before any line is made.  A stem's
+        cycles are bucketed by length, and each bucket is one row of its
+        total length, stem plus cycle.  A stem has one length, so it has
+        at most one row per total length.  The lines come one block per
+        row, each block one join: the total lengths that occur, in
+        increasing order, then their rows by stem, then each row's
+        cycles, sorted on their own.  Stems and cycles sort as tuples,
+        so the order holds for any action names.
         """
-        rotate = cache(_min_rotation)   # for this walk only
-        stems = self._stems
         rows: dict[int, list[tuple[Word, list[Word]]]] = {}   # per total length
         held = 0
-        for d, starts in enumerate(self._starts):
-            groups: dict[Word, list[int]] = {}
-            for c0 in starts:
-                groups.setdefault(stems[c0], []).append(c0)
-            for stem, group in groups.items():
-                cycles = {rotate(w) for c0 in group for w in self._cycle_words(c0)}
-                if rotate.cache_info().currsize > self.node_limit:
-                    raise ResourceExhausted(
-                        f"lasso listing exceeded {self.node_limit} distinct cycle words"
-                    )
+        for d, level in enumerate(self.levels()):
+            for stem, cycles in level.items():
                 held += len(cycles)
                 buckets: dict[int, list[Word]] = {}
                 for cyc in cycles:
@@ -511,24 +505,26 @@ def _lasso_walk(left: Lassos, right: Lassos) -> CompareResult:
 
     A side with no starts left reads empty levels.  Lassos of equal
     stems have equal stem lengths, so the two sides' symmetric
-    difference is the union of the levels' differences, and the walk
-    keeps its least element in `_lasso_key` order.  After stem length d
-    that element is the witness once its stem plus cycle is at most
-    d + 1: every lasso not yet built has a stem of at least d + 1
-    actions and a cycle of at least one, so it is longer.
+    difference is the union of the levels' differences, stem by stem,
+    and the walk keeps its least element in `_lasso_key` order.  After
+    stem length d that element is the witness once its stem plus cycle
+    is at most d + 1: every lasso not yet built has a stem of at least
+    d + 1 actions and a cycle of at least one, so it is longer.
     """
+    none: set[Word] = set()
     sizes = (Counter(), Counter())   # per side, the lassos read per total length
     best: Lasso | None = None
     owner = ""
-    levels = zip_longest(left.levels(), right.levels(), fillvalue=frozenset())
+    levels = zip_longest(left.levels(), right.levels(), fillvalue={})
     for d, (ls, rs) in enumerate(levels):
         for size, level in zip(sizes, (ls, rs)):
-            size.update(len(stem) + len(cyc) for stem, cyc in level)
-        delta = ls ^ rs
+            size.update(len(stem) + len(cyc) for stem, cycles in level.items() for cyc in cycles)
+        delta = [(stem, cyc) for stem in ls.keys() | rs.keys()
+                 for cyc in ls.get(stem, none) ^ rs.get(stem, none)]
         if delta:
             l = min(delta, key=_lasso_key)
             if best is None or _lasso_key(l) < _lasso_key(best):
-                best, owner = l, "left" if l in ls else "right"
+                best, owner = l, "left" if l[1] in ls.get(l[0], none) else "right"
         if best is not None and len(best[0]) + len(best[1]) <= d + 1:
             break
     if best is None:

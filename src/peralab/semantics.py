@@ -21,9 +21,7 @@ ids; whether a node blocks is memoized per node.
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from .core import Atom, Edge, Guard, ModelError, Pera, number_text
+from .core import Atom, Edge, ModelError, Pera, number_text
 from . import zones as Z
 
 
@@ -50,15 +48,6 @@ def _atom_bounds(atom: Atom) -> tuple[int, int]:
         )
     low = Z.LE_ZERO if rel in ("<", "<=") else Z.lt(-c) if rel == ">" else Z.le(-c)
     return low, Z.INF if rel in (">", ">=") else Z.lt(c) if rel == "<" else Z.le(c)
-
-
-def guard_zone(guard: Guard, clocks: Sequence[str]) -> Z.Dbm | None:
-    cons: list[tuple[int, int, int]] = []
-    for a in guard:
-        i = clocks.index(a.clock) + 1
-        low, up = _atom_bounds(a)
-        cons += ((0, i, low), (i, 0, up))
-    return Z.from_constraints(clocks, cons)
 
 
 def _meet(low: dict[int, int], up: dict[int, int], bounds) -> None:
@@ -127,7 +116,8 @@ class Analyzer:
 
     def inv_zone(self, loc: str) -> Z.Dbm | None:
         if loc not in self._inv:
-            self._inv[loc] = guard_zone(self.automaton.invariant(loc), self.clocks)
+            cons = [c for i, lo, hi in self.inv_bounds.get(loc, ()) for c in ((0, i, lo), (i, 0, hi))]
+            self._inv[loc] = Z.from_constraints(self.clocks, cons)
         return self._inv[loc]
 
     def initial(self) -> Sym:

@@ -1,8 +1,10 @@
-"""What `zones.post` reads of a closed box, read off its matrix.
+"""Zones and boxes of guards, built the long way.
 
-The reference for the boxes `semantics.Analyzer.moves` compiles
-straight from the atoms, and the way the zone tests hand a box to
-`post`.
+`guard_zone` is a guard's zone, from its atoms, and `compile_box` what
+`zones.post` reads of a closed box, read off its matrix: the references
+for the invariant zones and the boxes `semantics.Analyzer` builds
+straight from the atoms' bounds, and the way the zone tests hand a box
+to `post`.
 """
 
 from __future__ import annotations
@@ -10,6 +12,18 @@ from __future__ import annotations
 from typing import Sequence
 
 from peralab import zones as Z
+from peralab.core import Guard
+from peralab.semantics import _atom_bounds
+
+
+def guard_zone(guard: Guard, clocks: Sequence[str]) -> Z.Dbm | None:
+    """The zone of `clocks` where every atom of the valuated `guard` holds; None when empty."""
+    cons: list[tuple[int, int, int]] = []
+    for a in guard:
+        i = clocks.index(a.clock) + 1
+        low, up = _atom_bounds(a)
+        cons += ((0, i, low), (i, 0, up))
+    return Z.from_constraints(clocks, cons)
 
 
 def compile_box(box: Z.Dbm, clock: str, freed: Sequence[str] = ()) -> Z.Box:

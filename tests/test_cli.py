@@ -206,8 +206,8 @@ def test_buchi_lang_counts_its_cycle_words_against_the_node_limit(tmp_path, loop
 
 @pytest.mark.parametrize("limit,code", [(129, 2), (130, 0)])
 def test_buchi_compare_runs_out_before_its_header(tmp_path, loop_file, capsys, limit, code):
-    # both cut graphs are built before the first report line, so the
-    # lasso walk, which stops at its witness, never runs out mid-report
+    # both cut graphs are built, and the lasso walk run, before the first
+    # report line, so running out of nodes prints no partial report
     out = tmp_path / "b.pera"
     assert main(["encode", str(loop_file), "--variant", "buchi", "-o", str(out)]) == 0
     capsys.readouterr()
@@ -219,6 +219,28 @@ def test_buchi_compare_runs_out_before_its_header(tmp_path, loop_file, capsys, l
         assert captured.err == f"resource exhaustion: zone graph exceeded {limit} nodes\n"
     else:
         assert "verdict: differs; lassos witness [a_1 a_1 | a_1] only on the A side" in captured.out
+
+
+@pytest.mark.parametrize("limit,code", [(200, 2), (1853, 2), (1854, 0)])
+def test_buchi_compare_and_lang_share_the_cycle_word_bound(tmp_path, loop_file, capsys,
+                                                          limit, code):
+    # p = 0 at k = 10 holds 1,854 distinct cycle words behind its 3,911
+    # lassos; compare of an equal pair reads every level, so it holds them
+    # as lang does, and runs out at the same limit, before its header
+    out = tmp_path / "b.pera"
+    assert main(["encode", str(loop_file), "--variant", "buchi", "-o", str(out)]) == 0
+    flags = ["--semantics", "buchi", "-k", "10", "--node-limit", str(limit)]
+    for argv, line in ((["lang", str(out), "-p", "p=0"], "lassos: 3911"),
+                       (["compare", str(out), "-p", "p=0", "-p", "p=0"], "A: lassos: 3911")):
+        capsys.readouterr()
+        assert main(argv + flags) == code
+        captured = capsys.readouterr()
+        if code == 2:
+            assert captured.out == ""
+            assert captured.err == (
+                f"resource exhaustion: lasso listing exceeded {limit} distinct cycle words\n")
+        else:
+            assert line in captured.out.splitlines()
 
 
 def test_lang_deterministic(wrapped_loop_file, capsys):
@@ -432,6 +454,22 @@ def test_compare_deep_witness_without_enumeration(wrapped_loop_file, capsys):
     assert ("verdict: differs; maximal finite witness "
             "[a_1 a_1 a_z a_2 a_t a_t a_z a_1 a_2 a_t] only on the B side") in out
     assert dt < 20
+
+
+@pytest.mark.parametrize("argv,side", [
+    (["compare", "PERA", "-p", "p=0", "-p", "p=3"], "B"),
+    (["theorem-check", "MACHINE", "--values", "1,3"], "p=3"),
+], ids=["compare", "theorem-check"])
+def test_word_counts_past_the_digit_limit_print_their_size(wrapped_loop_file, loop_file, capsys,
+                                                           argv, side):
+    # at k = 20000 a side has about 2^40000 prefix words, more digits
+    # than Python turns into a string
+    argv = [{"PERA": str(wrapped_loop_file), "MACHINE": str(loop_file)}.get(a, a) for a in argv]
+    assert main(argv + ["-k", "20000"]) == 0
+    out = capsys.readouterr().out
+    assert "prefix words: <40001-bit number>" in out
+    assert ("verdict: differs; maximal finite witness "
+            f"[a_1 a_1 a_z a_2 a_t a_t a_z a_1 a_2 a_t] only on the {side} side\n") in out
 
 
 def test_compare_negative_value_names_the_parameter(wrapped_loop_file, capsys):

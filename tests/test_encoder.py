@@ -164,6 +164,14 @@ def test_build_dispatch():
         build(inc3(), "nonsense")
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("name", sorted(BENCHMARKS))
+def test_equal_guards_are_one_object(name, variant):
+    # `Pera.valuate` maps guards by identity, so it maps each distinct one once
+    edges = build(BENCHMARKS[name](), variant).edges
+    assert len({id(e.guard) for e in edges}) == len({e.guard for e in edges})
+
+
 # -- schedules -----------------------------------------------------------------------
 
 

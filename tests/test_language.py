@@ -25,7 +25,7 @@ from test_cli import LANG_ENCODING
 from test_encoder import machines
 from wordsets import (
     ExplorationConfig, LanguageSample, compare as compare_sets, compare_lassos, enumerate_language,
-    lassos, lassos_text,
+    lasso_union, lassos, lassos_text,
 )
 
 
@@ -427,19 +427,26 @@ def test_lasso_walk_matches_set_diff(make):
                 walks = Lassos(va, depth), Lassos(vb, depth)
                 sets = [plain_lasso_search(*t, depth) for t in tables]
                 for walk, want in zip(walks, sets):
-                    assert frozenset().union(*walk.levels()) == want, (pa, pb, depth)
+                    levels = list(walk.levels())
+                    for d, level in enumerate(levels):   # stems of d actions, none without a cycle
+                        assert all(len(stem) == d and cycles for stem, cycles in level.items()), d
+                    assert lasso_union(levels) == want, (pa, pb, depth)
                     assert listed(walk) == (len(want), lassos_text(want)), (pa, pb, depth)
                 assert compare(*walks, depth) == compare_lassos(*sets), (pa, pb, depth)
 
 
 class GivenLevels(Lassos):
-    """A lasso walk over levels given by hand."""
+    """A lasso walk over levels given by hand, each a set of lassos."""
 
     def __init__(self, *levels):
-        self._given = [frozenset(level) for level in levels]
+        self._given = levels
 
     def levels(self):
-        yield from self._given
+        for given in self._given:
+            level = {}
+            for stem, cyc in given:
+                level.setdefault(stem, set()).add(cyc)
+            yield level
 
 
 @pytest.mark.parametrize("first,later", [

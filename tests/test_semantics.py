@@ -10,18 +10,16 @@ from hypothesis import given, seed, settings, strategies as st
 from peralab.core import Atom, Edge, ModelError, Pera
 from peralab.encoder import VARIANTS, build, encode_core
 from peralab.language import Determinized, Lassos
-from peralab import semantics as S
 from peralab.semantics import (
     Analyzer,
     ResourceExhausted,
     ZoneGraph,
-    guard_zone,
     zone_graph,
 )
 from peralab import zones as Z
 
 import gridoracle as G
-from boxes import compile_box
+from boxes import compile_box, guard_zone
 from machines import inc3, load, loop
 from replay import SimulationError, concrete_simulate, guard_holds
 from schedule import derive_schedule
@@ -286,9 +284,9 @@ INVARIANT = object()
 
 def recorded_zone_builds(monkeypatch):
     """Record each zone `zones.from_constraints` builds, as (where, zone): where is INVARIANT
-    under `semantics.guard_zone`, else the location `Analyzer.blocking_subset` is at, or None."""
+    under `Analyzer.inv_zone`, else the location `Analyzer.blocking_subset` is at, or None."""
     built, at = [], [None]
-    from_constraints, guard_zone_, blocking_subset = Z.from_constraints, S.guard_zone, Analyzer.blocking_subset
+    from_constraints, inv_zone, blocking_subset = Z.from_constraints, Analyzer.inv_zone, Analyzer.blocking_subset
 
     def inside(where, f, *args):
         at.append(where)
@@ -302,7 +300,7 @@ def recorded_zone_builds(monkeypatch):
         return built[-1][1]
 
     monkeypatch.setattr(Z, "from_constraints", record)
-    monkeypatch.setattr(S, "guard_zone", lambda guard, clocks: inside(INVARIANT, guard_zone_, guard, clocks))
+    monkeypatch.setattr(Analyzer, "inv_zone", lambda self, loc: inside(INVARIANT, inv_zone, self, loc))
     monkeypatch.setattr(Analyzer, "blocking_subset", lambda self, s: inside(s[0], blocking_subset, self, s))
     return built
 
@@ -317,10 +315,13 @@ def bundled_valuations():
 
 @pytest.mark.parametrize("a", bundled_valuations())
 def test_zones_are_built_only_where_read(a, monkeypatch):
-    """Moves build no zone, a Büchi lasso search builds only invariant zones, and a
-    maximal word walk builds the fire zones of a location's moves in order, each once."""
+    """Invariant zones are `guard_zone`'s, moves build no zone, a Büchi lasso search builds
+    only invariant zones, and a maximal word walk builds the fire zones of a location's
+    moves in order, each once."""
     ana = Analyzer(a)
     fires = {loc: [f for e in ana.edges_from[loc] if (f := fire_zone(ana, e))] for loc in a.locations}
+    for loc in a.locations:
+        assert ana.inv_zone(loc) == guard_zone(a.invariant(loc), ana.clocks), loc
     built = recorded_zone_builds(monkeypatch)
     for loc in a.locations:
         ana.moves(loc)

@@ -5,19 +5,20 @@
 one per observed set, by its own word-by-word breadth-first search over
 `Determinized.step` and `Determinized.flagged`, and `compare` diffs two
 such samples set by set and reports the shortest, lexicographically
-least word on one side only.  `lassos` is the lasso set, the union of
-`Lassos.levels()`, `lassos_text` spells it one sorted line per lasso,
-and `compare_lassos` diffs two lasso sets the same way.  This is the
-brute-force view that `Determinized.counts`, the product walk and the
-lasso walk in `peralab.language.compare`, the word walk of `peralab
-lang` and its lasso listing are checked against; nothing in `src` uses
-it.
+least word on one side only.  `lasso_union` turns lasso levels, each
+stem with its cycle words as `Lassos.levels()` yields them, into one
+lasso set, `lassos` is that set for a whole walk, `lassos_text` spells
+it one sorted line per lasso, and `compare_lassos` diffs two lasso sets
+the same way.  This is the brute-force view that `Determinized.counts`,
+the product walk and the lasso walk in `peralab.language.compare`, the
+word walk of `peralab lang` and its lasso listing are checked against;
+nothing in `src` uses it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from typing import Iterable
 
 from peralab.core import ModelError
 from peralab.language import (
@@ -26,12 +27,17 @@ from peralab.language import (
 from peralab.semantics import NODE_LIMIT
 
 
+def lasso_union(levels: Iterable[dict[Word, set[Word]]]) -> frozenset[Lasso]:
+    """Every (stem, cycle) pair of `levels`, each a map from stems to their cycle words."""
+    return frozenset((stem, cyc) for level in levels for stem, cycles in level.items() for cyc in cycles)
+
+
 def lassos(a, k: int, node_limit: int = NODE_LIMIT) -> frozenset[Lasso]:
     """Every lasso of `Lassos(a, k, node_limit)`: the union of its levels.
 
     The levels are read one at a time, so only one is held beside the union.
     """
-    return frozenset(chain.from_iterable(Lassos(a, k, node_limit).levels()))
+    return lasso_union(Lassos(a, k, node_limit).levels())
 
 
 def lassos_text(found: frozenset[Lasso]) -> str:
