@@ -76,9 +76,8 @@ def _valuate(a: Pera, flags: list[str | None]):
             if x < 0:
                 raise ModelError(f"parameter {name!r} must be a nonnegative rational")
     scale = math.lcm(*(x.denominator for vals in valuations for x in vals.values()))
-    scaled = a.rescale(scale) if scale != 1 else a
     return scale, valuations, [
-        scaled.valuate({name: int(x * scale) for name, x in vals.items()}) for vals in valuations
+        a.valuate({name: int(x * scale) for name, x in vals.items()}, scale) for vals in valuations
     ]
 
 

@@ -207,8 +207,9 @@ class Pera:
 
     # -- parameter substitution ---------------------------------------
 
-    def valuate(self, values: Mapping[str, int]) -> "Pera":
-        """Return the concrete automaton under integer parameter values.
+    def valuate(self, values: Mapping[str, int], scale: int = 1) -> "Pera":
+        """Return the concrete automaton under integer parameter values, every constant of the
+        automaton multiplied by `scale` first, as `rescale(scale).valuate(values)` gives it.
 
         Edges whose guard contains an unsatisfiable atom are dropped:
         they could never fire.  An atom that becomes trivially true (a
@@ -216,6 +217,8 @@ class Pera:
         the stand-in `x >= 0`; an unsatisfiable invariant atom is an
         error because it would silence a whole location.
         """
+        if scale <= 0:
+            raise ModelError("scale factor must be positive")
         for p in self.parameters:
             if p not in values:
                 raise ModelError(f"missing value for {p!r}")
@@ -224,6 +227,8 @@ class Pera:
                 raise ModelError(f"parameter {p!r} must be a nonnegative integer")
 
         def valued(g: Guard) -> Guard:
+            if scale != 1:
+                g = tuple(Atom(a.clock, a.rel, a.offset * scale, a.param) for a in g)
             return tuple(a.valuate(values) for a in g) if any(a.param is not None for a in g) else g
 
         return self._map_guards(valued, parameters=())

@@ -17,14 +17,15 @@ gives the number of prefix and flagged words of length <= k by a
 level-by-level count, without materializing a word.
 `Determinized.lines` is the one word walk, for `lang` to print:
 breadth first, in (length, word) order, it yields whole report lines,
-in blocks built by one join of a stored word's text with its set's
-memoized tails.  Only one level in two is stored: each stored word
-yields one block of its children's lines, then (after every stored
-word's children) one of its grandchildren's, and the grandchildren are
-the next stored level.  Its flagged filter enters a set only if a
-flagged set is reachable from it within the steps left, read backwards
-off the tables `counts` built, so listing a few flagged words among
-many prefix words skips the rest of the tree.  `compare` on two
+in blocks built by one join.  Each set's sorted suffix lines of r
+actions are built from its successors' and memoized for the whole
+walk, for r up to a stride S that the alphabet sets (b^S <= 256 for b
+actions).  The words of each length up to S are one block; a longer
+word is a stored prefix followed by one of its set's suffixes of S
+actions, one block per prefix.  Its flagged filter enters a set only
+if a flagged set is reachable from it within the steps left, read
+backwards off the tables `counts` built, so listing a few flagged
+words among many prefix words skips the rest of the tree.  `compare` on two
 determinized automata walks pairs of sets breadth first, up to k, and
 returns the shortest, lexicographically least distinguishing word.
 
@@ -101,6 +102,11 @@ class Determinized:
         self._trans: dict[States, dict[str, States]] = {}
         self._sets: dict[States, States] = {self.start: self.start}
         self._flags: dict[States, bool] = {}
+        # `lines`' stride: the most actions S with b^S <= 256, for b actions but at least 2,
+        # and at least 1
+        b, self.stride = max(len(a.actions), 2), 1
+        while b ** (self.stride + 1) <= 256:
+            self.stride += 1
 
     def step(self, states: States) -> dict[str, States]:
         table = self._trans.get(states)
@@ -165,74 +171,66 @@ class Determinized:
         A line is the word's actions joined by spaces, then a newline.
         Actions are taken in sorted order, so the lines come sorted by
         (length, word).  The lines are yielded whole, in blocks, and no
-        block is empty: the empty word's line alone, then per stored
-        level two passes over its words.  The first yields, per stored
-        word, one block of its shown children's lines; the second, per
-        stored word, one block of its shown grandchildren's lines, and
-        stores its kept grandchildren as the next level.  So one level
-        in two is stored (lengths 0, 2, 4, ...), and the last level is
-        yielded but never stored.  Each stored word keeps its text
-        followed by a space, and one memo entry per distinct set of the
-        level holds three lists: the shown children as tails (the action
-        and a newline), the shown grandchildren reached through kept
-        children as tails (two actions, a space between them, and a
-        newline), and the kept grandchildren as tails (two actions, each
-        followed by a space) with their sets.  A block is one join: the
-        text, then the tails with the text between them.
+        block is empty.  `tails(states, r)` is the sorted list of a set's
+        suffix lines of r actions (each followed by a space, the last by
+        a newline), built from its successors' `tails(·, r - 1)` and
+        memoized for the whole walk.  With S the stride (`stride`), the
+        words of each length n <= S are one block, the start's tails
+        joined.  A longer word is a prefix of n - S actions and a tail of
+        S: the prefixes of one length are stored, with their text and
+        set, and each yields one block, its text followed by the set's
+        tails of S with the text between them.  So one join makes up to
+        b^S <= 256 lines, for b actions.
 
-        Memory: for b actions, a distinct set holds at most b + 2b²
-        memoized entries.  In the worst case, every stored word in its
-        own set, that is as many short tails as the grandchildren level
-        has words, where a walk storing every level would hold the
-        children level as full texts.  The walk steps only sets below
-        depth k, so after `counts(k)` it creates no new set.
+        Memory: per distinct set and r <= S, at most b^r tails of r
+        actions, so at most 1 + b + ... + b^S <= 2 * 256 - 1 per set, and
+        the stored prefix level holds at most b^(k - S) texts, where a
+        walk storing every level would hold b^k.  The walk steps only
+        sets below depth k, so after `counts(k)` it creates no new set.
 
         With `flagged`, only the flagged words are listed, and a set is
         entered with r steps left only if it reaches a flagged set
-        within r steps (`_flag_horizon`): `keep` and `show` apply at
-        both levels, with `left` and `left - 1` steps left.
+        within r steps (`_flag_horizon`): that prunes both the prefixes
+        and the tails, whose content it leaves as it is.
         """
         near = self._flag_horizon(k) if flagged else None
 
         def keep(states: States, left: int) -> bool:
             return near is None or states in near[min(left, len(near) - 1)]
 
-        def show(states: States) -> bool:
-            return near is None or self.flagged(states)
+        memo: dict[tuple[States, int], list[str]] = {}
+
+        def tails(states: States, r: int) -> list[str]:
+            out = memo.get((states, r))
+            if out is None:
+                if not r:
+                    out = ["\n"] if keep(states, 0) else []
+                else:
+                    out = []
+                    for act, t in self.step(states).items():
+                        if keep(t, r - 1):
+                            head = act + " " if r > 1 else act
+                            out += [head + tail for tail in tails(t, r - 1)]
+                memo[(states, r)] = out
+            return out
 
         if not keep(self.start, k):
             return
-        if show(self.start):
-            yield "\n"
-        level, left = [("", self.start)], k - 1   # left: steps left below the children's level
-        while level and left >= 0:
-            moves: dict[States, tuple[list[str], list[str], list[tuple[str, States]]]] = {}
+        stride = self.stride
+        for n in range(min(k, stride) + 1):
+            block = tails(self.start, n)
+            if block:
+                yield "".join(block)
+        level = [("", self.start)]   # the prefixes of n - stride actions, as texts and sets
+        left = k - 1                 # steps left below the next level's prefixes
+        while level and left >= stride:
+            level = [(text + act + " ", t) for text, states in level
+                     for act, t in self.step(states).items() if keep(t, left)]
             for text, states in level:
-                move = moves.get(states)
-                if move is None:
-                    kids: list[str] = []
-                    tails: list[str] = []
-                    kept: list[tuple[str, States]] = []
-                    for act, t in self.step(states).items():
-                        if show(t):
-                            kids.append(act + "\n")
-                        if left and keep(t, left):
-                            for act2, u in self.step(t).items():
-                                if show(u):
-                                    tails.append(act + " " + act2 + "\n")
-                                if left > 1 and keep(u, left - 1):
-                                    kept.append((act + " " + act2 + " ", u))
-                    move = moves[states] = (kids, tails, kept)
-                if move[0]:   # else the join would print the bare parent text
-                    yield text + text.join(move[0])
-            nxt: list[tuple[str, States]] = []
-            for text, states in level:
-                _, tails, kept = moves[states]
-                if tails:
-                    yield text + text.join(tails)
-                for tail, u in kept:
-                    nxt.append((text + tail, u))
-            level, left = nxt, left - 2
+                block = tails(states, stride)
+                if block:
+                    yield text + text.join(block)
+            left -= 1
 
 
 class Lassos:
@@ -317,7 +315,7 @@ class Lassos:
                     level.setdefault(stems[c0], set()).update(map(rotate, words))
                     if rotate.cache_info().currsize > self.node_limit:
                         raise ResourceExhausted(
-                            f"lasso listing exceeded {self.node_limit} distinct cycle words"
+                            f"lasso walk exceeded {self.node_limit} distinct cycle words"
                         )
             yield level
 

@@ -5,9 +5,10 @@ The analyzer answers "where does edge e fire" with one box per edge
 reset), and "from where can e be waited for" with its wait zone.
 `Analyzer` builds both per location on first use: its moves (action,
 target and each clock's tightest bounds for `zones.post`, read off
-the atoms), and for blocking only the fire zones and wait zones, as
-needed.  A discrete successor is delay-closed and widened, and the
-widening is skipped when it could not change the step's result.  With
+the atoms), and for blocking only the wait zones, as needed, each in
+closed form from its move's bounds.  A discrete successor is
+delay-closed and widened, and the widening is skipped when it could
+not change the step's result.  With
 `free_inactive` it also frees the clocks inactive at its target, which
 keeps the untimed language and which states block (fire and wait zones
 read only active clocks).  Blocking states (concrete states from which
@@ -66,7 +67,9 @@ class Analyzer:
     or not, fits a zone bound.  Locations whose invariant is
     unsatisfiable are legal (they are simply uninhabitable); an edge
     whose guard is unsatisfiable never fires.  Tables are filled per
-    location on first use; only `initial` and blocking build zones.
+    location on first use; only `initial` builds a zone from atoms (the
+    initial invariant's), and blocking builds one wait zone per move
+    from the move's box.
     """
 
     def __init__(self, a: Pera, free_inactive: bool = False):
@@ -91,11 +94,9 @@ class Analyzer:
         # per location, the clocks a step into it frees (none without `free_inactive`)
         active = self.active_clocks() if free_inactive else dict.fromkeys(a.locations, self.clocks)
         self.freed = {loc: tuple(c for c in self.clocks if c not in act) for loc, act in active.items()}
-        # per location, filled on first use: the moves, the invariant zone,
-        # and the wait zones of the moves' fire zones, None when empty
+        # per location, filled on first use: the moves, and their wait zones in move order
         self._moves: dict[str, tuple[Move, ...]] = {}
-        self._inv: dict[str, Z.Dbm | None] = {}
-        self._waits: dict[str, list[Z.Dbm | None]] = {}
+        self._waits: dict[str, list[Z.Dbm]] = {}
         # zones the widening rebuilt, whose entries may lie past ±max_const
         self._loose: set[Z.Dbm] = set()
 
@@ -115,10 +116,8 @@ class Analyzer:
     # -- symbolic steps ------------------------------------------------
 
     def inv_zone(self, loc: str) -> Z.Dbm | None:
-        if loc not in self._inv:
-            cons = [c for i, lo, hi in self.inv_bounds.get(loc, ()) for c in ((0, i, lo), (i, 0, hi))]
-            self._inv[loc] = Z.from_constraints(self.clocks, cons)
-        return self._inv[loc]
+        cons = [c for i, lo, hi in self.inv_bounds.get(loc, ()) for c in ((0, i, lo), (i, 0, hi))]
+        return Z.from_constraints(self.clocks, cons)
 
     def initial(self) -> Sym:
         inv = self.inv_zone(self.automaton.initial)
@@ -203,18 +202,18 @@ class Analyzer:
         that can wait (inside the invariant) until the move's fire
         zone.  What remains blocks, as disjoint pieces; none when
         nothing does.  The wait zones of a location are built in move
-        order as far as some call has needed them, None when empty,
-        each from its fire zone, the move's box closed.
+        order as far as some call has needed them, each in closed form
+        by `Z.wait_zone` from the move's box and the lower bounds of the
+        location's invariant; a move's box lies inside that invariant,
+        so no wait zone is empty.
         """
         loc, zone = s
         waits = self._waits.setdefault(loc, [])
         pieces: tuple[Z.Dbm, ...] = (zone,)
         for i, (_, _, (lows, ups, _, _)) in enumerate(self.moves(loc)):
             if i == len(waits):
-                box = [(0, k, b) for k, b in lows] + [(k, 0, b) for k, b in ups]
-                waits.append(Z.time_pred(Z.from_constraints(self.clocks, box), self.inv_zone(loc)))
-            if waits[i] is None:
-                continue
+                inv_lows = [(k, lo) for k, lo, _ in self.inv_bounds.get(loc, ())]
+                waits.append(Z.wait_zone(self.clocks, lows, ups, inv_lows))
             pieces = tuple(q for p in pieces for q in Z.subtract(p, waits[i]))
             if not pieces:
                 break

@@ -20,8 +20,9 @@ Every matrix is canonical by construction, in O(n²) per constraint:
 `up`, `down`, `reset` and `free` rewrite a row or column of a canonical matrix,
 `from_constraints` closes a box (the shape of every guard and
 invariant) in closed form, `post` closes its one matrix through the
-reference node, and every other constraint is added to a canonical
-matrix with `_tighten`.
+reference node, `wait_zone` writes a box's past within an invariant in
+closed form, and every other constraint is added to a canonical matrix
+with `_tighten`.
 """
 
 from __future__ import annotations
@@ -362,6 +363,35 @@ def subtract(a: Dbm, b: Dbm) -> tuple[Dbm, ...]:
             if not _tighten(meet, n, i, j, bb):
                 return (a,)
     return tuple(pieces)
+
+
+def wait_zone(clocks: Sequence[str], lows, ups, inv_lows: Iterable[tuple[int, int]]) -> Dbm:
+    """`time_pred(b, inv)` in closed form, for `lows` and `ups` the `Box` bounds of a non-empty
+    box b inside the box `inv`, whose lower bounds are `inv_lows`, as (index, entry (0, index)).
+
+    Waiting keeps every difference of clocks, so entry (i, j) stays b's
+    u_i ⊕ l_j and (i, 0) b's u_i.  Only row 0 changes: waiting back
+    erases b's lower bounds and `inv` puts its own ilow_k back, so a
+    shortest 0 -> k path is that arc or 0 -> j -> 0 -> k through a
+    finite upper bound of b, ilow_j ⊕ u_j ⊕ l_k (Bengtsson & Yi, 2004).
+    Never empty: it contains b.
+    """
+    n = len(clocks) + 1
+    low = [LE_ZERO] * n
+    for k, b in lows:
+        low[k] = b
+    m = [INF] * (n * n)
+    m[:n] = [LE_ZERO] * n
+    for k, b in inv_lows:
+        if b < m[k]:
+            m[k] = b
+    ilow = m[:n]
+    for j, u in ups:
+        m[j * n:(j + 1) * n] = [u + l - ((u | l) & 1) for l in low]
+        s = ilow[j] + u - ((ilow[j] | u) & 1)      # 0 -> j -> 0
+        m[:n] = [r if r <= (v := s + l - ((s | l) & 1)) else v for r, l in zip(m[:n], low)]
+    m[::n + 1] = [LE_ZERO] * n
+    return Dbm(clocks, m)
 
 
 def time_pred(target: Dbm, within: Dbm) -> Dbm | None:

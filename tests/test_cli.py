@@ -199,7 +199,7 @@ def test_buchi_lang_counts_its_cycle_words_against_the_node_limit(tmp_path, loop
     if code == 2:
         assert captured.out == ""
         assert captured.err == (
-            f"resource exhaustion: lasso listing exceeded {limit} distinct cycle words\n")
+            f"resource exhaustion: lasso walk exceeded {limit} distinct cycle words\n")
     else:
         assert "lassos: 586" in captured.out.splitlines()
 
@@ -238,7 +238,7 @@ def test_buchi_compare_and_lang_share_the_cycle_word_bound(tmp_path, loop_file, 
         if code == 2:
             assert captured.out == ""
             assert captured.err == (
-                f"resource exhaustion: lasso listing exceeded {limit} distinct cycle words\n")
+                f"resource exhaustion: lasso walk exceeded {limit} distinct cycle words\n")
         else:
             assert line in captured.out.splitlines()
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from peralab import core
+from peralab import core, zones as Z
 from peralab.core import (
     Atom,
     Edge,
@@ -19,6 +19,7 @@ from peralab.core import (
     parse_valuation,
 )
 from peralab.encoder import VARIANTS, build
+from peralab.semantics import Analyzer
 
 from machines import load, loop
 
@@ -220,6 +221,36 @@ def test_rescale_multiplies_offsets():
     assert b.edges[0].guard[0].offset == 3
     assert b.invariant("l0")[0].offset == 0
     assert b.max_constant() == max(3, a.max_constant() * 3)
+
+
+def valuated_or_error(valuate):
+    """The valuated automaton, or the type and text of the `ModelError` that valuating or
+    building its `Analyzer` (which checks every constant against `MAX_BOUND`) raises."""
+    try:
+        va = valuate()
+        Analyzer(va)
+        return va
+    except ModelError as e:
+        return type(e), str(e)
+
+
+def test_valuate_with_a_scale_is_rescale_then_valuate():
+    # every bundled encoding, and one whose invariant `x <= p-2` is unsatisfiable at p < 2/s
+    automata = [build(load(name), variant) for name in ("loop", "inc3", "halt") for variant in VARIANTS]
+    automata.append(tiny_automaton(invariants={"l1": (Atom("x", "<=", -2, "p"),)}))
+    seen = set()
+    for a in automata:
+        for scale in (1, 2, 3, 6):
+            for p in (0, 1, 2, 5, Z.MAX_BOUND, Z.MAX_BOUND + 1):
+                got = valuated_or_error(lambda: a.valuate({"p": p}, scale=scale))
+                assert got == valuated_or_error(lambda: a.rescale(scale).valuate({"p": p})), (scale, p)
+                seen.add(got[0] if isinstance(got, tuple) else Pera)
+    assert seen == {Pera, UnsatisfiableAtom, ModelError}
+
+
+def test_valuate_rejects_a_scale_below_one():
+    with pytest.raises(ModelError, match="scale factor must be positive"):
+        tiny_automaton().valuate({"p": 1}, scale=0)
 
 
 def test_max_constant_covers_guards_and_invariants():

@@ -1,5 +1,6 @@
 """Bounded untimed-language observation and comparison."""
 
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import product
@@ -97,34 +98,79 @@ def reference_lines(words) -> str:
     return "".join(" ".join(w) + "\n" for w in sorted(words, key=lambda w: (len(w), w)))
 
 
+def level_lines(det, k: int) -> dict[bool, list[str]]:
+    """Per listing (flagged or not) and length n <= k, the lines of its words of length n,
+    built word by word."""
+    out, level = {False: [], True: []}, [("", det.start)]
+    for n in range(k + 1):
+        out[False].append("".join(text + "\n" for text, _ in level))
+        out[True].append("".join(text + "\n" for text, s in level if det.flagged(s)))
+        if n < k:
+            level = [(f"{text} {act}" if text else act, t) for text, s in level for act, t in det.step(s).items()]
+    return out
+
+
 @pytest.mark.parametrize("semantics", ["maximal", "reach", "safety"])
 @pytest.mark.parametrize("machine", [loop, inc3, trivial], ids=["loop", "inc3", "halt"])
 @pytest.mark.parametrize("p", [Fraction(0), Fraction(2), Fraction(1, 2)], ids=str)
 def test_lines_yields_whole_lines_in_blocks(machine, semantics, p):
-    """Every chunk is whole lines, and together they are the reference word set."""
+    """Every chunk is whole lines, and together they are the reference word set.
+
+    On `loop`, whose four actions give a stride of 4, the depth goes past
+    two strides, so some words have a prefix longer than their tail.
+    """
     a = build(machine(), LANG_ENCODING[semantics])
     va = a.rescale(p.denominator).valuate({"p": p.numerator})
-    for k in range(6):
-        ref = enumerate_language(va, cfg(k), semantics)
-        flagged = ref.maximal_finite_words if semantics == "maximal" else ref.accepted_words
+    depth = 9 if machine is loop else 5
+    ref = enumerate_language(va, cfg(5), semantics)
+    flagged = ref.maximal_finite_words if semantics == "maximal" else ref.accepted_words
+    per_length = level_lines(Determinized(va, semantics), depth)
+    assert "".join(per_length[False][:6]) == reference_lines(ref.prefix_words)
+    assert "".join(per_length[True][:6]) == reference_lines(flagged)
+    for k in range(depth + 1):
         det = Determinized(va, semantics)
-        for chunks, words in ((det.lines(k), ref.prefix_words),
-                              (det.lines(k, flagged=True), flagged)):
-            chunks = list(chunks)
+        for shown in (False, True):
+            chunks = list(det.lines(k, flagged=shown))
             assert all(chunk.endswith("\n") for chunk in chunks)   # so none is empty
-            assert "".join(chunks) == reference_lines(words)
+            assert "".join(chunks) == "".join(per_length[shown][:k + 1])
 
 
-def test_lines_yields_two_blocks_per_stored_word(loop2):
-    """The empty word's line, then two blocks per word of an even length below the depth.
+def test_lines_yields_a_block_per_short_length_and_per_prefix(loop2):
+    """One block per length up to the stride, then one per prefix of n - stride actions.
 
-    One level in two is stored: the words of length 0, 2, 4 and 6 each
-    yield a block of their children's lines and one of their
-    grandchildren's, and the 16,384 words of length 7 are never stored.
+    `loop` has four actions, so the stride is 4: the words of length 0
+    to 4 are five blocks, and each of the 4 + 16 + 64 + 256 prefixes of
+    1 to 4 actions yields one block of its 256 words of 5 to 8 actions.
+    The memo holds, per set and r <= 4, at most 4^r tails of r actions.
     """
-    chunks = list(Determinized(loop2, "maximal").lines(8))
-    assert len(chunks) == 1 + 2 * (1 + 16 + 256 + 4_096) == 8_739
+    det = Determinized(loop2, "maximal")
+    assert det.stride == 4
+    walk = det.lines(8)
+    chunks = []
+    for chunk in walk:
+        chunks.append(chunk)
+        memo = walk.gi_frame.f_locals["memo"]   # the walk's, while it is suspended
+    assert len(chunks) == 5 + 4 + 16 + 64 + 256 == 345
+    assert [chunk.count("\n") for chunk in chunks[5:]] == [256] * 340
     assert sum(chunk.count("\n") for chunk in chunks) == (4 ** 9 - 1) // 3 == 87_381
+    held = Counter()
+    for (states, r), tails in memo.items():
+        assert r <= 4 and len(tails) <= 4 ** r
+        held[states] += len(tails)
+    assert set(held) <= set(det._sets)
+    assert max(held.values()) <= 1 + 4 + 16 + 64 + 256
+
+
+@pytest.mark.parametrize("actions,stride", [(1, 8), (2, 8), (3, 5), (4, 4), (6, 3), (16, 2), (17, 1), (300, 1)])
+def test_stride_is_the_most_actions_within_256_tails(actions, stride):
+    a = Pera(
+        actions=tuple((f"a{i}", f"x{i}") for i in range(actions)),
+        parameters=(),
+        locations=("u",),
+        initial="u",
+        edges=(Edge("u", (), "a0", "u"),),
+    )
+    assert Determinized(a, "safety").stride == stride
 
 
 @pytest.mark.parametrize("accepting,parity", [("u", 0), ("v", 1)])

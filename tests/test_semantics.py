@@ -1,6 +1,7 @@
 """Zone exploration, blocking detection, and concrete replay."""
 
 import itertools
+import random
 from fractions import Fraction
 from functools import cache
 
@@ -24,6 +25,7 @@ from machines import inc3, load, loop
 from replay import SimulationError, concrete_simulate, guard_holds
 from schedule import derive_schedule
 from test_encoder import machines
+from test_reduced_graph import random_era
 from wordsets import ExplorationConfig, enumerate_language
 
 
@@ -283,10 +285,11 @@ INVARIANT = object()
 
 
 def recorded_zone_builds(monkeypatch):
-    """Record each zone `zones.from_constraints` builds, as (where, zone): where is INVARIANT
-    under `Analyzer.inv_zone`, else the location `Analyzer.blocking_subset` is at, or None."""
+    """Record each zone `zones.from_constraints` or `zones.wait_zone` builds, as (where, builder,
+    zone): where is INVARIANT under `Analyzer.inv_zone`, else the location
+    `Analyzer.blocking_subset` is at, or None."""
     built, at = [], [None]
-    from_constraints, inv_zone, blocking_subset = Z.from_constraints, Analyzer.inv_zone, Analyzer.blocking_subset
+    inv_zone, blocking_subset = Analyzer.inv_zone, Analyzer.blocking_subset
 
     def inside(where, f, *args):
         at.append(where)
@@ -295,11 +298,14 @@ def recorded_zone_builds(monkeypatch):
         finally:
             at.pop()
 
-    def record(clocks, cons):
-        built.append((at[-1], from_constraints(clocks, cons)))
-        return built[-1][1]
+    def recorder(f):
+        def record(*args):
+            built.append((at[-1], f.__name__, f(*args)))
+            return built[-1][2]
+        return record
 
-    monkeypatch.setattr(Z, "from_constraints", record)
+    for f in (Z.from_constraints, Z.wait_zone):
+        monkeypatch.setattr(Z, f.__name__, recorder(f))
     monkeypatch.setattr(Analyzer, "inv_zone", lambda self, loc: inside(INVARIANT, inv_zone, self, loc))
     monkeypatch.setattr(Analyzer, "blocking_subset", lambda self, s: inside(s[0], blocking_subset, self, s))
     return built
@@ -313,13 +319,20 @@ def bundled_valuations():
                                    id=f"{name}-{variant}-{p}/{scale}")
 
 
+def reference_waits(ana, loc):
+    """The wait zones of `loc`'s moves, in move order: `time_pred` of each firing edge's
+    `fire_zone` within the `guard_zone` of the invariant."""
+    inv = guard_zone(ana.automaton.invariant(loc), ana.clocks)
+    return [Z.time_pred(f, inv) for e in ana.edges_from[loc] if (f := fire_zone(ana, e))]
+
+
 @pytest.mark.parametrize("a", bundled_valuations())
 def test_zones_are_built_only_where_read(a, monkeypatch):
     """Invariant zones are `guard_zone`'s, moves build no zone, a Büchi lasso search builds
-    only invariant zones, and a maximal word walk builds the fire zones of a location's
-    moves in order, each once."""
+    only invariant zones, and a maximal word walk builds the initial invariant zone and the
+    wait zones of a location's moves, in move order, each at most once."""
     ana = Analyzer(a)
-    fires = {loc: [f for e in ana.edges_from[loc] if (f := fire_zone(ana, e))] for loc in a.locations}
+    waits = {loc: reference_waits(ana, loc) for loc in a.locations}
     for loc in a.locations:
         assert ana.inv_zone(loc) == guard_zone(a.invariant(loc), ana.clocks), loc
     built = recorded_zone_builds(monkeypatch)
@@ -330,14 +343,57 @@ def test_zones_are_built_only_where_read(a, monkeypatch):
         return                             # no initial state (plain at p = 0), so no walk
     if a.accepting:                        # Büchi semantics needs accepting locations
         Lassos(a, 3)
-        assert built and all(where is INVARIANT for where, _ in built)
+        assert built and all(where is INVARIANT for where, _, _ in built)
         built.clear()
     det = Determinized(a, "maximal")
     det.counts(6)
-    assert len([z for where, z in built if where is INVARIANT]) <= len(a.locations)
+    assert [where for where, f, _ in built if f == "from_constraints"] == [INVARIANT]
+    assert all(f == "wait_zone" for where, f, _ in built if where is not INVARIANT)
     for loc in a.locations:
-        at_loc = [z for where, z in built if where == loc]
-        assert at_loc == fires[loc][:len(at_loc)]
+        at_loc = [z for where, _, z in built if where == loc]
+        assert at_loc == waits[loc][:len(at_loc)]
+
+
+def wait_zone_valuations():
+    for name in ("loop", "inc3", "halt"):
+        for variant in VARIANTS:
+            a = build(load(name), variant)
+            for scale, p in [(1, p) for p in (0, 1, 2, 3, 5, 8)] + [(2, 1)]:   # and p = 1/2
+                yield a.rescale(scale).valuate({"p": p})
+
+
+def assert_wait_zones_in_closed_form(a, free_inactive):
+    """`Z.wait_zone` of every move's box and its source invariant's lower bounds is the
+    reference wait zone; returns the number of moves checked."""
+    ana = Analyzer(a, free_inactive)
+    checked = 0
+    for loc in a.locations:
+        inv_lows = [(k, lo) for k, lo, _ in ana.inv_bounds.get(loc, ())]
+        moves, waits = ana.moves(loc), reference_waits(ana, loc)
+        assert len(moves) == len(waits)
+        for (_, _, (lows, ups, _, _)), want in zip(moves, waits):
+            assert want is not None
+            assert Z.wait_zone(ana.clocks, lows, ups, inv_lows) == want, (loc, lows, ups, inv_lows)
+            checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("free_inactive", [False, True])
+def test_wait_zone_is_time_pred_of_the_box_on_encodings(free_inactive):
+    checked = 0
+    for a in wait_zone_valuations():
+        checked += assert_wait_zones_in_closed_form(a, free_inactive)
+    assert checked > 1000
+
+
+def test_wait_zone_is_time_pred_of_the_box_on_random_eras():
+    rng = random.Random(20261021)
+    checked = 0
+    for _ in range(400):
+        a = random_era(rng)
+        for free_inactive in (False, True):
+            checked += assert_wait_zones_in_closed_form(a, free_inactive)
+    assert checked > 1000
 
 
 # -- blocking ---------------------------------------------------------------

@@ -45,8 +45,9 @@ def module_level_names(tree: ast.Module) -> list[str]:
 
 def test_src_ships_no_test_only_code():
     # a name counts as used when `src` loads it, by name or as an
-    # attribute, or when the benchmark's tracer wraps it (`zones.up`
-    # and `zones.reset` are called only through `post` and `time_pred`)
+    # attribute, or when the benchmark's tracer wraps it (`zones.up`,
+    # `zones.reset`, `zones.down` and `zones.time_pred` are kept as the
+    # references the tracer binds by name)
     trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
     loaded = set()
     for tree in trees.values():
