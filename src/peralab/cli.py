@@ -232,7 +232,7 @@ def cmd_theorem_check(args) -> int:
     outcomes = []   # per value: "equal", "differs" or "exhausted"
     for v in values:
         label = f"p={v}"
-        scale, _, (va,) = _valuate(a, [label])
+        va = a.valuate({"p": v.numerator}, v.denominator)
         sections.append(f"-- valuation {label} --")
         try:
             with _timed(timings, f"explore {label}"):
@@ -241,8 +241,8 @@ def cmd_theorem_check(args) -> int:
             sections.append(f"resource exhaustion: {exc}")
             outcomes.append("exhausted")
             continue
-        if scale != 1:
-            sections.append(f"rescaled by {scale} to clear denominators")
+        if v.denominator != 1:
+            sections.append(f"rescaled by {v.denominator} to clear denominators")
         sections += stats
         with _timed(timings, f"compare {label}"):
             res = compare_samples(ref, s, args.depth)

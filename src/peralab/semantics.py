@@ -6,9 +6,9 @@ reset), and "from where can e be waited for" with its wait zone.
 `Analyzer` builds both per location on first use: its moves (action,
 target and each clock's tightest bounds for `zones.post`, read off
 the atoms), and for blocking only the wait zones, as needed, each in
-closed form from its move's bounds.  A discrete successor is
-delay-closed and widened, and the widening is skipped when it could
-not change the step's result.  With
+closed form from its move's bounds.  The initial state is the origin,
+checked against the initial invariant's bounds.  A discrete successor
+is delay-closed and widened, unless widening could not change it.  With
 `free_inactive` it also frees the clocks inactive at its target, which
 keeps the untimed language and which states block (fire and wait zones
 read only active clocks).  Blocking states (concrete states from which
@@ -67,9 +67,8 @@ class Analyzer:
     or not, fits a zone bound.  Locations whose invariant is
     unsatisfiable are legal (they are simply uninhabitable); an edge
     whose guard is unsatisfiable never fires.  Tables are filled per
-    location on first use; only `initial` builds a zone from atoms (the
-    initial invariant's), and blocking builds one wait zone per move
-    from the move's box.
+    location on first use; no zone is built from atoms, and blocking
+    builds one wait zone per move from the move's box.
     """
 
     def __init__(self, a: Pera, free_inactive: bool = False):
@@ -115,18 +114,15 @@ class Analyzer:
 
     # -- symbolic steps ------------------------------------------------
 
-    def inv_zone(self, loc: str) -> Z.Dbm | None:
-        cons = [c for i, lo, hi in self.inv_bounds.get(loc, ()) for c in ((0, i, lo), (i, 0, hi))]
-        return Z.from_constraints(self.clocks, cons)
-
     def initial(self) -> Sym:
-        inv = self.inv_zone(self.automaton.initial)
-        start = None if inv is None else Z.intersect(Z.origin(self.clocks), inv)
-        if start is None:
+        """The origin, inactive clocks freed; each initial invariant atom must hold at 0, as in `_move`."""
+        loc = self.automaton.initial
+        if any(min(lo, hi) < Z.LE_ZERO for _, lo, hi in self.inv_bounds.get(loc, ())):
             raise ModelError("initial invariant excludes the all-zero valuation")
-        for clock in self.freed[self.automaton.initial]:
+        start = Z.origin(self.clocks)
+        for clock in self.freed[loc]:
             start = Z.free(start, clock)
-        return (self.automaton.initial, start)
+        return (loc, start)
 
     def moves(self, loc: str) -> tuple[Move, ...]:
         """The moves out of `loc`, in edge order; compiled on first use.
@@ -230,13 +226,14 @@ class ZoneGraph:
     """Symbolic states numbered once each, with successors built on first use.
 
     States are widened, exact for diagonal-free automata such as ERAs
-    (Bouyer, FMSD 2004): the initial one by `Analyzer.widen`, the rest
-    by `Analyzer.successor`.  `succ(nid)` gives the node's successor
-    ids per action, in sorted action order, from one `successor` call
-    per move out of its location on first use; targets are numbered in
-    move order, so expanding nodes in id order numbers them breadth
-    first.  `edges` lists the expanded nodes' sorted (source, action,
-    target) triples, and `blocks(nid)` whether a node blocks.
+    (Bouyer, FMSD 2004): `Analyzer.initial`'s entries are all `LE_ZERO`
+    or `INF`, which widening keeps, and `Analyzer.successor` widens.
+    `succ(nid)` gives the node's successor ids per action, in sorted
+    action order, from one `successor` call per move out of its location
+    on first use; targets are numbered in move order, so expanding nodes
+    in id order numbers them breadth first.  `edges` lists the expanded
+    nodes' sorted (source, action, target) triples, and `blocks(nid)`
+    whether a node blocks.
     """
 
     def __init__(self, a: Pera, free_inactive: bool = False):
@@ -245,7 +242,7 @@ class ZoneGraph:
         self.node_index: dict[Sym, int] = {}
         self._succ: dict[int, dict[str, tuple[int, ...]]] = {}
         self._blocks: dict[int, bool] = {}
-        self.initial = self._intern(self.ana.widen(self.ana.initial()))
+        self.initial = self._intern(self.ana.initial())
 
     def _intern(self, s: Sym) -> int:
         nid = self.node_index.get(s)

@@ -2,9 +2,8 @@
 
 `guard_zone` is a guard's zone, from its atoms, and `compile_box` what
 `zones.post` reads of a closed box, read off its matrix: the references
-for the invariant zones and the boxes `semantics.Analyzer` builds
-straight from the atoms' bounds, and the way the zone tests hand a box
-to `post`.
+for the initial state and the boxes `semantics.Analyzer` reads straight
+off the atoms' bounds, and the way the zone tests hand a box to `post`.
 """
 
 from __future__ import annotations

@@ -164,7 +164,8 @@ def test_acceptance_7_zone_oracle():
     ok = done >= 1000 and not mismatches and dt < 60
     report(7, ok, f"{done} randomized instances against the quarter-integer "
                   f"grid on [0,{GRID_UNITS}] (refines the half-integer grid), "
-                  f"{len(mismatches)} mismatches, in {dt:.1f}s")
+                  f"{len(mismatches)} mismatches, in {dt:.1f}s"
+                  + "".join(f"; {m}" for m in mismatches[:20]))
 
 
 def test_acceptance_8_structural_counts():

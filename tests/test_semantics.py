@@ -281,20 +281,16 @@ def test_fire_zones_are_boxes(name, variant):
                     assert i == j or m[i * n + j] == via_zero, (e, fire)
 
 
-INVARIANT = object()
-
-
 def recorded_zone_builds(monkeypatch):
     """Record each zone `zones.from_constraints` or `zones.wait_zone` builds, as (where, builder,
-    zone): where is INVARIANT under `Analyzer.inv_zone`, else the location
-    `Analyzer.blocking_subset` is at, or None."""
+    zone): where is the location `Analyzer.blocking_subset` is at, or None."""
     built, at = [], [None]
-    inv_zone, blocking_subset = Analyzer.inv_zone, Analyzer.blocking_subset
+    blocking_subset = Analyzer.blocking_subset
 
-    def inside(where, f, *args):
-        at.append(where)
+    def located(self, s):
+        at.append(s[0])
         try:
-            return f(*args)
+            return blocking_subset(self, s)
         finally:
             at.pop()
 
@@ -306,8 +302,7 @@ def recorded_zone_builds(monkeypatch):
 
     for f in (Z.from_constraints, Z.wait_zone):
         monkeypatch.setattr(Z, f.__name__, recorder(f))
-    monkeypatch.setattr(Analyzer, "inv_zone", lambda self, loc: inside(INVARIANT, inv_zone, self, loc))
-    monkeypatch.setattr(Analyzer, "blocking_subset", lambda self, s: inside(s[0], blocking_subset, self, s))
+    monkeypatch.setattr(Analyzer, "blocking_subset", located)
     return built
 
 
@@ -328,13 +323,11 @@ def reference_waits(ana, loc):
 
 @pytest.mark.parametrize("a", bundled_valuations())
 def test_zones_are_built_only_where_read(a, monkeypatch):
-    """Invariant zones are `guard_zone`'s, moves build no zone, a Büchi lasso search builds
-    only invariant zones, and a maximal word walk builds the initial invariant zone and the
-    wait zones of a location's moves, in move order, each at most once."""
+    """Moves, the initial state and a Büchi lasso search build no zone with `from_constraints`
+    or `wait_zone`, and a maximal word walk builds only the wait zones of a location's moves,
+    in move order, each at most once."""
     ana = Analyzer(a)
     waits = {loc: reference_waits(ana, loc) for loc in a.locations}
-    for loc in a.locations:
-        assert ana.inv_zone(loc) == guard_zone(a.invariant(loc), ana.clocks), loc
     built = recorded_zone_builds(monkeypatch)
     for loc in a.locations:
         ana.moves(loc)
@@ -343,12 +336,10 @@ def test_zones_are_built_only_where_read(a, monkeypatch):
         return                             # no initial state (plain at p = 0), so no walk
     if a.accepting:                        # Büchi semantics needs accepting locations
         Lassos(a, 3)
-        assert built and all(where is INVARIANT for where, _, _ in built)
-        built.clear()
+        assert built == []
     det = Determinized(a, "maximal")
     det.counts(6)
-    assert [where for where, f, _ in built if f == "from_constraints"] == [INVARIANT]
-    assert all(f == "wait_zone" for where, f, _ in built if where is not INVARIANT)
+    assert built and all(f == "wait_zone" and where is not None for where, f, _ in built)
     for loc in a.locations:
         at_loc = [z for where, _, z in built if where == loc]
         assert at_loc == waits[loc][:len(at_loc)]
@@ -459,6 +450,61 @@ def test_initial_state_frees_inactive_clocks():
     a = one_loc((Edge("only", (), "a", "only"),), actions=(("a", "x"), ("b", "y")))
     assert Analyzer(a, free_inactive=True).initial() == ("only", Z.from_constraints(("x", "y"), ()))
     assert Analyzer(a).initial() == ("only", Z.origin(("x", "y")))
+
+
+def reference_initial(ana):
+    """`Analyzer.initial` the long way: the origin met with the `guard_zone` of the initial
+    invariant, then the freed clocks freed; None when the meet is empty."""
+    a = ana.automaton
+    inv = guard_zone(a.invariant(a.initial), ana.clocks)
+    start = inv and Z.intersect(Z.origin(ana.clocks), inv)
+    if start is None:
+        return None
+    for clock in ana.freed[a.initial]:
+        start = Z.free(start, clock)
+    return a.initial, start
+
+
+def assert_initial_is_reference(a, free_inactive):
+    """`initial()` is `reference_initial`'s state, which `Z.extrapolate` returns as it is and
+    the zone graph interns as its first node, or it raises the model error when that is
+    None; returns whether it raised."""
+    ana = Analyzer(a, free_inactive)
+    want = reference_initial(ana)
+    if want is None:
+        with pytest.raises(ModelError, match="^initial invariant excludes the all-zero valuation$"):
+            ana.initial()
+        return True
+    got = ana.initial()
+    assert got == want, a.to_text()
+    for max_const in (0, ana.max_const):
+        assert Z.extrapolate(got[1], max_const) is got[1]
+    assert ZoneGraph(a, free_inactive).nodes[0] == want
+    return False
+
+
+@pytest.mark.parametrize("free_inactive", [False, True])
+def test_initial_is_the_origin_met_with_the_invariant_on_encodings(free_inactive):
+    raised = []
+    for name in ("loop", "inc3", "halt"):
+        for variant in VARIANTS:
+            a = build(load(name), variant)
+            for scale, p in [(1, p) for p in (0, 1, 2, 5)] + [(2, 1)]:   # and p = 1/2
+                raised.append(assert_initial_is_reference(a.rescale(scale).valuate({"p": p}), free_inactive))
+    assert any(raised) and not all(raised)
+
+
+def test_initial_is_the_origin_met_with_the_invariant_on_random_eras():
+    """Seeded random ERAs, whose initial invariants include `x > 0` and `x < 0`."""
+    rng = random.Random(20261022)
+    raised, atoms = [], set()
+    for _ in range(400):
+        a = random_era(rng)
+        atoms.update((t.rel, t.offset) for t in a.invariant(a.initial))
+        for free_inactive in (False, True):
+            raised.append(assert_initial_is_reference(a, free_inactive))
+    assert {(">", 0), ("<", 0)} <= atoms
+    assert sum(raised) > 20 and not all(raised)
 
 
 # -- zone graph --------------------------------------------------------------

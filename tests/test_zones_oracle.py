@@ -49,7 +49,10 @@ def _raw_mask(cons: list[G.Constraint], n: int) -> np.ndarray:
 
 
 def compare_random_instances(n_instances: int = 1000, seed: int = 20260817):
-    """Run the agreement checks; returns (instances_done, mismatches)."""
+    """Run the agreement checks; returns (instances_done, mismatches).
+
+    Acceptance 7 (`tests/test_acceptance.py`) runs the 1000 seeded instances.
+    """
     rng = random.Random(seed)
     mismatches: list[str] = []
     done = 0
@@ -145,12 +148,6 @@ def compare_random_instances(n_instances: int = 1000, seed: int = 20260817):
         done += 1
 
     return done, mismatches
-
-
-def test_zone_operations_agree_with_grid_oracle():
-    done, mismatches = compare_random_instances(1000)
-    assert done >= 1000, f"only {done} instances completed"
-    assert mismatches == [], "\n".join(mismatches[:20])
 
 
 def test_known_half_grid_blind_spot_documented():
