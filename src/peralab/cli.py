@@ -280,56 +280,71 @@ def cmd_simulate_2cm(args) -> int:
 # -- wiring ---------------------------------------------------------------
 
 
-def _exploration_flags(parser: argparse.ArgumentParser, semantics: tuple[str, ...]) -> None:
+def _exploration(semantics: tuple[str, ...]) -> tuple:
     """-k/--depth, --semantics (offering `semantics`) and --node-limit, in that order."""
-    parser.add_argument("-k", "--depth", type=int, default=DEPTH)
-    parser.add_argument("--semantics", choices=semantics, default="maximal")
-    parser.add_argument(
-        "--node-limit", type=int, default=NODE_LIMIT,
-        help="bound on each of: zone-graph nodes, determinized state sets, and the "
-             f"distinct cycle words a Büchi walk holds (default {NODE_LIMIT})",
+    return (
+        (("-k", "--depth"), {"type": int, "default": DEPTH}),
+        (("--semantics",), {"choices": semantics, "default": "maximal"}),
+        (("--node-limit",), {"type": int, "default": NODE_LIMIT, "help": (
+            "bound on each of: zone-graph nodes, determinized state sets, and the "
+            f"distinct cycle words a Büchi walk holds (default {NODE_LIMIT})")}),
     )
+
+
+# command: (help line, handler, arguments as (names, add_argument keywords)); both the
+# whole tree and a run's one-command parser are filled from here, so they parse alike
+_COMMANDS = {
+    "encode": ("compile a counter machine to an automaton", cmd_encode, (
+        (("machine",), {"help": "machine description file"}),
+        (("--variant",), {"choices": VARIANTS, "default": "plain"}),
+        (("-o", "--output"), {"help": "output path (default: <machine>.<variant>.pera)"}))),
+    "lang": ("enumerate one valuation's language", cmd_lang, (
+        (("pera",), {"help": "serialized automaton file"}),
+        (("-p", "--valuation"), {"action": "append", "default": [],
+                                 "help": "parameter values, e.g. p=2 or p=1/2; at most once"}),
+        *_exploration(SEMANTICS))),
+    "compare": ("compare two valuations of one automaton", cmd_compare, (
+        (("pera",), {"help": "serialized automaton file"}),
+        (("-p", "--valuation"), {"action": "append", "default": [],
+                                 "help": "give twice: valuation A, then valuation B"}),
+        *_exploration(SEMANTICS))),
+    "theorem-check": ("halting-dichotomy experiment on a machine", cmd_theorem_check, (
+        (("machine",), {"help": "machine description file"}),
+        (("--values",), {"required": True, "help": "comma list of p values, e.g. 1,2,3,4"}),
+        *_exploration(tuple(_THEOREM_ENCODING)))),
+    "simulate-2cm": ("step the counter-machine interpreter", cmd_simulate_2cm, (
+        (("machine",), {"help": "machine description file"}),
+        (("--steps",), {"type": int, "default": 10}))),
+}
+
+
+def _fill(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+    """`parser` with `command`'s arguments and handler added."""
+    _, fn, arguments = _COMMANDS[command]
+    for names, options in arguments:
+        parser.add_argument(*names, **options)
+    parser.set_defaults(fn=fn, command=command)
+    return parser
 
 
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
-        prog="peralab",
-        description="workbench for parametric event-recording automata",
-    )
+        prog="peralab", description="workbench for parametric event-recording automata")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    enc = sub.add_parser("encode", help="compile a counter machine to an automaton")
-    enc.add_argument("machine", help="machine description file")
-    enc.add_argument("--variant", choices=VARIANTS, default="plain")
-    enc.add_argument("-o", "--output", help="output path (default: <machine>.<variant>.pera)")
-    enc.set_defaults(fn=cmd_encode)
-
-    lang = sub.add_parser("lang", help="enumerate one valuation's language")
-    lang.add_argument("pera", help="serialized automaton file")
-    lang.add_argument("-p", "--valuation", action="append", default=[],
-                      help="parameter values, e.g. p=2 or p=1/2; at most once")
-    _exploration_flags(lang, SEMANTICS)
-    lang.set_defaults(fn=cmd_lang)
-
-    cmp_ = sub.add_parser("compare", help="compare two valuations of one automaton")
-    cmp_.add_argument("pera", help="serialized automaton file")
-    cmp_.add_argument("-p", "--valuation", action="append", default=[],
-                      help="give twice: valuation A, then valuation B")
-    _exploration_flags(cmp_, SEMANTICS)
-    cmp_.set_defaults(fn=cmd_compare)
-
-    thm = sub.add_parser("theorem-check", help="halting-dichotomy experiment on a machine")
-    thm.add_argument("machine", help="machine description file")
-    thm.add_argument("--values", required=True, help="comma list of p values, e.g. 1,2,3,4")
-    _exploration_flags(thm, tuple(_THEOREM_ENCODING))
-    thm.set_defaults(fn=cmd_theorem_check)
-
-    sim = sub.add_parser("simulate-2cm", help="step the counter-machine interpreter")
-    sim.add_argument("machine", help="machine description file")
-    sim.add_argument("--steps", type=int, default=10)
-    sim.set_defaults(fn=cmd_simulate_2cm)
-
+    for command, (summary, _, _) in _COMMANDS.items():
+        _fill(sub.add_parser(command, help=summary), command)
     return ap
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """`argv` parsed by its command's parser alone; the whole tree parses top-level help, a
+    missing or unknown command, and a leftover argument, which it reports under its own usage."""
+    if argv and argv[0] in _COMMANDS:
+        parser = _fill(argparse.ArgumentParser(prog=f"peralab {argv[0]}"), argv[0])
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return _build_parser().parse_args(argv)
 
 
 # (flag, argparse attribute, least accepted value)
@@ -349,7 +364,7 @@ def _check_bounds(args) -> None:
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         # argparse has printed the usage message; its own exit code 2
         # would read as resource exhaustion, so a usage error exits 1

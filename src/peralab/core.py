@@ -245,8 +245,8 @@ class Pera:
         return self._map_guards(lambda g: tuple(Atom(a.clock, a.rel, a.offset * factor, a.param) for a in g))
 
     def _map_guards(self, f: Callable[[Guard], Guard], **changes) -> "Pera":
-        """A copy with `f` applied to every invariant and once per distinct edge guard; an edge is
-        dropped when `f` raises `UnsatisfiableAtom` on its guard, kept when `f` returns its guard."""
+        """A copy with `f` applied once per distinct invariant and edge guard; an edge is dropped
+        when `f` raises `UnsatisfiableAtom` on its guard, kept when `f` returns its guard."""
         mapped: dict[int, Guard | None] = {}   # by identity, as `from_text` shares equal guards
         edges = []
         for e in self.edges:
@@ -257,7 +257,9 @@ class Pera:
                     mapped[key] = None
             if (g := mapped[key]) is not None:
                 edges.append(e if g is e.guard else Edge(e.source, g, e.action, e.target))
-        invariants = {loc: f(g) for loc, g in self.invariants.items()}
+        # once per object too, apart from `mapped`: an unsatisfiable invariant raises, not drops
+        inv = {id(g): f(g) for g in {id(g): g for g in self.invariants.values()}.values()}
+        invariants = {loc: inv[id(g)] for loc, g in self.invariants.items()}
         return replace(self, edges=tuple(edges), invariants=invariants, **changes)
 
     def max_constant(self) -> int:

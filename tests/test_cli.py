@@ -737,6 +737,51 @@ def test_help_exits_zero(capsys):
     assert "usage: peralab" in capsys.readouterr().out
 
 
+COMMANDS = ("encode", "lang", "compare", "theorem-check", "simulate-2cm")
+
+
+@pytest.mark.parametrize("argv", [
+    *([command, "-h"] for command in COMMANDS),
+    ["lang", "F", "-k", "abc"],
+    ["compare", "F", "--semantics", "bogus"],
+    ["theorem-check", "M"],
+    ["lang"],
+    # the tree reports a leftover argument under its own usage, not the command's
+    ["lang", "F", "-p", "p=0", "--frobnicate"],
+    ["--help"],
+    [],
+    ["bogus"],
+], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_a_usage_error_or_help_reads_as_the_whole_tree_gives_it(argv, capsys):
+    with pytest.raises(SystemExit) as tree_exit:
+        cli._build_parser().parse_args(argv)
+    tree = (1 if tree_exit.value.code else 0, *capsys.readouterr())   # main's exit codes
+    assert (main(argv), *capsys.readouterr()) == tree
+
+
+@pytest.mark.parametrize("argv", [
+    ["encode", "M", "--variant", "wrapped", "-o", "out.pera"],
+    ["lang", "F", "-p", "p=1/2", "--semantics", "buchi", "-k", "3"],
+    ["compare", "F", "-p", "p=0", "-p", "p=1", "--node-limit", "9"],
+    ["theorem-check", "M", "--values", "1,2", "--semantics", "reach"],
+    ["simulate-2cm", "M", "--steps", "4"],
+    ["lang", "--", "-F"],
+], ids=" ".join)
+def test_a_well_formed_run_parses_as_the_tree_does_without_building_it(argv, monkeypatch):
+    tree = cli._build_parser().parse_args(argv)
+    monkeypatch.setattr(cli, "_build_parser", None)
+    assert cli._parse(argv) == tree
+
+
+def test_main_without_arguments_reads_sys_argv(inc3_file, monkeypatch, capsys):
+    argv = ["simulate-2cm", str(inc3_file), "--steps", "3"]
+    assert main(argv) == 0
+    expected = capsys.readouterr()
+    monkeypatch.setattr(sys, "argv", ["peralab", *argv])
+    assert main() == 0
+    assert capsys.readouterr() == expected
+
+
 NUMERIC_INVARIANT = json.dumps({
     "actions": [{"action": "a", "clock": "x"}],
     "locations": [{"name": "l", "invariant": 5}],

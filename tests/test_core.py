@@ -320,12 +320,14 @@ def test_a_repeated_guard_text_is_parsed_once_as_it_would_be_per_edge(monkeypatc
 
 
 def test_each_distinct_guard_is_valuated_once(monkeypatch):
-    a = Pera.from_text(ring_document(["x <= p+1 && y > 2", "true", "y >= p-1"]))
+    a = Pera.from_text(ring_document(["x <= p+1 && y > 2", "true", "y >= p-1"], invariant="x <= p"))
     valuated = []
     valuate = Atom.valuate
     monkeypatch.setattr(Atom, "valuate", lambda atom, values: valuated.append(atom) or valuate(atom, values))
     v = a.valuate({"p": 3})
-    assert valuated == [Atom("x", "<=", 1, "p"), Atom("y", ">", 2), Atom("y", ">=", -1, "p")]
+    assert valuated == [Atom("x", "<=", 1, "p"), Atom("y", ">", 2), Atom("y", ">=", -1, "p"),
+                        Atom("x", "<=", 0, "p")]   # the one invariant, shared by every location
+    assert set(v.invariants.values()) == {(Atom("x", "<=", 3),)}
     assert [e.guard for e in v.edges] == [
         (Atom("x", "<=", 4), Atom("y", ">", 2)), (), (Atom("y", ">=", 2),)] * 2
     assert v.edges[1] is a.edges[1] and v.edges[4] is a.edges[4]    # no parameter: kept as it is
