@@ -286,8 +286,8 @@ def _exploration(semantics: tuple[str, ...]) -> tuple:
         (("-k", "--depth"), {"type": int, "default": DEPTH}),
         (("--semantics",), {"choices": semantics, "default": "maximal"}),
         (("--node-limit",), {"type": int, "default": NODE_LIMIT, "help": (
-            "bound on each of: zone-graph nodes, determinized state sets, and the "
-            f"distinct cycle words a Büchi walk holds (default {NODE_LIMIT})")}),
+            "bound on the determinized state sets; under buchi, on each of the zone-graph "
+            f"nodes within 2k steps and the distinct cycle words held (default {NODE_LIMIT})")}),
     )
 
 

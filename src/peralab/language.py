@@ -22,12 +22,11 @@ actions are built from its successors' and memoized for the whole
 walk, for r up to a stride S that the alphabet sets (b^S <= 256 for b
 actions).  The words of each length up to S are one block; a longer
 word is a stored prefix followed by one of its set's suffixes of S
-actions, one block per prefix.  Its flagged filter enters a set only
-if a flagged set is reachable from it within the steps left, read
-backwards off the tables `counts` built, so listing a few flagged
-words among many prefix words skips the rest of the tree.  `compare` on two
-determinized automata walks pairs of sets breadth first, up to k, and
-returns the shortest, lexicographically least distinguishing word.
+actions, one block per prefix.  The flagged words are the same walk
+with a filter at the leaves: a word's line is kept only if the set it
+ends in is flagged.  `compare` on two determinized automata walks
+pairs of sets breadth first, up to k, and returns the shortest,
+lexicographically least distinguishing word.
 
 Büchi semantics is observed through `Lassos` instead: stem/cycle pairs
 through accepting locations on the full widened zone graph, cut at 2k
@@ -82,7 +81,8 @@ class Determinized:
     once.  Successor sets are interned, so equal sets are one object,
     and the number of distinct sets is what `node_limit` bounds.
     `flagged` is the per-set flag described in the module docstring,
-    also memoized.
+    read off the nodes' own tests, of which the blocking test is
+    memoized per node in `graph`.
     """
 
     def __init__(self, a: Pera, semantics: str, node_limit: int = NODE_LIMIT):
@@ -101,7 +101,6 @@ class Determinized:
         self.start: States = frozenset({self.graph.initial})
         self._trans: dict[States, dict[str, States]] = {}
         self._sets: dict[States, States] = {self.start: self.start}
-        self._flags: dict[States, bool] = {}
         # `lines`' stride: the most actions S with b^S <= 256, for b actions but at least 2,
         # and at least 1
         b, self.stride = max(len(a.actions), 2), 1
@@ -128,10 +127,7 @@ class Determinized:
         return table
 
     def flagged(self, states: States) -> bool:
-        flag = self._flags.get(states)
-        if flag is None:
-            flag = self._flags[states] = any(map(self._node_flagged, states))
-        return flag
+        return any(map(self._node_flagged, states))
 
     def counts(self, k: int) -> tuple[int, int]:
         """(prefix words, flagged words) of length <= k, counted per set."""
@@ -148,22 +144,6 @@ class Determinized:
                         nxt[succ] = nxt.get(succ, 0) + n
             level, left = nxt, left - 1
         return prefix, flagged
-
-    def _flag_horizon(self, k: int) -> list[set[States]]:
-        """`out[r]`: the sets that reach a flagged set within r steps.
-
-        Read backwards off the memoized tables and flags, after `counts(k)`
-        has built every set within k, so nothing new is stepped.  The
-        list stops once it stops growing: read `out[min(r, len(out) - 1)]`.
-        """
-        self.counts(k)
-        out = [{s for s, flag in self._flags.items() if flag}]
-        for _ in range(k):
-            near = out[-1]
-            out.append(near | {s for s, t in self._trans.items() if not near.isdisjoint(t.values())})
-            if len(out[-1]) == len(near):
-                break
-        return out
 
     def lines(self, k: int, flagged: bool = False) -> Iterator[str]:
         """Every word of length <= k as its report line, breadth first.
@@ -188,34 +168,25 @@ class Determinized:
         walk storing every level would hold b^k.  The walk steps only
         sets below depth k, so after `counts(k)` it creates no new set.
 
-        With `flagged`, only the flagged words are listed, and a set is
-        entered with r steps left only if it reaches a flagged set
-        within r steps (`_flag_horizon`): that prunes both the prefixes
-        and the tails, whose content it leaves as it is.
+        With `flagged`, only the flagged words are listed: the same walk,
+        whose tails of 0 actions are empty at an unflagged set, so a
+        word is kept or dropped at its leaf and empty blocks are skipped.
         """
-        near = self._flag_horizon(k) if flagged else None
-
-        def keep(states: States, left: int) -> bool:
-            return near is None or states in near[min(left, len(near) - 1)]
-
         memo: dict[tuple[States, int], list[str]] = {}
 
         def tails(states: States, r: int) -> list[str]:
             out = memo.get((states, r))
             if out is None:
                 if not r:
-                    out = ["\n"] if keep(states, 0) else []
+                    out = ["\n"] if not flagged or self.flagged(states) else []
                 else:
                     out = []
                     for act, t in self.step(states).items():
-                        if keep(t, r - 1):
-                            head = act + " " if r > 1 else act
-                            out += [head + tail for tail in tails(t, r - 1)]
+                        head = act + " " if r > 1 else act
+                        out += [head + tail for tail in tails(t, r - 1)]
                 memo[(states, r)] = out
             return out
 
-        if not keep(self.start, k):
-            return
         stride = self.stride
         for n in range(min(k, stride) + 1):
             block = tails(self.start, n)
@@ -225,7 +196,7 @@ class Determinized:
         left = k - 1                 # steps left below the next level's prefixes
         while level and left >= stride:
             level = [(text + act + " ", t) for text, states in level
-                     for act, t in self.step(states).items() if keep(t, left)]
+                     for act, t in self.step(states).items()]
             for text, states in level:
                 block = tails(states, stride)
                 if block:

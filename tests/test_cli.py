@@ -168,11 +168,13 @@ def test_lang_exhausted_on_the_last_set_prints_nothing(wrapped_loop_file, capsys
 
 
 def test_lang_node_limit_counts_distinct_sets(wrapped_loop_file, capsys):
-    # p = 0 at k = 8 builds 2 distinct sets behind 8 transitions (over
-    # the zone graph with inactive clocks freed)
-    argv = ["lang", str(wrapped_loop_file), "-p", "p=0", "-k", "8"]
-    assert main(argv + ["--node-limit", "2"]) == 0
-    assert main(argv + ["--node-limit", "1"]) == 2
+    # at k = 8, p = 0 builds 2 distinct sets behind 8 transitions and
+    # p = 3 builds 11 sets over 12 zone-graph nodes (over the zone graph
+    # with inactive clocks freed), so the limit bounds the sets, not the nodes
+    for p, sets in (("0", 2), ("3", 11)):
+        argv = ["lang", str(wrapped_loop_file), "-p", f"p={p}", "-k", "8"]
+        assert main(argv + ["--node-limit", str(sets)]) == 0
+        assert main(argv + ["--node-limit", str(sets - 1)]) == 2
 
 
 @pytest.mark.parametrize("limit,code", [(74, 2), (75, 0)])
@@ -259,7 +261,7 @@ LANG_ENCODING = {"maximal": "wrapped", "reach": "buchi", "safety": "safety"}
 @pytest.mark.parametrize("semantics,p,k", [
     *itertools.product(("maximal", "reach", "safety"), ("0", "2", "1/2"), (0, 3)),
     # loop has 8 maximal words among 87,381 here: the flagged walk
-    # enters only the few sets that still reach one
+    # is the prefix walk, keeping a line only where its set is flagged
     ("maximal", "2", 8),
 ])
 def test_lang_prints_the_reference_word_sets(tmp_path, capsys, monkeypatch, semantics, p, k):
@@ -294,13 +296,14 @@ def test_lang_prints_the_reference_word_sets(tmp_path, capsys, monkeypatch, sema
         if not flagged:  # maximal at p = 0, and reach at k = 0
             assert body.endswith(f"-- {title} --\n\n")
 
-        # printing builds, steps and flags no set that counting did not
+        # printing builds and steps no set, and decides blocking for no
+        # node, that counting did not
         counted = Determinized(va, semantics)
         counted.counts(k)
         printed = built[-1]
         assert len(printed._sets) == len(counted._sets)
         assert printed._trans.keys() == counted._trans.keys()
-        assert printed._flags.keys() == counted._flags.keys()
+        assert printed.graph._blocks.keys() == counted.graph._blocks.keys()
 
 
 @pytest.mark.parametrize("semantics,k,digest", [

@@ -197,6 +197,28 @@ def test_lines_flagged_on_alternate_levels(accepting, parity):
         assert "".join(chunks) == reference_lines(words)
 
 
+@pytest.mark.parametrize("p", [3, 4])
+def test_lines_flagged_past_the_listing_depths(p):
+    """At k = 10, 16 maximal words among 1,398,101 prefix words, compare's witness among them.
+
+    Each listed word replays through `step` to a flagged set, and the
+    listing builds no set that `counts(10)` did not.
+    """
+    det = Determinized(build(loop(), "wrapped").valuate({"p": p}), "maximal")
+    _, maximal = det.counts(10)
+    built = len(det._sets)
+    words = [tuple(line.split()) for line in "".join(det.lines(10, flagged=True)).splitlines()]
+    assert len(words) == maximal == 16
+    assert words == sorted(set(words), key=lambda w: (len(w), w))
+    for word in words:
+        states = det.start
+        for act in word:
+            states = det.step(states)[act]
+        assert det.flagged(states)
+    assert tuple("a_1 a_1 a_z a_2 a_t a_t a_z a_1 a_2 a_t".split()) in words
+    assert len(det._sets) == built
+
+
 # -- semantics dispatch -------------------------------------------------------
 
 
