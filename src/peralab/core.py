@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -31,8 +31,7 @@ def number_text(c: int) -> str:
         return f"<{c.bit_length()}-bit number>"
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(namedtuple("Atom", "clock rel offset param")):
     """One comparison `clock rel (param + offset)` or `clock rel offset`.
 
     `param` is None for constant bounds.  Offsets may be negative only
@@ -40,16 +39,15 @@ class Atom:
     constant, so such an atom would be vacuous or unsatisfiable).
     """
 
-    clock: str
-    rel: str
-    offset: int
-    param: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.rel not in RELATIONS:
-            raise ModelError(f"unknown relation {self.rel!r}")
-        if self.param is None and self.offset < 0:
+    def __new__(cls, clock: str, rel: str, offset: int, param: str | None = None) -> Atom:
+        if rel not in RELATIONS:
+            raise ModelError(f"unknown relation {rel!r}")
+        self = super().__new__(cls, clock, rel, offset, param)
+        if param is None and offset < 0:
             raise ModelError(f"negative constant bound in {self.text()}")
+        return self
 
     def text(self) -> str:
         if self.param is None:
@@ -89,12 +87,10 @@ class UnsatisfiableAtom(ModelError):
 Guard = tuple[Atom, ...]
 
 
-@dataclass(frozen=True)
-class Edge:
-    source: str
-    guard: Guard
-    action: str
-    target: str
+class Edge(namedtuple("Edge", "source guard action target")):
+    """One transition, `source --[guard] action--> target`."""
+
+    __slots__ = ()
 
     def text(self) -> str:
         return f"{self.source} --[{guard_text(self.guard)}] {self.action}--> {self.target}"
@@ -136,28 +132,35 @@ def parse_guard(text: str, parameters: Iterable[str]) -> Guard:
     return tuple(parse_atom(part, parameters) for part in text.split("&&"))
 
 
-@dataclass(frozen=True)
-class Pera:
+class Pera(namedtuple("Pera", "actions parameters locations initial edges invariants accepting")):
     """A parametric event-recording automaton.
 
     `actions` maps each action to its clock; the map must be a
     bijection.  `invariants` gives every location a guard over the
     clocks (empty tuple means `true`).  `accepting` is used only by the
     omega-acceptance analysis and may be empty.
+
+    The record is a named tuple.  Its constructor trims empty invariants
+    and validates; `valuate`, `rescale` and the encoder's variants derive
+    their automata with `_replace`, which does not validate again.
     """
 
-    actions: tuple[tuple[str, str], ...]
-    parameters: tuple[str, ...]
-    locations: tuple[str, ...]
-    initial: str
-    edges: tuple[Edge, ...]
-    invariants: Mapping[str, Guard] = field(default_factory=dict)
-    accepting: frozenset[str] = frozenset()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        trimmed = {loc: g for loc, g in self.invariants.items() if g}
-        object.__setattr__(self, "invariants", trimmed)
+    def __new__(
+        cls,
+        actions: tuple[tuple[str, str], ...],
+        parameters: tuple[str, ...],
+        locations: tuple[str, ...],
+        initial: str,
+        edges: tuple[Edge, ...],
+        invariants: Mapping[str, Guard] = {},   # read, never stored: the field is a trimmed copy
+        accepting: frozenset[str] = frozenset(),
+    ) -> Pera:
+        trimmed = {loc: g for loc, g in invariants.items() if g}
+        self = super().__new__(cls, actions, parameters, locations, initial, edges, trimmed, accepting)
         self.validate()
+        return self
 
     # -- structure ---------------------------------------------------
 
@@ -245,8 +248,9 @@ class Pera:
         return self._map_guards(lambda g: tuple(Atom(a.clock, a.rel, a.offset * factor, a.param) for a in g))
 
     def _map_guards(self, f: Callable[[Guard], Guard], **changes) -> "Pera":
-        """A copy with `f` applied once per distinct invariant and edge guard; an edge is dropped
-        when `f` raises `UnsatisfiableAtom` on its guard, kept when `f` returns its guard."""
+        """A copy, not validated again, with `f` applied once per distinct invariant and edge guard;
+        an edge is dropped when `f` raises `UnsatisfiableAtom` on its guard, kept when `f` returns
+        its guard."""
         mapped: dict[int, Guard | None] = {}   # by identity, as `from_text` shares equal guards
         edges = []
         for e in self.edges:
@@ -260,7 +264,7 @@ class Pera:
         # once per object too, apart from `mapped`: an unsatisfiable invariant raises, not drops
         inv = {id(g): f(g) for g in {id(g): g for g in self.invariants.values()}.values()}
         invariants = {loc: inv[id(g)] for loc, g in self.invariants.items()}
-        return replace(self, edges=tuple(edges), invariants=invariants, **changes)
+        return self._replace(edges=tuple(edges), invariants=invariants, **changes)
 
     def max_constant(self) -> int:
         """Largest constant bound appearing anywhere; parameters excluded.

@@ -15,8 +15,6 @@ always becomes `l_halt`/`lbar_halt` regardless of its source name.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .core import Atom, Edge, Guard, ModelError, Pera
 from .minsky import Inc, Machine
 
@@ -114,8 +112,7 @@ def wrap_preservation(gadget: Pera) -> Pera:
         edges.append(Edge("l_halt", (), act, "l_acc2"))
         edges.append(Edge("l_acc1", (), act, "l_acc1"))
         edges.append(Edge("l_acc2", (), act, "l_acc2"))
-    return replace(
-        gadget,
+    return gadget._replace(
         locations=gadget.locations + ("l_start", "l_acc1", "l_acc2"),
         initial="l_start",
         edges=tuple(edges),
@@ -143,7 +140,7 @@ def add_sink(a: Pera) -> Pera:
         for act, _ in SIGMA:
             edges.append(Edge(bar, at_period, act, "l_sink"))
             edges.append(Edge(bar, at_zero, act, "l_sink"))
-    return replace(a, locations=a.locations + ("l_sink",), edges=tuple(edges))
+    return a._replace(locations=a.locations + ("l_sink",), edges=tuple(edges))
 
 
 def buchi_variant(a: Pera) -> Pera:
@@ -151,8 +148,7 @@ def buchi_variant(a: Pera) -> Pera:
     for need in ("l_sink", "l_acc1", "l_acc2"):
         if need not in a.locations:
             raise ModelError(f"{need!r} missing; build the wrapped+sink automaton first")
-    return replace(
-        a,
+    return a._replace(
         actions=a.actions + (EXTRA_ACTION,),
         edges=a.edges + (Edge("l_sink", (), EXTRA_ACTION[0], "l_sink"),),
         accepting=frozenset({"l_acc1", "l_acc2", "l_sink"}),
@@ -168,10 +164,10 @@ def safety_variant(a: Pera) -> Pera:
     if "l_sink" not in a.locations:
         raise ModelError("l_sink missing; build the wrapped+sink automaton first")
     edges = (
-        replace(e, action=EXTRA_ACTION[0]) if e.target == "l_sink" and e.source != "l_sink" else e
+        e._replace(action=EXTRA_ACTION[0]) if e.target == "l_sink" and e.source != "l_sink" else e
         for e in a.edges
     )
-    return replace(a, actions=a.actions + (EXTRA_ACTION,), edges=tuple(dict.fromkeys(edges)))
+    return a._replace(actions=a.actions + (EXTRA_ACTION,), edges=tuple(dict.fromkeys(edges)))
 
 
 VARIANTS = ("plain", "wrapped", "sink", "buchi", "safety")

@@ -44,8 +44,7 @@ still close the cycle within the bound.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import cache
 from itertools import zip_longest
 from typing import Iterator
@@ -412,15 +411,17 @@ def _lasso_text(l: Lasso) -> str:
     return " ".join(l[0]) + " | " + " ".join(l[1])
 
 
-@dataclass(frozen=True)
-class CompareResult:
-    equal: bool
-    field: str | None = None       # which set the witness came from
-    witness: object | None = None  # a word, or a (stem, cycle) pair
-    owner: str | None = None       # "left" or "right"
-    # lassos only: per side, how many have a total length at most the
-    # witness's, or all of them when equal
-    counts: tuple[int, int] | None = None
+class CompareResult(namedtuple("CompareResult", "equal field witness owner counts", defaults=(None,) * 4)):
+    """Whether two sides agree up to the bound and, if not, a shortest witness.
+
+    `field` names the set the witness came from; `witness` is a word,
+    or a (stem, cycle) pair; `owner` is "left" or "right".  `counts`
+    (lassos only) gives per side how many lassos have a total length at
+    most the witness's, or all of them when equal.  Every field but
+    `equal` defaults to None.
+    """
+
+    __slots__ = ()
 
     def text(self, left: str, right: str) -> str:
         """The verdict in words, naming the sides `left` and `right`."""

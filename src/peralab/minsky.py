@@ -8,63 +8,64 @@ combined zero-test/decrement.  Execution is deterministic.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import Iterator
 
 from .core import ModelError
 
 
-@dataclass(frozen=True)
-class Inc:
-    counter: int
-    goto: str
+class Inc(namedtuple("Inc", "counter goto")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TestDec:
+class TestDec(namedtuple("TestDec", "counter if_zero if_pos")):
+    __slots__ = ()
     __test__ = False   # keep pytest from collecting this as a test class
-
-    counter: int
-    if_zero: str
-    if_pos: str
 
 
 Instruction = Inc | TestDec
 
 
-@dataclass(frozen=True)
-class Machine:
-    name: str
-    states: tuple[str, ...]
-    initial: str
-    halt: str
-    program: tuple[tuple[str, Instruction], ...]
-    _by_state: dict[str, Instruction] = field(init=False, repr=False, compare=False)
+class Machine(namedtuple("Machine", "name states initial halt program")):
+    """`program` pairs each state but `halt` with its instruction; the constructor validates.
 
-    def __post_init__(self) -> None:
-        states = set(self.states)
-        if len(states) != len(self.states):
+    No `__slots__`: instances keep the program by state in `_by_state`,
+    an attribute outside the fields, so `repr` and `==` ignore it.
+    """
+
+    def __new__(
+        cls,
+        name: str,
+        states: tuple[str, ...],
+        initial: str,
+        halt: str,
+        program: tuple[tuple[str, Instruction], ...],
+    ) -> Machine:
+        declared = set(states)
+        if len(declared) != len(states):
             raise ModelError("duplicate state names")
-        if self.initial not in states or self.halt not in states:
+        if initial not in declared or halt not in declared:
             raise ModelError("initial/halt state not declared")
-        prog = dict(self.program)
-        if len(prog) != len(self.program):
+        prog = dict(program)
+        if len(prog) != len(program):
             raise ModelError("state has two instructions")
-        object.__setattr__(self, "_by_state", prog)
-        if self.halt in prog:
+        if halt in prog:
             raise ModelError("halt state cannot carry an instruction")
-        for st in self.states:
-            if st != self.halt and st not in prog:
+        for st in states:
+            if st != halt and st not in prog:
                 raise ModelError(f"state {st!r} has no instruction")
-        for st, ins in self.program:
-            if st not in states:
+        for st, ins in program:
+            if st not in declared:
                 raise ModelError(f"instruction on undeclared state {st!r}")
             if ins.counter not in (1, 2):
                 raise ModelError("counters are numbered 1 and 2")
             targets = [ins.goto] if isinstance(ins, Inc) else [ins.if_zero, ins.if_pos]
             for t in targets:
-                if t not in states:
+                if t not in declared:
                     raise ModelError(f"goto target {t!r} not declared")
+        self = super().__new__(cls, name, states, initial, halt, program)
+        self._by_state = prog
+        return self
 
     def instruction(self, state: str) -> Instruction | None:
         return self._by_state.get(state)
@@ -106,10 +107,10 @@ def trace(m: Machine, max_steps: int) -> Iterator[Config]:
         yield cfg
 
 
-@dataclass(frozen=True)
-class RunResult:
-    configs: tuple[Config, ...]
-    halted: bool
+class RunResult(namedtuple("RunResult", "configs halted")):
+    """The configurations a run visited, and whether it ended halted."""
+
+    __slots__ = ()
 
     @property
     def steps_taken(self) -> int:

@@ -19,6 +19,7 @@ from peralab.core import (
     parse_valuation,
 )
 from peralab.encoder import VARIANTS, build
+from peralab.language import CompareResult
 from peralab.semantics import Analyzer
 
 from machines import load, loop
@@ -129,20 +130,23 @@ def test_pera_accessors():
 
 
 def test_validate_rejects_bad_structure():
-    with pytest.raises(ModelError):
-        tiny_automaton(initial="nowhere")
-    with pytest.raises(ModelError):
-        tiny_automaton(locations=("l0", "l0", "l1"))
-    with pytest.raises(ModelError):
-        tiny_automaton(actions=(("a", "x"), ("b", "x")))
-    with pytest.raises(ModelError):
-        tiny_automaton(edges=(Edge("l0", (), "zz", "l1"),))
-    with pytest.raises(ModelError):
-        tiny_automaton(edges=(Edge("l0", (), "a", "nowhere"),))
-    with pytest.raises(ModelError):
-        tiny_automaton(invariants={"ghost": (Atom("x", "<=", 1),)})
-    with pytest.raises(ModelError):
-        tiny_automaton(edges=(Edge("l0", (Atom("w", "<=", 1),), "a", "l1"),))
+    # one case per check of `Pera.validate`, run by the constructor; the unknown
+    # names in guards and invariants are `test_validate_names_the_guard_of_an_unknown_name`
+    cases = [
+        ({"actions": (("a", "x"), ("b", "x"))}, "action/clock map is not a bijection"),
+        ({"actions": (("a", "b"), ("b", "y"))}, "action names and clock names overlap"),
+        ({"locations": ("l0", "l0", "l1")}, "duplicate location names"),
+        ({"initial": "nowhere"}, "initial location 'nowhere' not declared"),
+        ({"accepting": frozenset({"ghost"})}, "accepting set mentions undeclared locations"),
+        ({"invariants": {"ghost": (Atom("x", "<=", 1),)}}, "invariant for undeclared location 'ghost'"),
+        ({"edges": (Edge("ghost", (), "a", "l1"),)}, "edge endpoints undeclared: ghost --[true] a--> l1"),
+        ({"edges": (Edge("l0", (), "a", "nowhere"),)}, "edge endpoints undeclared: l0 --[true] a--> nowhere"),
+        ({"edges": (Edge("l0", (), "zz", "l1"),)}, "edge action undeclared: l0 --[true] zz--> l1"),
+    ]
+    for overrides, message in cases:
+        with pytest.raises(ModelError) as err:
+            tiny_automaton(**overrides)
+        assert str(err.value) == message
 
 
 def test_validate_names_the_guard_of_an_unknown_name():
@@ -155,6 +159,51 @@ def test_validate_names_the_guard_of_an_unknown_name():
     with pytest.raises(ModelError) as err:
         tiny_automaton(invariants={"l1": (Atom("w", "<=", 1),)})
     assert str(err.value) == "unknown clock 'w' in invariant of l1"
+    with pytest.raises(ModelError) as err:
+        tiny_automaton(invariants={"l0": (Atom("x", "<=", 1, "q"),)})
+    assert str(err.value) == "unknown parameter 'q' in invariant of l0"
+
+
+@pytest.mark.parametrize("args, message", [
+    (("x", "<>", 1), "unknown relation '<>'"),
+    (("x", "<", -1), "negative constant bound in x < -1"),
+])
+def test_the_atom_constructor_validates(args, message):
+    with pytest.raises(ModelError) as err:
+        Atom(*args)
+    assert str(err.value) == message
+
+
+def test_a_derived_automaton_is_one_the_constructor_accepts():
+    """Deriving skips validation, so each automaton the encoder, `valuate` and `rescale` derive
+    from the bundled machines is rebuilt here by the constructor, which must raise nothing and
+    give back an equal automaton."""
+    for name in ("inc3", "loop", "halt"):
+        for variant in VARIANTS:
+            a = build(load(name), variant)
+            derived = [a, a.rescale(2)]
+            derived += [a.valuate({"p": p}, scale=s) for s in (1, 2, 3, 6) for p in (0, 1, 2, 5)]
+            for b in derived:
+                assert Pera(*b) == b, (name, variant)
+
+
+def test_records_are_immutable():
+    a = tiny_automaton()
+    for record, field in [(a, "initial"), (a.edges[0], "action"), (a.edges[0].guard[0], "offset"),
+                          (CompareResult(True), "equal")]:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+
+
+def test_records_keep_their_repr():
+    edge = Edge("l0", (Atom("x", "=", 1),), "a", "l1")
+    assert repr(edge.guard[0]) == "Atom(clock='x', rel='=', offset=1, param=None)"
+    assert repr(edge) == (
+        "Edge(source='l0', guard=(Atom(clock='x', rel='=', offset=1, param=None),), action='a', target='l1')"
+    )
+    assert repr(CompareResult(False, "prefix", ("a",), "left")) == (
+        "CompareResult(equal=False, field='prefix', witness=('a',), owner='left', counts=None)"
+    )
 
 
 def test_valid_construction_formats_no_edge(monkeypatch):
@@ -244,7 +293,7 @@ def test_valuate_with_a_scale_is_rescale_then_valuate():
             for p in (0, 1, 2, 5, Z.MAX_BOUND, Z.MAX_BOUND + 1):
                 got = valuated_or_error(lambda: a.valuate({"p": p}, scale=scale))
                 assert got == valuated_or_error(lambda: a.rescale(scale).valuate({"p": p})), (scale, p)
-                seen.add(got[0] if isinstance(got, tuple) else Pera)
+                seen.add(Pera if isinstance(got, Pera) else got[0])
     assert seen == {Pera, UnsatisfiableAtom, ModelError}
 
 

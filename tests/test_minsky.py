@@ -75,14 +75,39 @@ def test_trace_is_bounded():
 
 
 def test_machine_validation():
-    with pytest.raises(ModelError):
-        Machine("m", ("a",), "a", "a", (("a", Inc(1, "a")),))  # halt has instruction
-    with pytest.raises(ModelError):
-        Machine("m", ("a", "h"), "a", "h", ())  # a lacks an instruction
-    with pytest.raises(ModelError):
-        Machine("m", ("a", "h"), "a", "h", (("a", Inc(3, "h")),))  # bad counter
-    with pytest.raises(ModelError):
-        Machine("m", ("a", "h"), "a", "h", (("a", Inc(1, "ghost")),))
+    cases = [
+        (("a", "a", "h"), (("a", Inc(1, "h")),), "duplicate state names"),
+        (("b", "h"), (("b", Inc(1, "h")),), "initial/halt state not declared"),
+        (("a", "g"), (("a", Inc(1, "g")),), "initial/halt state not declared"),
+        (("a", "h"), (("a", Inc(1, "h")), ("a", Inc(2, "h"))), "state has two instructions"),
+        (("a", "h"), (("a", Inc(1, "h")), ("h", Inc(1, "a"))), "halt state cannot carry an instruction"),
+        (("a", "h"), (), "state 'a' has no instruction"),
+        (("a", "h"), (("a", Inc(1, "h")), ("g", Inc(1, "h"))), "instruction on undeclared state 'g'"),
+        (("a", "h"), (("a", Inc(3, "h")),), "counters are numbered 1 and 2"),
+        (("a", "h"), (("a", Inc(1, "ghost")),), "goto target 'ghost' not declared"),
+        (("a", "h"), (("a", TestDec(2, "h", "ghost")),), "goto target 'ghost' not declared"),
+    ]
+    for states, program, message in cases:
+        with pytest.raises(ModelError) as err:
+            Machine("m", states, "a", "h", program)
+        assert str(err.value) == message
+
+
+def test_machine_records_are_values():
+    m = Machine("m", ("a", "h"), "a", "h", (("a", Inc(1, "h")),))
+    # the program by state is kept outside the fields
+    assert m == Machine("m", ("a", "h"), "a", "h", (("a", Inc(1, "h")),))
+    assert m.instruction("a") == Inc(1, "h") and m.instruction("h") is None
+    assert repr(m) == (
+        "Machine(name='m', states=('a', 'h'), initial='a', halt='h', "
+        "program=(('a', Inc(counter=1, goto='h')),))"
+    )
+    result = run(m, 5)
+    assert repr(result) == "RunResult(configs=(('a', 0, 0), ('h', 1, 0)), halted=True)"
+    records = [(m, "halt"), (Inc(1, "h"), "goto"), (TestDec(1, "a", "h"), "if_pos"), (result, "halted")]
+    for record, field in records:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
 
 
 # -- text format -----------------------------------------------------------------

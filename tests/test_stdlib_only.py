@@ -3,6 +3,8 @@ itself, and ships no code that only the tests use."""
 
 import ast
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -28,6 +30,21 @@ def imported_modules(path: Path) -> set[str]:
 def test_src_imports_only_the_standard_library(path):
     foreign = {m for m in imported_modules(path) if m != "peralab" and m not in sys.stdlib_module_names}
     assert not foreign, f"{path.name} imports {sorted(foreign)}"
+
+
+def test_src_does_not_import_dataclasses():
+    # records are named tuples: `dataclasses` generates code per class at import
+    # time and pulls in `inspect`, which every CLI process would pay for
+    users = [p.name for p in sorted(SRC.glob("*.py")) if "dataclasses" in imported_modules(p)]
+    assert not users, f"{users} import dataclasses"
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    probe = "import sys, peralab.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    # -S: no site hooks, which may import either module for reasons of their own
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
 
 
 def module_level_names(tree: ast.Module) -> list[str]:
